@@ -225,8 +225,11 @@ def cmd_sweep(args) -> int:
     kappas = args.kappa_list if args.kappa_list else list(sdplite.DEFAULT_KAPPA_GRID)
     cells = sdplite.sweep_heatmap(alphas, kappas, m_base=args.m_base)
     sdplite.write_heatmap_csv(cells, args.out)
-    n_bad = sum(1 for c in cells if not c.feasible)
-    print(f"{len(cells)} cells ({n_bad} failed) -> {args.out}")
+    failed = [c for c in cells if not c.feasible]
+    for c in failed:
+        print(f"cell alpha={c.alpha:g} kappa={c.kappa:g} failed: {c.reason}",
+              file=sys.stderr)
+    print(f"{len(cells)} cells ({len(failed)} failed) -> {args.out}")
     return 0
 
 

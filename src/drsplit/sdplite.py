@@ -1,17 +1,18 @@
 """Dense symmetric eigensolver and the linear-rate certificate optimizer.
 
-The optimizer works on the Schur-linearized 4x4 certificate factor, in which
-the squared rate, the relaxation parameter, and both multipliers all enter
-affinely.  The outer loop bisects on the squared rate; the inner loop is a
-deterministic multi-start coordinate descent on the convex objective
-max_eig(Sigma).  Everything is reproducible: fixed starts, no randomness.
+The optimizer works on the Schur-linearized 4x4 certificate factor Sigma, in
+which the squared rate, the relaxation parameter, and both multipliers all
+enter affinely, so minimizing rho^2 subject to Sigma < 0 is a small
+semidefinite program.  It is solved by a deterministic log-barrier Newton
+method and each result is revalidated on the direct 3x3 certificate factor.
 """
 
 from __future__ import annotations
 
 import csv
+import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -33,11 +34,16 @@ __all__ = [
     "DEFAULT_KAPPA_GRID",
 ]
 
+logger = logging.getLogger(__name__)
+
 _JACOBI_SWEEPS = 100
-_BISECT_TOL = 1e-4
-_WARM_TRUST_MARGIN = 1e-3  # infeasible verdicts this far from 0 skip cold starts
 _LAM_BOX = (0.01, 4.0)
 _SIGMA_BOX_SCALE = 100.0  # sigma box is [0, 100/alpha]
+_GAP_TOL = 1e-10  # duality-gap bound on rho^2 at which the barrier stops
+_CENTERING_TOL = 0.25  # Newton decrement that ends a centering stage
+_T_START = 10.0  # barrier weight of the first centering stage
+_T_GROWTH = 30.0  # barrier weight factor between centering stages
+_MAX_NEWTON = 50  # Newton steps allowed per centering stage
 
 
 @dataclass(frozen=True)
@@ -65,6 +71,7 @@ class SweepCell:
     sigma1: float
     sigma2: float
     feasible: bool
+    reason: str = ""  # why the optimizer failed; empty for a feasible cell
 
 
 def eig_sym(M: np.ndarray):
@@ -140,24 +147,25 @@ def max_eig(M: np.ndarray) -> float:
     return float(eig_sym(M)[0][-1])
 
 
-def _sigma_parts(alpha: float, fc: FunctionClass, rho_sq: float):
-    """Affine decomposition Sigma = base + lam*Alam + s1*A1 + s2*A2."""
+def _sigma_parts(alpha: float, fc: FunctionClass):
+    """Affine decomposition of the Schur-linearized certificate factor.
+
+    Sigma = base + rho_sq*parts[0] + lam*parts[1] + sigma1*parts[2]
+    + sigma2*parts[3], in the variable order of ``LmiPoint``.
+    """
+    if not (fc.strongly_convex and fc.smooth):
+        raise ValueError("the linear-rate certificate requires 0 < m <= L < inf")
     base = np.zeros((4, 4))
-    base[0, 0] = 1.0 - rho_sq
+    base[0, 0] = 1.0
     base[3, 3] = -1.0
-    Alam = np.zeros((4, 4))
-    # top-left block couplings of the rate decrement, with the quadratic
-    # lambda terms cancelled by the Schur border
-    Alam[0, 1] = Alam[1, 0] = -1.0
-    Alam[0, 2] = Alam[2, 0] = 1.0
-    # border column (0, -lam, lam)
-    Alam[1, 3] = Alam[3, 1] = -1.0
-    Alam[2, 3] = Alam[3, 2] = 1.0
-    A1 = np.zeros((4, 4))
-    A1[:3, :3] = certify.build_Q1(alpha, fc)
-    A2 = np.zeros((4, 4))
-    A2[:3, :3] = certify.build_Q2(alpha)
-    return base, Alam, A1, A2
+    parts = np.zeros((4, 4, 4))
+    parts[0, 0, 0] = -1.0
+    # top-left couplings of the rate decrement, with the quadratic lambda
+    # terms cancelled by the Schur border column (0, -lam, lam)
+    parts[1] = [[0, -1, 1, 0], [-1, 0, 0, -1], [1, 0, 0, 1], [0, -1, 1, 0]]
+    parts[2, :3, :3] = certify.build_Q1(alpha, fc)
+    parts[3, :3, :3] = certify.build_Q2(alpha)
+    return base, parts
 
 
 def build_sigma_matrix(point: LmiPoint, alpha: float, fc: FunctionClass) -> np.ndarray:
@@ -166,326 +174,140 @@ def build_sigma_matrix(point: LmiPoint, alpha: float, fc: FunctionClass) -> np.n
     Negative semidefiniteness of this matrix is equivalent to the direct
     Case-3 certificate inequality at the same parameters.
     """
-    if not (fc.strongly_convex and fc.smooth):
-        raise ValueError("the linear-rate certificate requires 0 < m <= L < inf")
-    base, Alam, A1, A2 = _sigma_parts(alpha, fc, point.rho_sq)
-    return base + point.lam * Alam + point.sigma1 * A1 + point.sigma2 * A2
+    base, parts = _sigma_parts(alpha, fc)
+    coeffs = [point.rho_sq, point.lam, point.sigma1, point.sigma2]
+    return base + np.tensordot(coeffs, parts, 1)
 
 
-class _SigmaObjective:
-    """Batched evaluator of max_eig(Sigma) over decision points."""
+def _barrier(F0, Fs, lo, hi, x, floor=None):
+    """Minimize x[0] over {x : F0 + sum_i x[i] Fs[i] > 0, lo < x < hi}.
 
-    def __init__(self, alpha: float, fc: FunctionClass, rho_sq: float):
-        self.parts = _sigma_parts(alpha, fc, rho_sq)
-
-    def batch(self, lams, s1s, s2s):
-        # scalar arguments broadcast against the varying axis, so callers can
-        # pass a single varying coordinate without materializing constant
-        # columns
-        base, Alam, A1, A2 = self.parts
-        lams = np.atleast_1d(np.asarray(lams, dtype=float))[:, None, None]
-        s1s = np.atleast_1d(np.asarray(s1s, dtype=float))[:, None, None]
-        s2s = np.atleast_1d(np.asarray(s2s, dtype=float))[:, None, None]
-        S = base + lams * Alam + s1s * A1 + s2s * A2
-        vals = np.linalg.eigvalsh(S)[:, -1]
-        tols = 1e-9 * (1.0 + np.abs(S).max(axis=(1, 2)))
-        return vals, tols
-
-    def single(self, lam, s1, s2):
-        vals, tols = self.batch(lam, s1, s2)
-        return float(vals[0]), float(tols[0])
-
-
-def _line_refine(objective, point, ci, lo, hi, n_pts=25, stages=3):
-    """Successively refined grid minimization along one coordinate."""
-    best_x = point[ci]
-    best_v = math.inf
-    best_tol = 0.0
-    for _ in range(stages):
-        xs = np.linspace(lo, hi, n_pts)
-        cols = [point[0], point[1], point[2]]
-        cols[ci] = xs
-        vals, tols = objective.batch(*cols)
-        i = int(np.argmin(vals))
-        if vals[i] < best_v:
-            best_v = float(vals[i])
-            best_x = float(xs[i])
-            best_tol = float(tols[i])
-        lo = xs[max(i - 1, 0)]
-        hi = xs[min(i + 1, n_pts - 1)]
-    return best_x, best_v, best_tol
-
-
-def _descend(objective, start, lam_box, sig_box, early_exit, max_sweeps=25,
-             give_up_margin=None):
-    """Coordinate descent on the convex objective from one start point.
-
-    ``give_up_margin`` stops the descent once the value sits above that margin
-    and a geometric extrapolation of the decaying sweep improvements shows the
-    remaining progress cannot reach it: the caller only needs to know the
-    minimum stays above the margin.
+    Log-barrier method (Boyd & Vandenberghe, Convex Optimization, sec. 11.3)
+    from the strictly feasible ``x``: damped Newton steps on t x[0] + phi(x),
+    phi being -log det of the matrix plus -log of the distance to each finite
+    bound, with t raised by _T_GROWTH per centering stage.  A stage ending at
+    Newton decrement delta < 1 bounds x[0] - min by (nu + (delta + sqrt(nu))
+    delta / (1 - delta)) / t for barrier parameter nu (Nesterov, Introductory
+    Lectures on Convex Optimization, sec. 4.2); the last t brings it to
+    _GAP_TOL.  When rounding stops a stage (an iterate leaves the feasible
+    set or centering stalls, as happens once F is too ill-conditioned), the
+    solve ends at the previous stage, with its larger bound.  With ``floor``
+    the solve stops once x[0] < floor, or once the bound shows the minimum is
+    >= floor.  Returns (x, gap bound, Newton steps, centred stages).
     """
-    point = [float(start[0]), float(start[1]), float(start[2])]
-    boxes = (lam_box, sig_box, sig_box)
-    best, tol = objective.single(*point)
-    if early_exit and best <= tol:
-        return point, best, True
-    prev_improvement = math.inf
-    for _ in range(max_sweeps):
-        previous = best
-        for ci in range(3):
-            lo, hi = boxes[ci]
-            if lo == hi:
-                continue
-            x, v, t = _line_refine(objective, point, ci, lo, hi)
-            if v < best:
-                point[ci] = x
-                best, tol = v, t
-            if early_exit and best <= tol:
-                return point, best, True
-        improvement = previous - best
-        if improvement <= 1e-11 * (1.0 + abs(best)):
-            break
-        # only far from the feasibility boundary: near it the sweep
-        # improvements plateau before dropping and extrapolation misjudges
-        if give_up_margin is not None and best > 100.0 * give_up_margin:
-            ratio = improvement / prev_improvement
-            if ratio < 1.0:
-                remaining = improvement * ratio / (1.0 - ratio)
-                if best - 3.0 * remaining > 100.0 * give_up_margin:
-                    break
-        prev_improvement = improvement
-    return point, best, best <= tol
+    n = F0.shape[0]
+    nu = n + int(np.isfinite(lo).sum() + np.isfinite(hi).sum())
+    tol = _CENTERING_TOL
+    t_last = (nu + (tol + math.sqrt(nu)) * tol / (1.0 - tol)) / _GAP_TOL
+    t, gap, steps, stages, centred = _T_START, math.inf, 0, 0, x
+    while True:
+        delta = math.inf
+        for _ in range(_MAX_NEWTON):
+            # a damped step has Hessian norm delta / (1 + delta) < 1, so it
+            # keeps F > 0 and the bounds strict up to rounding
+            w, V = np.linalg.eigh(F0 + np.tensordot(x, Fs, 1))
+            if w[0] <= 0 or np.any(x <= lo) or np.any(x >= hi):
+                break
+            if floor is not None and x[0] < floor:
+                return x, gap, steps, stages
+            # log-det derivatives in Gram form, C_i = F^-1/2 Fs[i] F^-1/2:
+            # gradient -tr(C_i) and Hessian tr(C_i C_j), which stays positive
+            # semidefinite in floating point near the boundary
+            R = V / np.sqrt(w)
+            C = (R.T @ Fs @ R).reshape(len(x), n * n)
+            to_lo, to_hi = x - lo, hi - x
+            g = 1.0 / to_hi - 1.0 / to_lo - C[:, ::n + 1].sum(axis=1)
+            g[0] += t
+            H = C @ C.T + np.diag(1.0 / to_lo ** 2 + 1.0 / to_hi ** 2)
+            d = 1.0 / np.sqrt(np.diag(H))  # Jacobi scaling of the Newton system
+            dx = -d * np.linalg.solve(H * np.outer(d, d), g * d)
+            delta = math.sqrt(max(-float(g @ dx), 0.0))
+            if delta <= tol:
+                break
+            x = x + dx / (1.0 + delta)
+            steps += 1
+        if delta > tol:
+            if stages == 0:
+                raise RuntimeError(f"barrier method found no centred point at t={t:.3g}")
+            return centred, gap, steps, stages
+        stages, centred = stages + 1, x
+        gap = (nu + (delta + math.sqrt(nu)) * delta / (1.0 - delta)) / t
+        if t >= t_last or (floor is not None and x[0] - gap >= floor):
+            return x, gap, steps, stages
+        t = min(t * _T_GROWTH, t_last)
 
 
-def _default_starts(alpha: float, lam_box, sig_box):
-    lams = [0.5, 1.0, 2.0, 3.5]
-    sigs = [1.0 / alpha, 10.0 / alpha]
-    lo, hi = lam_box
-    slo, shi = sig_box
-    starts = []
-    for lam in lams:
-        for s in sigs:
-            starts.append((min(max(lam, lo), hi), min(max(s, slo), shi), min(max(s, slo), shi)))
-    return starts
+def _solve(alpha: float, fc: FunctionClass, lam_fixed: Optional[float]) -> Optional[LmiPoint]:
+    """Minimum of rho^2 subject to Sigma < 0 over the boxes, with its witness.
 
-
-def _search(alpha, fc, rho_sq, lam_fixed=None, warm=None, early_exit=True,
-            warm_only=False):
-    """Multi-start minimization of max_eig(Sigma) at fixed squared rate.
-
-    Returns (point, value, feasible) for the best point seen.  With
-    ``warm_only`` the cold starts are skipped when the warm starts settle the
-    verdict by a clear margin; a marginal infeasible verdict still escalates
-    to the full start set.
+    Works on F = -Sigma over (rho^2, lambda unless pinned, sigma1, sigma2).
+    Phase I minimizes a slack s with F + s I > 0 at rho^2 = 1 and stops at
+    s < 0, a strictly feasible start; phase II then minimizes rho^2 from
+    there.  Returns None when phase I finds no witness at rho^2 = 1, that is
+    no certified rate below 1.
     """
-    objective = _SigmaObjective(alpha, fc, rho_sq)
-    lam_box = (lam_fixed, lam_fixed) if lam_fixed is not None else _LAM_BOX
-    sig_box = (0.0, _SIGMA_BOX_SCALE / alpha)
-    warm_starts = []
-    if warm is not None:
-        for w in warm:
-            lam = lam_fixed if lam_fixed is not None else w[0]
-            warm_starts.append((lam, w[1], w[2]))
-    if lam_fixed is not None:
-        cold_starts = [(lam_fixed, s1, s2)
-                       for _, s1, s2 in _default_starts(alpha, _LAM_BOX, sig_box)]
-    else:
-        cold_starts = _default_starts(alpha, lam_box, sig_box)
-
-    best_point, best_val = None, math.inf
-    margin = _WARM_TRUST_MARGIN if warm_only else None
-    for start in warm_starts:
-        point, val, ok = _descend(objective, start, lam_box, sig_box,
-                                  early_exit, give_up_margin=margin)
-        if val < best_val:
-            best_point, best_val = point, val
-        if ok and early_exit:
-            return point, val, True
-    # warm starts are trusted only away from the feasibility boundary
-    if warm_only and warm_starts and best_val > _WARM_TRUST_MARGIN:
-        return best_point, best_val, False
-    for start in cold_starts:
-        point, val, ok = _descend(objective, start, lam_box, sig_box, early_exit)
-        if val < best_val:
-            best_point, best_val = point, val
-        if ok and early_exit:
-            return point, val, True
-    _, tol = objective.single(*best_point)
-    return best_point, best_val, best_val <= tol
+    base, parts = _sigma_parts(alpha, fc)
+    sig_hi = _SIGMA_BOX_SCALE / alpha
+    keep = [0, 1, 2, 3] if lam_fixed is None else [0, 2, 3]
+    lo = np.array([-math.inf, _LAM_BOX[0], 0.0, 0.0])[keep]
+    hi = np.array([math.inf, _LAM_BOX[1], sig_hi, sig_hi])[keep]
+    x = np.array([1.0, 1.0, 1.0 / alpha, 1.0 / alpha])[keep]
+    F0 = -base - (lam_fixed or 0.0) * parts[1]
+    Fs = -parts[keep]
+    F1, Fs1 = F0 + Fs[0], np.concatenate((np.eye(4)[None], Fs[1:]))  # at rho^2 = 1
+    x[0] = 1.0 - np.linalg.eigvalsh(F1 + np.tensordot(x[1:], Fs[1:], 1))[0]
+    x, gap, steps1, stages1 = _barrier(F1, Fs1, lo, hi, x, floor=0.0)
+    tag = f"alpha={alpha:g} m={fc.m:g} L={fc.L:g} lam_fixed={lam_fixed}"
+    if x[0] >= 0:
+        logger.debug("%s: no witness at rho^2 = 1, max_eig(Sigma) >= %.3g after "
+                     "%d phase-I Newton steps", tag, x[0] - gap, steps1)
+        return None
+    lo[0], x[0] = 0.0, 1.0
+    x, gap, steps, stages = _barrier(F0, Fs, lo, hi, x)
+    logger.debug("%s: rho_sq=%.12g after %d Newton steps (%d in phase I) in %d "
+                 "barrier stages, gap bound %.2e", tag, x[0], steps1 + steps,
+                 steps1, stages1 + stages, gap)
+    lam = lam_fixed if lam_fixed is not None else x[1]
+    return LmiPoint(float(x[0]), float(lam), float(x[-2]), float(x[-1]))
 
 
 def feasibility_search(alpha: float, fc: FunctionClass, rho_sq: float) -> Optional[LmiPoint]:
     """Witness (lambda, sigma1, sigma2) certifying the given squared rate, if any.
 
-    Deterministic multi-start coordinate descent on the convex objective
-    max_eig(Sigma); absence of a witness is a value, not an error.
+    Solves for the optimal squared rate as ``optimize_rate`` does and returns
+    its witness at ``rho_sq`` when that optimum is <= ``rho_sq``: Sigma
+    decreases in rho^2, so the witness certifies every larger rate.  Returns
+    None otherwise; absence of a witness is a value, not an error.
     """
-    if not (fc.strongly_convex and fc.smooth):
-        raise ValueError("the linear-rate certificate requires 0 < m <= L < inf")
-    point, _, ok = _search(alpha, fc, rho_sq, early_exit=True)
-    if not ok:
+    best = _solve(alpha, fc, None)
+    if best is None or best.rho_sq > rho_sq:
         return None
-    return LmiPoint(rho_sq=rho_sq, lam=point[0], sigma1=point[1], sigma2=point[2])
-
-
-def _push_rate_batch(lams, s1s, s2s, alpha, fc):
-    """Smallest squared rates certified by fixed (lam, sigma1, sigma2) points.
-
-    The certificate factor depends on rho^2 only through its (0, 0) entry,
-    so the tightest rate for a fixed witness is a rank-one NSD update solved
-    in closed form from the eigendecomposition at rho^2 = 1.  Points whose
-    factor is not NSD at rho^2 = 1 (no certificate at any rate) map to 1.
-    """
-    lams = np.atleast_1d(np.asarray(lams, dtype=float))
-    s1s = np.atleast_1d(np.asarray(s1s, dtype=float))
-    s2s = np.atleast_1d(np.asarray(s2s, dtype=float))
-    Q1 = certify.build_Q1(alpha, fc)
-    Q2 = certify.build_Q2(alpha)
-    n = len(lams)
-    base = np.zeros((n, 3, 3))
-    l2 = lams ** 2
-    base[:, 0, 1] = base[:, 1, 0] = -lams
-    base[:, 0, 2] = base[:, 2, 0] = lams
-    base[:, 1, 1] = base[:, 2, 2] = l2
-    base[:, 1, 2] = base[:, 2, 1] = -l2
-    base += s1s[:, None, None] * Q1 + s2s[:, None, None] * Q2
-    w, V = np.linalg.eigh(-base)
-    tol = 1e-12 * (1.0 + np.abs(base).max(axis=(1, 2)))
-    c2 = V[:, 0, :] ** 2
-    # a direction with a strictly negative eigenvalue of -base can never be
-    # repaired by the rank-one (0, 0) update; near-null directions block only
-    # when they carry first-coordinate mass
-    blocked = np.any(
-        (w < -tol[:, None])
-        | ((w <= tol[:, None]) & (c2 > tol[:, None])),
-        axis=1,
-    )
-    pos = w > tol[:, None]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        mass = np.sum(np.where(pos, c2 / w, 0.0), axis=1)
-    out = np.where((mass > 0) & ~blocked, 1.0 - 1.0 / np.where(mass > 0, mass, 1.0), 1.0)
-    return out
-
-
-def _push_rate(point, alpha, fc):
-    return float(_push_rate_batch([point[0]], [point[1]], [point[2]], alpha, fc)[0])
-
-
-_DIAGONAL_DIRECTIONS = (
-    (1.0, 1.0, 1.0), (-1.0, 1.0, 1.0), (1.0, -1.0, 1.0), (1.0, 1.0, -1.0),
-    (0.0, 1.0, 1.0), (0.0, 1.0, -1.0), (1.0, 1.0, 0.0), (1.0, 0.0, 1.0),
-)
-
-
-def _refine_on_rate(point, alpha, fc, lam_fixed=None, sweeps=8):
-    """Witness refinement scored by the exact tightest rate it certifies.
-
-    Coordinate line searches alone can stall on a corner of the piecewise
-    rate surface, so each sweep also searches a fixed set of diagonal
-    directions; both avoid the flatness of minimizing max_eig near the
-    optimum.
-    """
-    point = list(point)
-    sig_hi = _SIGMA_BOX_SCALE / alpha
-    best = _push_rate(point, alpha, fc)
-    boxes = [_LAM_BOX if lam_fixed is None else None,
-             (0.0, sig_hi), (0.0, sig_hi)]
-
-    def clip(vals, ci):
-        lo, hi = boxes[ci] if boxes[ci] is not None else (point[ci], point[ci])
-        return np.clip(vals, lo, hi)
-
-    for _ in range(sweeps):
-        previous = best
-        for ci in range(3):
-            if boxes[ci] is None:
-                continue
-            lo, hi = boxes[ci]
-            for _stage in range(4):
-                xs = np.linspace(lo, hi, 25)
-                cols = [np.full(25, point[0]), np.full(25, point[1]), np.full(25, point[2])]
-                cols[ci] = xs
-                vals = _push_rate_batch(cols[0], cols[1], cols[2], alpha, fc)
-                i = int(np.argmin(vals))
-                if vals[i] < best:
-                    best = float(vals[i])
-                    point[ci] = float(xs[i])
-                lo = xs[max(i - 1, 0)]
-                hi = xs[min(i + 1, 24)]
-        for d in _DIAGONAL_DIRECTIONS:
-            step = [0.25 * d[0] if lam_fixed is None else 0.0,
-                    0.5 * max(point[1], 1.0) * d[1],
-                    0.5 * max(point[2], 1.0) * d[2]]
-            if all(s == 0.0 for s in step):
-                continue
-            lo_t, hi_t = -1.0, 1.0
-            for _stage in range(4):
-                ts = np.linspace(lo_t, hi_t, 25)
-                cols = [clip(point[ci] + ts * step[ci], ci) for ci in range(3)]
-                vals = _push_rate_batch(cols[0], cols[1], cols[2], alpha, fc)
-                i = int(np.argmin(vals))
-                if vals[i] < best:
-                    best = float(vals[i])
-                    point = [float(cols[0][i]), float(cols[1][i]), float(cols[2][i])]
-                lo_t = ts[max(i - 1, 0)]
-                hi_t = ts[min(i + 1, 24)]
-        if previous - best <= 1e-10:
-            break
-    return point, best
+    return replace(best, rho_sq=rho_sq)
 
 
 def optimize_rate(alpha: float, fc: FunctionClass,
                   lam_fixed: Optional[float] = None) -> certify.Certificate:
-    """Best certified squared linear rate via bisection, with its witness.
+    """Best certified squared linear rate, with its witness.
 
-    Bisects rho^2 over (0, 1) down to a gap of 1e-4, maintaining the largest
-    known-infeasible and smallest known-feasible values, then re-polishes the
-    witness at the final rate and revalidates it through the direct
-    certificate check.  ``lam_fixed`` pins the relaxation parameter instead
-    of optimizing it.
+    Minimizes rho^2 subject to the Schur-linearized certificate Sigma < 0,
+    with lambda in [0.01, 4] and sigma1, sigma2 in [0, 100/alpha], by a
+    log-barrier Newton method to a duality-gap bound of 1e-10 on rho^2, and
+    revalidates the final iterate once on the direct 3x3 certificate factor.
+    ``lam_fixed`` pins the relaxation parameter instead of optimizing it.
+    Raises RuntimeError when no rate below 1 is certified or the
+    revalidation fails.
     """
-    if not (fc.strongly_convex and fc.smooth):
-        raise ValueError("the linear-rate certificate requires 0 < m <= L < inf")
-    hi = 1.0 - 1e-9
-    point, _, ok = _search(alpha, fc, hi, lam_fixed=lam_fixed, early_exit=True)
-    if not ok:
-        raise RuntimeError(
-            "near-stationary certificate infeasible; eigensolver or search failure"
-        )
-    lo = 0.0
-    best_infeasible = None
-    while hi - lo > _BISECT_TOL:
-        mid = (lo + hi) / 2.0
-        warm = [point]
-        if best_infeasible is not None:
-            warm.append(best_infeasible)
-        cand, _, ok = _search(alpha, fc, mid, lam_fixed=lam_fixed, warm=warm,
-                              early_exit=True, warm_only=True)
-        if ok:
-            hi, point = mid, cand
-        else:
-            lo = mid
-            best_infeasible = cand
-
-    # polish: minimize at the certified rate, then refine the witness against
-    # the exact tightest rate it certifies
-    point, _, _ = _search(alpha, fc, hi, lam_fixed=lam_fixed, warm=[point],
-                          early_exit=False, warm_only=True)
-    point, pushed = _refine_on_rate(point, alpha, fc, lam_fixed=lam_fixed)
-    hi = min(hi, min(max(pushed, 1e-9), 1.0 - 1e-9))
-
-    cert = None
-    for _ in range(6):
-        cert = certify.make_certificate(
-            certify.CertCase.CASE3, fc, alpha,
-            lam=point[0], sigma1=point[1], sigma2=point[2], rho_sq=hi,
-        )
-        if cert.feasible:
-            return cert
-        # tolerance mismatch between the 4x4 and 3x3 checks; back off the rate
-        hi = min(hi + max(_BISECT_TOL, 1e-6), 1.0 - 1e-9)
-    raise RuntimeError("failed to revalidate the optimized certificate")
+    point = _solve(alpha, fc, lam_fixed)
+    if point is None:
+        pinned = "" if lam_fixed is None else f" and lambda={lam_fixed:g}"
+        raise RuntimeError(f"no certificate with rho^2 < 1 exists at alpha={alpha:g}{pinned}")
+    cert = certify.make_certificate(
+        certify.CertCase.CASE3, fc, alpha, lam=point.lam,
+        sigma1=point.sigma1, sigma2=point.sigma2, rho_sq=point.rho_sq)
+    if not cert.feasible:
+        raise RuntimeError(f"optimized certificate failed the 3x3 revalidation "
+                           f"(rho_sq {point.rho_sq:.12g}, max_eig {cert.max_eig:.3e})")
+    return cert
 
 
 DEFAULT_ALPHA_GRID = np.logspace(math.log10(0.01), math.log10(10.0), 25)
@@ -496,7 +318,8 @@ def sweep_heatmap(alpha_grid: Sequence[float], kappa_grid: Sequence[float],
                   m_base: float = 1.0) -> list:
     """Optimal certified rate per (alpha, kappa) cell, row-major (kappa outer).
 
-    Per-cell failures are recorded in the cell rather than aborting the sweep.
+    A cell whose optimization fails is kept, marked infeasible with NaN
+    values and the exception text as its ``reason``; the sweep goes on.
     """
     if len(alpha_grid) == 0 or len(kappa_grid) == 0:
         raise ValueError("grids must be nonempty")
@@ -508,26 +331,22 @@ def sweep_heatmap(alpha_grid: Sequence[float], kappa_grid: Sequence[float],
         for alpha in alpha_grid:
             try:
                 cert = optimize_rate(float(alpha), fc)
-                cells.append(SweepCell(
-                    alpha=float(alpha), kappa=float(kappa),
-                    rho_opt=math.sqrt(cert.rho_sq), lambda_opt=cert.lam,
-                    sigma1=cert.sigma1, sigma2=cert.sigma2, feasible=True,
-                ))
-            except (RuntimeError, ValueError):
-                cells.append(SweepCell(
-                    alpha=float(alpha), kappa=float(kappa),
-                    rho_opt=math.nan, lambda_opt=math.nan,
-                    sigma1=math.nan, sigma2=math.nan, feasible=False,
-                ))
+            except (RuntimeError, ValueError) as exc:
+                cells.append(SweepCell(float(alpha), float(kappa), math.nan, math.nan,
+                                       math.nan, math.nan, False, reason=str(exc)))
+                continue
+            cells.append(SweepCell(float(alpha), float(kappa), math.sqrt(cert.rho_sq),
+                                   cert.lam, cert.sigma1, cert.sigma2, True))
     return cells
 
 
 def write_heatmap_csv(cells: Sequence[SweepCell], path):
-    """Heatmap CSV: alpha, kappa, rho_opt, lambda_opt, sigma1, sigma2, feasible."""
+    """Heatmap CSV: alpha, kappa, rho_opt, lambda_opt, sigma1, sigma2, feasible, reason."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["alpha", "kappa", "rho_opt", "lambda_opt", "sigma1", "sigma2", "feasible"])
+        w.writerow(["alpha", "kappa", "rho_opt", "lambda_opt", "sigma1", "sigma2",
+                    "feasible", "reason"])
         for c in cells:
             w.writerow([repr(c.alpha), repr(c.kappa), repr(c.rho_opt),
                         repr(c.lambda_opt), repr(c.sigma1), repr(c.sigma2),
-                        int(c.feasible)])
+                        int(c.feasible), c.reason])

@@ -192,16 +192,12 @@ def _theta_at(theta, k: int) -> float:
 
 
 def lyapunov_series(trace: Trace, case, theta, x_star: np.ndarray,
-                    F_star: Optional[float] = None,
-                    rho_sq: Optional[float] = None) -> np.ndarray:
+                    F_star: Optional[float] = None) -> np.ndarray:
     """Lyapunov values V_k along a trace, one per recorded iteration.
 
     Case 1: V_k = ||x_k - x*||^2 + sum_{i<k} theta_i ||df(y_i) + dg(z_i)||^2.
     Case 2: V_k = ||x_k - x*||^2 + sum_{i<k} theta_i [F(z_i) - F*].
     Case 3: V_k = ||x_k - x*||^2.
-
-    ``rho_sq`` is accepted for signature symmetry with the Case-3 decrement
-    check (V_{k+1} <= rho^2 V_k); it does not affect the values.
     """
     from .certify import CertCase
 

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from drsplit import CertCase, DrsParams, drs_run
+from drsplit import CertCase, DrsParams, drs_run, sdplite
 from drsplit.certify import detect_case
 from drsplit.cli import (
     ProblemSpec,
@@ -208,6 +208,18 @@ class TestCliSweep:
             rows = list(csv.reader(fh))
         assert len(rows) == 7
         assert all(0 < float(r[2]) < 1 for r in rows[1:])
+
+    def test_failed_cell_reason_on_stderr(self, tmp_path, monkeypatch, capsys):
+        def fail(alpha, fc, lam_fixed=None):
+            raise RuntimeError("no certificate here")
+
+        monkeypatch.setattr(sdplite, "optimize_rate", fail)
+        rc = main(["--mode", "sweep", "--alpha-grid", "0.5:2:2",
+                   "--kappa-list", "5", "--out", str(tmp_path / "heat.csv")])
+        assert rc == 0
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["cell alpha=0.5 kappa=5 failed: no certificate here",
+                       "cell alpha=2 kappa=5 failed: no certificate here"]
 
     def test_bad_grid_is_input_error(self, tmp_path):
         rc = main(["--mode", "sweep", "--alpha-grid", "nonsense",

@@ -1,6 +1,7 @@
 """Dense symmetric eigensolver and the linear-rate optimizer."""
 
 import csv
+import logging
 import math
 
 import numpy as np
@@ -20,6 +21,7 @@ from drsplit import (
     sweep_heatmap,
     write_heatmap_csv,
 )
+from drsplit import sdplite
 from drsplit.certify import psd_tol
 
 
@@ -177,6 +179,15 @@ class TestFeasibilitySearch:
         with pytest.raises(ValueError):
             feasibility_search(1.0, FunctionClass(0.0, 10.0), 0.9)
 
+    def test_exact_at_the_optimum(self):
+        # Sigma decreases in rho^2, so the witness exists exactly from the
+        # optimal squared rate up
+        for alpha, fc in [(1.0, FC), (10.0, FunctionClass(1.0, 100.0))]:
+            best = optimize_rate(alpha, fc).rho_sq
+            assert feasibility_search(alpha, fc, best - 1e-6) is None
+            point = feasibility_search(alpha, fc, best + 1e-6)
+            assert point is not None and point.rho_sq == best + 1e-6
+
 
 class TestOptimizeRate:
     def test_witness_revalidated(self):
@@ -206,6 +217,53 @@ class TestOptimizeRate:
         # pinning the relaxation cannot beat the free optimum
         free = optimize_rate(1.0, FC)
         assert cert.rho_sq >= free.rho_sq - 1e-4
+
+    def test_large_step_reaches_relaxation_two(self):
+        # lambda = 1.9 alone certifies 0.996207 here, so the optimum is lower
+        cert = optimize_rate(10.0, FunctionClass(1.0, 100.0))
+        assert cert.feasible
+        assert cert.rho_sq <= 0.9961
+        assert 1.98 <= cert.lam <= 2.02
+
+    @pytest.mark.parametrize("alpha", [0.01, 0.3, 1.0, 10.0])
+    @pytest.mark.parametrize("kappa", [2.0, 100.0])
+    def test_matches_peaceman_rachford_contraction(self, alpha, kappa):
+        # at lambda = 2 the iteration composes two reflected resolvents; that
+        # of alpha*f with f in F(m, L) contracts by the factor below
+        # (Giselsson & Boyd 2017), and the certified optimum attains it
+        fc = FunctionClass(1.0, kappa)
+        factor = max(abs(1.0 - alpha * fc.m) / (1.0 + alpha * fc.m),
+                     abs(alpha * fc.L - 1.0) / (alpha * fc.L + 1.0))
+        assert optimize_rate(alpha, fc).rho_sq == pytest.approx(factor ** 2, abs=1e-9)
+
+    def test_ill_conditioned_cell_ends_at_the_rounding_limit(self):
+        # alpha*m ~ 4e-5 leaves 1 - rho^2 ~ 1e-4 and a factor with condition
+        # number near 1/eps at the optimum; the solve stops at its last
+        # centred stage instead of failing
+        alpha, fc = 0.0015, FunctionClass(0.024, 0.0266)
+        factor = (1.0 - alpha * fc.m) / (1.0 + alpha * fc.m)
+        cert = optimize_rate(alpha, fc)
+        assert cert.feasible
+        assert -1e-12 <= cert.rho_sq - factor ** 2 <= 1e-7
+
+    @pytest.mark.parametrize("alpha", [1.0, 10.0])
+    @pytest.mark.parametrize("kappa", [10.0, 100.0])
+    def test_free_optimum_beats_every_pinned_relaxation(self, alpha, kappa):
+        fc = FunctionClass(1.0, kappa)
+        free = optimize_rate(alpha, fc).rho_sq
+        for lam in (0.5, 1.0, 1.5, 1.9):
+            assert free <= optimize_rate(alpha, fc, lam_fixed=lam).rho_sq + 1e-9, lam
+
+    def test_infeasible_relaxation_raises_runtime_error(self):
+        with pytest.raises(RuntimeError, match="no certificate"):
+            optimize_rate(1.0, FC, lam_fixed=2.5)
+
+    def test_logs_one_debug_line_per_call(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="drsplit.sdplite"):
+            optimize_rate(1.0, FC)
+        assert len(caplog.records) == 1
+        msg = caplog.records[0].getMessage()
+        assert "Newton steps" in msg and "barrier stages" in msg and "gap bound" in msg
 
     def test_rejects_wrong_class(self):
         with pytest.raises(ValueError):
@@ -237,9 +295,26 @@ class TestSweepHeatmap:
         with open(out, newline="") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["alpha", "kappa", "rho_opt", "lambda_opt",
-                           "sigma1", "sigma2", "feasible"]
+                           "sigma1", "sigma2", "feasible", "reason"]
         assert len(rows) == 3
         assert float(rows[1][0]) == 1.0
         assert float(rows[1][1]) == 5.0
         assert 0 < float(rows[1][2]) < 1
         assert rows[1][6] == "1"
+        assert rows[1][7] == ""
+
+    def test_failure_reason_reaches_cell_and_csv(self, tmp_path, monkeypatch):
+        def fail(alpha, fc, lam_fixed=None):
+            raise RuntimeError(f"no certificate at alpha={alpha:g}")
+
+        monkeypatch.setattr(sdplite, "optimize_rate", fail)
+        cells = sweep_heatmap([1.0], [5.0])
+        assert not cells[0].feasible
+        assert math.isnan(cells[0].rho_opt)
+        assert cells[0].reason == "no certificate at alpha=1"
+        out = tmp_path / "heatmap.csv"
+        write_heatmap_csv(cells, out)
+        with open(out, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[1][6] == "0"
+        assert rows[1][7] == "no certificate at alpha=1"
