@@ -2,9 +2,9 @@
 
 The library has three layers: a small proximal-operator toolbox and the DRS /
 relaxed-ADMM iterations (``prox``, ``splitting``), the certificate algebra for
-the three function-class regimes (``funclass``, ``certify``), and a small
-dense eigensolver plus the linear-rate optimizer (``sdplite``).  ``cli``
-exposes problem generators and a command-line harness.
+the three function-class regimes (``funclass``, ``certify``), and a validated
+LAPACK-backed symmetric eigensolver plus the linear-rate optimizer
+(``sdplite``).  ``cli`` exposes problem generators and a command-line harness.
 """
 
 from .funclass import FunctionClass, qc_matrix, prox_qc_matrix, estimate_class_quadratic

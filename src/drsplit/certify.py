@@ -207,9 +207,9 @@ def analytic_params_case2(alpha: float, lam: float, L_f: float):
     if not (0 < L_f < math.inf):
         raise ValueError("Case 2 requires 0 < L_f < inf")
     t = (2.0 - lam) / (alpha * L_f)
-    root = math.sqrt(t * t + 1.0)
-    sigma = 2.0 * lam / alpha * (root - t)
-    theta = 2.0 * lam * alpha * (1.0 + t - root)
+    r = 1.0 / (math.sqrt(t * t + 1.0) + t)  # sqrt(t^2+1) - t without cancellation
+    sigma = 2.0 * lam / alpha * r
+    theta = 2.0 * lam * alpha * (1.0 - r)
     return sigma, theta
 
 

@@ -155,21 +155,23 @@ def cmd_solve(args) -> int:
     return 0
 
 
-def _certificate_for(args, fc: FunctionClass) -> certify.Certificate:
+def _closed_form_certificate(fc: FunctionClass, alpha: float, lam: float,
+                             theta: Optional[float] = None) -> certify.Certificate:
+    """Case-1/Case-2 certificate at the analytic (sigma, theta); ``theta``
+    overrides the analytic weight."""
     case = certify.detect_case(fc)
     if case is certify.CertCase.CASE1:
-        sigma, theta = certify.analytic_params_case1(args.alpha, args.lam)
-        if args.theta is not None:
-            theta = args.theta
-        return certify.make_certificate(case, fc, args.alpha, args.lam,
-                                        sigma1=sigma, sigma2=sigma, theta=theta)
-    if case is certify.CertCase.CASE2:
-        sigma, theta = certify.analytic_params_case2(args.alpha, args.lam, fc.L)
-        if args.theta is not None:
-            theta = args.theta
-        return certify.make_certificate(case, fc, args.alpha, args.lam,
-                                        sigma1=sigma, sigma2=sigma, theta=theta)
-    return sdplite.optimize_rate(args.alpha, fc, lam_fixed=args.lam)
+        sigma, weight = certify.analytic_params_case1(alpha, lam)
+    else:
+        sigma, weight = certify.analytic_params_case2(alpha, lam, fc.L)
+    return certify.make_certificate(case, fc, alpha, lam, sigma1=sigma, sigma2=sigma,
+                                    theta=weight if theta is None else theta)
+
+
+def _certificate_for(args, fc: FunctionClass) -> certify.Certificate:
+    if certify.detect_case(fc) is certify.CertCase.CASE3:
+        return sdplite.optimize_rate(args.alpha, fc, lam_fixed=args.lam)
+    return _closed_form_certificate(fc, args.alpha, args.lam, args.theta)
 
 
 def cmd_certify(args) -> int:
@@ -186,24 +188,17 @@ def cmd_tune(args) -> int:
     spec = _spec_from_args(args)
     _, _, fc = build_problem(spec)
     case = certify.detect_case(fc)
-    if case is certify.CertCase.CASE1:
-        lam = 1.0  # maximizes the running-sum growth for Case 1
-        sigma, theta = certify.analytic_params_case1(args.alpha, lam)
-        cert = certify.make_certificate(case, fc, args.alpha, lam,
-                                        sigma1=sigma, sigma2=sigma, theta=theta)
-        print(f"case1: lambda=1 theta={theta:g} sigma={sigma:g} "
-              f"(bound ||x0-x*||^2/(theta k))")
-    elif case is certify.CertCase.CASE2:
-        lam = certify.suggest_lambda_case2(args.alpha, fc.L)
-        sigma, theta = certify.analytic_params_case2(args.alpha, lam, fc.L)
-        cert = certify.make_certificate(case, fc, args.alpha, lam,
-                                        sigma1=sigma, sigma2=sigma, theta=theta)
-        print(f"case2: lambda={lam:g} theta={theta:g} sigma={sigma:g} "
-              f"(bound ||x0-x*||^2/(theta k))")
-    else:
+    if case is certify.CertCase.CASE3:
         cert = sdplite.optimize_rate(args.alpha, fc)
         print(f"case3: lambda_opt={cert.lam:g} rho={math.sqrt(cert.rho_sq):g} "
               f"rho_sq={cert.rho_sq:g}")
+    else:
+        # lambda = 1 maximizes the running-sum growth for Case 1
+        lam = (1.0 if case is certify.CertCase.CASE1
+               else certify.suggest_lambda_case2(args.alpha, fc.L))
+        cert = _closed_form_certificate(fc, args.alpha, lam)
+        print(f"{case.value}: lambda={lam:g} theta={cert.theta:g} "
+              f"sigma={cert.sigma1:g} (bound ||x0-x*||^2/(theta k))")
     certify.write_certificates_csv([cert], args.out)
     return 0 if cert.feasible else 1
 

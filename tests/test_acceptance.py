@@ -83,21 +83,34 @@ def _lasso_rank_deficient_run():
     return _cache["lasso2"]
 
 
-def _lasso_full_rank_run():
+def _lasso_full_rank_run(rows=60, cols=40):
     """Criterion-5 fixture: strongly convex least squares + l1 at the
     optimized rate."""
-    if "lasso3" not in _cache:
-        f, g, fc = gen_lasso(ProblemSpec("lasso", 60, 40, rank=40, gamma=0.1,
-                                         seed=7))
+    key = ("lasso3", rows, cols)
+    if key not in _cache:
+        f, g, fc = gen_lasso(ProblemSpec("lasso", rows, cols, rank=cols,
+                                         gamma=0.1, seed=7))
         cert = optimize_rate(1.0, fc)
-        x0 = np.zeros(40)
+        x0 = np.zeros(cols)
         params = DrsParams(alpha=1.0, lam=cert.lam, max_iters=5000,
                            stop_tol=0.0)
         x_star, _, _ = solve_reference(f, g, params, x0)
         trace = drs_run(f, g, DrsParams(alpha=1.0, lam=cert.lam,
                                         max_iters=2000, stop_tol=0.0), x0)
-        _cache["lasso3"] = (trace, x0, x_star, cert, f, g)
-    return _cache["lasso3"]
+        _cache[key] = (trace, x0, x_star, cert, f, g)
+    return _cache[key]
+
+
+def _assert_linear_rate(trace, x0, x_star, cert):
+    """||x_k - x*||^2 <= 1.01 rho^2k ||x0 - x*||^2 until the iterates reach x*."""
+    dist_sq = float(np.sum((x0 - x_star) ** 2))
+    dist = np.array([float(np.sum((r.x - x_star) ** 2)) for r in trace.records])
+    k = np.arange(len(trace), dtype=float)
+    bound = 1.01 * cert.rho_sq ** k * dist_sq
+    below = np.nonzero(dist <= 1e-20)[0]
+    horizon = int(below[0]) + 1 if len(below) else len(dist)
+    assert horizon > 10  # the certified rate is actually exercised
+    assert np.all(dist[:horizon] <= bound[:horizon])
 
 
 def test_criterion_01_case1_zero_identity():
@@ -155,16 +168,15 @@ def test_criterion_04_case2_objective_bound_on_trajectory():
 def test_criterion_05_case3_linear_rate_on_trajectory():
     t0 = time.perf_counter()
     trace, x0, x_star, cert, _, _ = _lasso_full_rank_run()
-    dist_sq = float(np.sum((x0 - x_star) ** 2))
-    dist = np.array([float(np.sum((r.x - x_star) ** 2)) for r in trace.records])
-    k = np.arange(len(trace), dtype=float)
-    bound = 1.01 * cert.rho_sq ** k * dist_sq
-    below = np.nonzero(dist <= 1e-20)[0]
-    horizon = int(below[0]) + 1 if len(below) else len(dist)
-    assert horizon > 10  # the certified rate is actually exercised
-    assert np.all(dist[:horizon] <= bound[:horizon])
+    _assert_linear_rate(trace, x0, x_star, cert)
     _report(5, "certified linear rate on strongly convex regression",
             time.perf_counter() - t0, 10.0)
+
+
+def test_linear_rate_on_lasso_wider_than_64_columns():
+    # the class estimate of a 150x100 LASSO needs a 100x100 eigensolve
+    trace, x0, x_star, cert, _, _ = _lasso_full_rank_run(150, 100)
+    _assert_linear_rate(trace, x0, x_star, cert)
 
 
 def test_criterion_06_optimizer_matches_grid_oracle():

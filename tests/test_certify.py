@@ -272,7 +272,8 @@ class TestAnalyticParamsCase2:
         assert prev == pytest.approx(2.0 * lam * a, rel=1e-3)
 
     def test_feasible_on_grid(self):
-        for a in (0.1, 1.0, 10.0):
+        # alpha * L down to 1e-6 exercises the cancellation-free closed form
+        for a in (0.1, 1.0, 10.0, 1e-5, 1e-6):
             for lam in (0.5, 1.0, 1.5, 1.9):
                 for L in (1.0, 10.0, 100.0):
                     sigma, theta = analytic_params_case2(a, lam, L)

@@ -125,6 +125,16 @@ class TestCliSolve:
         for lam in ("0.5", "1", "1.5", "1.9"):
             assert (tmp_path / f"sweep_lam{lam}.csv").exists()
 
+    def test_lasso_wider_than_64_columns(self, tmp_path):
+        out = tmp_path / "wide.csv"
+        rc = main(["--mode", "solve", "--problem", "lasso", "--rows", "200",
+                   "--cols", "100", "--out", str(out)])
+        assert rc == 0
+        with open(out, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0][:3] == ["k", "fp_residual", "subgrad_residual"]
+        assert len(rows) > 1
+
     def test_x0_seed(self, tmp_path):
         out0 = tmp_path / "zero.csv"
         out7 = tmp_path / "seeded.csv"

@@ -1,4 +1,4 @@
-"""Dense symmetric eigensolver and the linear-rate optimizer."""
+"""Validated LAPACK-backed symmetric eigensolver and the linear-rate optimizer."""
 
 import csv
 import logging
@@ -60,7 +60,7 @@ class TestEigSym:
 
     def test_reconstruction_and_orthogonality(self):
         rng = np.random.default_rng(8)
-        for n in (2, 3, 4, 8, 40):
+        for n in (2, 3, 4, 8, 40, 65, 300):
             B = rng.standard_normal((n, n))
             M = (B + B.T) / 2
             w, V = eig_sym(M)
@@ -84,9 +84,12 @@ class TestEigSym:
         with pytest.raises(ValueError):
             eig_sym(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
-    def test_rejects_large(self):
-        with pytest.raises(ValueError):
-            eig_sym(np.eye(65))
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, bad):
+        M = np.eye(3)
+        M[1, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            eig_sym(M)
 
     def test_rejects_nonsquare(self):
         with pytest.raises(ValueError):
