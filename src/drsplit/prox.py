@@ -3,8 +3,8 @@
 Every operator evaluates ``prox_{alpha f}(v) = argmin_y f(y) + ||v-y||^2/(2a)``
 in closed form and declares the function class of the underlying f.  The
 subgradient used implicitly by the prox is recoverable as (v - y)/alpha.
-Operators with an evaluable objective expose it via ``objective``; others
-return None there.
+Operators with an evaluable objective expose it via ``objective``, at one
+point or at every row of a stack of points; others return None there.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-import scipy.linalg
 
 from .funclass import FunctionClass, estimate_class_quadratic
 
@@ -35,7 +34,11 @@ class ProxOperator:
         raise NotImplementedError
 
     def objective(self, x: np.ndarray):
-        """Value of the underlying f at x, or None if not evaluable."""
+        """Value of the underlying f at x, or None if not evaluable.
+
+        ``x`` is one point of shape (n,), giving a scalar, or a (k, n) stack
+        of points, giving a (k,) array of the values at its rows.
+        """
         return None
 
 
@@ -53,14 +56,16 @@ class _SoftThreshold(ProxOperator):
         return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
 
     def objective(self, x):
-        return self.gamma * float(np.sum(np.abs(x)))
+        return self.gamma * np.sum(np.abs(x), axis=-1)
 
 
 class _AffineProjection(ProxOperator):
     """Prox of the indicator of {y | Ay = b}: Euclidean projection, alpha-free.
 
-    The Cholesky factor of A A^T is computed once at construction.  Requires
-    full row rank; a pivot below 1e-12 * trace/p is rejected.
+    With the reduced QR factorization A^T = QR and c = R^-T b, computed once
+    at construction, the projection is y = v - Q(Q^T v - c).  Requires full
+    row rank: diag(R)^2 are the Cholesky pivots of A A^T, and a pivot not
+    above 1e-12 * trace(A A^T)/p is rejected.
     """
 
     def __init__(self, A: np.ndarray, b: np.ndarray):
@@ -70,39 +75,38 @@ class _AffineProjection(ProxOperator):
             raise ValueError("A must be p x n and b length p")
         self.A = A
         self.b = b
-        G = A @ A.T
-        p = A.shape[0]
-        try:
-            self._cho = scipy.linalg.cho_factor(G)
-        except scipy.linalg.LinAlgError as exc:
+        p, n = A.shape
+        if p > n:
             raise ValueError(
-                "A A^T is not positive definite; remove linearly dependent "
-                "rows of A before constructing the projection"
-            ) from exc
-        pivots = np.diag(self._cho[0]) ** 2
-        if pivots.min() < 1e-12 * np.trace(G) / p:
+                f"A has {p} rows but only {n} columns, so its rows are linearly "
+                "dependent; remove linearly dependent rows of A"
+            )
+        Q, R = np.linalg.qr(A.T)
+        pivots = np.diag(R) ** 2
+        if not pivots.min() > 1e-12 * np.sum(A * A) / p:
             raise ValueError(
-                "A is numerically rank deficient (tiny Cholesky pivot); "
+                "A is numerically rank deficient (tiny pivot of A A^T); "
                 "remove linearly dependent rows of A"
             )
+        self._Q = Q
+        self._c = np.linalg.solve(R.T, b)
         self.function_class = FunctionClass(0.0, math.inf)
         self._feas_tol = 1e-9 * (1.0 + float(np.linalg.norm(b)))
 
     def evaluate(self, v, alpha):
-        r = self.A @ v - self.b
-        return v - self.A.T @ scipy.linalg.cho_solve(self._cho, r)
+        return v - self._Q @ (v @ self._Q - self._c)
 
     def objective(self, x):
-        if np.linalg.norm(self.A @ x - self.b) <= self._feas_tol:
-            return 0.0
-        return math.inf
+        r = np.linalg.norm(x @ self.A.T - self.b, axis=-1)
+        return np.where(r <= self._feas_tol, 0.0, math.inf)[()]
 
 
 class _QuadraticProx(ProxOperator):
-    """Prox of 0.5 * ||Ax - b||^2: solves (I + a A^T A) y = v + a A^T b.
+    """Prox of 0.5 * ||Ax - b||^2: y = (I + a A^T A)^-1 (v + a A^T b).
 
-    One Cholesky factorization per distinct alpha, cached; the solver keeps
-    alpha constant so exactly one factorization occurs per run.
+    The inverse and the offset a (I + a A^T A)^-1 A^T b are computed once per
+    distinct alpha and cached, so each call is one matrix-vector product; the
+    solver keeps alpha constant, so one entry is made per run.
     """
 
     def __init__(self, A: np.ndarray, b: np.ndarray):
@@ -114,25 +118,26 @@ class _QuadraticProx(ProxOperator):
         self.b = b
         self._H = A.T @ A
         self._Atb = A.T @ b
-        self._cho_cache = {}
+        self._cho_cache = {}  # alpha -> (inverse, offset)
         self.function_class = estimate_class_quadratic(A)
 
     def _factor(self, alpha):
-        cho = self._cho_cache.get(alpha)
-        if cho is None:
+        cached = self._cho_cache.get(alpha)
+        if cached is None:
             n = self._H.shape[0]
-            M = np.eye(n) + alpha * self._H
             # I + a A^T A is positive definite for every a > 0
-            cho = scipy.linalg.cho_factor(M)
-            self._cho_cache[alpha] = cho
-        return cho
+            S = np.linalg.solve(np.eye(n) + alpha * self._H,
+                                np.column_stack((np.eye(n), self._Atb)))
+            cached = self._cho_cache[alpha] = (S[:, :n], alpha * S[:, n])
+        return cached
 
     def evaluate(self, v, alpha):
-        return scipy.linalg.cho_solve(self._factor(alpha), v + alpha * self._Atb)
+        inverse, offset = self._factor(alpha)
+        return inverse @ v + offset
 
     def objective(self, x):
-        r = self.A @ x - self.b
-        return 0.5 * float(r @ r)
+        r = x @ self.A.T - self.b
+        return 0.5 * np.sum(r * r, axis=-1)
 
 
 class _Identity(ProxOperator):
@@ -145,7 +150,7 @@ class _Identity(ProxOperator):
         return np.asarray(v, dtype=float).copy()
 
     def objective(self, x):
-        return 0.0
+        return np.zeros(np.shape(x)[:-1])[()]
 
 
 def prox_l1(gamma: float) -> ProxOperator:

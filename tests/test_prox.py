@@ -63,6 +63,25 @@ class TestAffineProjection:
         assert op.objective(np.array([1.0, 5.0])) == 0.0
         assert op.objective(np.array([2.0, 0.0])) == math.inf
 
+    def test_ill_conditioned_projection_is_feasible(self):
+        # cond(A A^T) = 1e8: singular values of A from 1 down to 1e-4
+        rng = np.random.default_rng(12)
+        p, n = 20, 50
+        U, _ = np.linalg.qr(rng.standard_normal((p, p)))
+        V, _ = np.linalg.qr(rng.standard_normal((n, p)))
+        A = (U * np.logspace(0, -4, p)) @ V.T
+        assert np.linalg.cond(A @ A.T) == pytest.approx(1e8, rel=1e-3)
+        b = rng.standard_normal(p)
+        op = prox_affine_indicator(A, b)
+        for _ in range(20):
+            y = op.evaluate(10.0 * rng.standard_normal(n), 1.0)
+            assert np.linalg.norm(A @ y - b) <= op._feas_tol
+
+    def test_more_rows_than_columns_rejected(self):
+        rng = np.random.default_rng(6)
+        with pytest.raises(ValueError):
+            prox_affine_indicator(rng.standard_normal((4, 3)), rng.standard_normal(4))
+
 
 class TestQuadraticProx:
     def test_shrinkage(self):
@@ -103,6 +122,29 @@ class TestZeroProx:
         assert np.array_equal(op.evaluate(np.array([1.0, 2.0]), 5.0), [1.0, 2.0])
         assert np.array_equal(op.evaluate(np.array([0.0]), 1.0), [0.0])
         assert op.objective(np.array([3.0])) == 0.0
+
+
+class TestStackedObjective:
+    """objective over a (k, n) stack equals the objective at each row."""
+
+    @pytest.mark.parametrize("make_op", [
+        lambda rng: prox_l1(0.7),
+        lambda rng: prox_quadratic(rng.standard_normal((5, 6)), rng.standard_normal(5)),
+        lambda rng: prox_affine_indicator(rng.standard_normal((2, 6)),
+                                          rng.standard_normal(2)),
+        lambda rng: prox_zero(),
+    ])
+    def test_rows_match_points(self, make_op):
+        rng = np.random.default_rng(14)
+        op = make_op(rng)
+        Z = rng.standard_normal((9, 6))
+        Z[::2] = [op.evaluate(z, 1.0) for z in Z[::2]]  # feasible rows for the indicator
+        stacked = op.objective(Z)
+        points = np.array([op.objective(z) for z in Z])
+        assert stacked.shape == (9,)
+        np.testing.assert_allclose(stacked, points, rtol=1e-12, atol=0.0)
+        if op.objective(Z[1]) == math.inf:
+            assert set(stacked.tolist()) == {0.0, math.inf}
 
 
 class TestProxOptimality:

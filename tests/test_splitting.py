@@ -2,6 +2,7 @@
 
 import csv
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from drsplit import (
     solve_reference,
     write_trace_csv,
 )
+from drsplit.cli import ProblemSpec, gen_basis_pursuit, gen_lasso
 from drsplit.prox import ProxOperator
 
 
@@ -145,6 +147,131 @@ class TestDrsRun:
         for r in tr.records:
             expected = 0.5 * r.z[0] ** 2 + abs(r.z[0])
             assert r.objective == pytest.approx(expected, abs=1e-14)
+
+
+def _soft(v, t):
+    return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
+
+
+def _numpy_drs(P, q, t, lams, x0, iters):
+    """Independent DRS recursion for f with the affine prox y = P x + q and
+    g = t ||.||_1: rows x_k, y_k, z_k for k < iters."""
+    X, Y, Z = (np.empty((iters, len(x0))) for _ in range(3))
+    x = x0.copy()
+    for k in range(iters):
+        y = P @ x + q
+        z = _soft(2.0 * y - x, t)
+        X[k], Y[k], Z[k] = x, y, z
+        x = x + lams[k] * (z - y)
+    return X, Y, Z
+
+
+class TestTrajectoryMatchesNumpyRecursion:
+    """drs_run agrees with a plain numpy DRS recursion at every iteration."""
+
+    ITERS = 2000
+
+    @pytest.mark.parametrize("kind,alpha,schedule", [
+        ("basis_pursuit", 1.0, False),
+        ("lasso", 0.7, False),
+        ("lasso", 0.7, True),
+    ])
+    def test_every_iterate(self, kind, alpha, schedule):
+        rng = np.random.default_rng(3)
+        if kind == "basis_pursuit":
+            f, g, data = gen_basis_pursuit(ProblemSpec(kind, 30, 100, seed=5))
+            A, b, gamma = data["A"], data["b"], 1.0
+            # explicit projector onto {Ax = b}
+            AAt_inv_A = np.linalg.solve(A @ A.T, A)
+            P = np.eye(A.shape[1]) - A.T @ AAt_inv_A
+            q = A.T @ np.linalg.solve(A @ A.T, b)
+        else:
+            f, g, _ = gen_lasso(ProblemSpec(kind, 60, 40, gamma=0.1, seed=5))
+            A, b, gamma = f.A, f.b, 0.1
+            P = np.linalg.inv(np.eye(A.shape[1]) + alpha * A.T @ A)
+            q = alpha * P @ (A.T @ b)
+        lams = rng.uniform(0.3, 1.9, self.ITERS) if schedule else np.full(self.ITERS, 1.5)
+        x0 = rng.standard_normal(A.shape[1])
+        tr = drs_run(f, g, DrsParams(alpha=alpha, lam=list(lams) if schedule else 1.5,
+                                     max_iters=self.ITERS), x0)
+        X, Y, Z = _numpy_drs(P, q, alpha * gamma, lams, x0, self.ITERS)
+        assert len(tr) == self.ITERS
+        for mine, ref in ((tr.x, X), (tr.y, Y), (tr.z, Z)):
+            assert np.abs(mine - ref).max() <= 1e-10
+        np.testing.assert_allclose(tr.fp_residual, np.linalg.norm(tr.z - tr.y, axis=1),
+                                   rtol=1e-12)
+
+
+class TestTraceStorage:
+    def test_objective_evaluated_once_on_the_stack(self):
+        calls = []
+
+        class Counting(ProxOperator):
+            def __init__(self, inner):
+                self.inner = inner
+                self.function_class = inner.function_class
+
+            def evaluate(self, v, alpha):
+                return self.inner.evaluate(v, alpha)
+
+            def objective(self, x):
+                calls.append(np.shape(x))
+                return self.inner.objective(x)
+
+        f = Counting(prox_quadratic(np.eye(3), np.ones(3)))
+        g = Counting(prox_l1(0.5))
+        tr = drs_run(f, g, DrsParams(alpha=1.0, max_iters=50), np.array([3.0, -2.0, 0.1]))
+        assert calls == [(50, 3), (50, 3)]
+        assert tr.objective.shape == (50,)
+
+    def test_columns_are_read_only(self):
+        tr = drs_run(prox_quadratic(np.eye(2), np.ones(2)), prox_l1(0.5),
+                     DrsParams(alpha=1.0, max_iters=4), np.array([3.0, -2.0]))
+        with pytest.raises(ValueError):
+            tr.records[1].x[0] = 5.0
+        with pytest.raises(ValueError):
+            tr.fp_residual[0] = 5.0
+        assert tr.records[-1].k == 3
+        assert [r.k for r in tr.records[1:3]] == [1, 2]
+
+    @staticmethod
+    def _slow_problem(n=100):
+        # f = 0.5e-3 ||x - 1||^2, g = 0: x_{k+1} = prox_f(x_k) contracts by
+        # 1/(1 + 1e-3) per step, so ||z - y|| <= 1e-12 takes ~23,000 steps
+        s = math.sqrt(1e-3)
+        return prox_quadratic(s * np.eye(n), s * np.ones(n)), prox_zero(), np.zeros(n)
+
+    def test_early_stop_holds_only_the_rows_run(self):
+        f, g, x0 = self._slow_problem()
+        n = x0.size
+        tracemalloc.start()
+        try:
+            tr = drs_run(f, g, DrsParams(alpha=1.0, max_iters=200_000, stop_tol=1e-12), x0)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        k = len(tr)
+        assert tr.status == "converged" and 20_000 <= k < 200_000
+        assert tr.x.shape == tr.y.shape == tr.z.shape == (k, n)
+        rows = 3 * k * n * 8
+        assert rows <= held <= 1.05 * rows + (1 << 20)
+        assert peak <= 3 * held
+
+    def test_reference_solve_memory_is_o_n(self):
+        f, g, x0 = self._slow_problem()
+        params = DrsParams(alpha=1.0, max_iters=1)
+        f.evaluate(x0, 1.0)  # the prox's per-alpha cache, made outside the count
+        iters = len(drs_run(f, g, DrsParams(alpha=1.0, max_iters=200_000,
+                                            stop_tol=1e-12), x0))
+        assert iters >= 20_000
+        tracemalloc.start()
+        try:
+            x_star, y_star, _ = solve_reference(f, g, params, x0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.allclose(y_star, 1.0, atol=1e-8)
+        assert peak < 1 << 20
 
 
 class TestAdmmRun:
