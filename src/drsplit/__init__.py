@@ -43,7 +43,6 @@ from .certify import (
     kron_quadratic_form,
 )
 from .sdplite import (
-    LmiPoint,
     SweepCell,
     eig_sym,
     max_eig,
@@ -64,7 +63,7 @@ __all__ = [
     "build_Qk", "check_certificate", "make_certificate",
     "analytic_params_case1", "analytic_params_case2", "suggest_lambda_case2",
     "rate_bound", "kron_quadratic_form",
-    "LmiPoint", "SweepCell", "eig_sym", "max_eig", "build_sigma_matrix",
+    "SweepCell", "eig_sym", "max_eig", "build_sigma_matrix",
     "feasibility_search", "optimize_rate", "sweep_heatmap", "write_heatmap_csv",
 ]
 

@@ -83,11 +83,11 @@ def prox_qc_matrix(fc: FunctionClass, alpha: float) -> np.ndarray:
     return (M + M.T) / 2
 
 
-def estimate_class_quadratic(A: np.ndarray, include_strong: bool = True) -> FunctionClass:
+def estimate_class_quadratic(A: np.ndarray) -> FunctionClass:
     """Class of x -> 0.5*||Ax - b||^2, i.e. extreme eigenvalues of A^T A.
 
     The smallest eigenvalue is reported as 0 when below a relative rank
-    tolerance (1e-10 * L), or when ``include_strong`` is False.
+    tolerance (1e-10 * L).
     """
     from . import sdplite
 
@@ -100,6 +100,6 @@ def estimate_class_quadratic(A: np.ndarray, include_strong: bool = True) -> Func
     if L <= 0:
         raise ValueError("A^T A has no positive eigenvalue; A is the zero matrix")
     m = float(evals[0])
-    if not include_strong or m < 1e-10 * L:
+    if m < 1e-10 * L:
         m = 0.0
     return FunctionClass(m=m, L=L)

@@ -5,8 +5,11 @@ is the one eigensolver entry point of the certificate checks.  The optimizer
 works on the Schur-linearized 4x4 certificate factor Sigma, in which the
 squared rate, the relaxation parameter, and both multipliers all enter
 affinely, so minimizing rho^2 subject to Sigma < 0 is a small semidefinite
-program.  It is solved by a deterministic log-barrier Newton method and each
-result is revalidated on the direct 3x3 certificate factor.
+program.  It is solved by one deterministic log-barrier Newton method from a
+closed-form strictly feasible start, over rho^2 > 0, lambda > 0 and
+sigma1, sigma2 >= 0 (sigma1 below a multiple of its start value, see
+``_solve``), and each result is revalidated on the direct 3x3 certificate
+factor.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from __future__ import annotations
 import csv
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -23,7 +26,6 @@ from .funclass import FunctionClass
 from . import certify
 
 __all__ = [
-    "LmiPoint",
     "SweepCell",
     "eig_sym",
     "max_eig",
@@ -38,27 +40,12 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-_LAM_BOX = (0.01, 4.0)
-_SIGMA_BOX_SCALE = 100.0  # sigma box is [0, 100/alpha]
+_SIGMA1_RANGE = 1e6  # sigma1 stays below this multiple of its start value
 _GAP_TOL = 1e-10  # duality-gap bound on rho^2 at which the barrier stops
 _CENTERING_TOL = 0.25  # Newton decrement that ends a centering stage
 _T_START = 10.0  # barrier weight of the first centering stage
 _T_GROWTH = 30.0  # barrier weight factor between centering stages
-_MAX_NEWTON = 50  # Newton steps allowed per centering stage
-
-
-@dataclass(frozen=True)
-class LmiPoint:
-    """Decision-variable vector of the linear-rate feasibility problem."""
-
-    rho_sq: float
-    lam: float
-    sigma1: float
-    sigma2: float
-
-    def __post_init__(self):
-        if self.sigma1 < 0 or self.sigma2 < 0:
-            raise ValueError("multipliers must be >= 0")
+_MAX_NEWTON = 100  # Newton steps allowed per centering stage
 
 
 @dataclass
@@ -102,7 +89,7 @@ def _sigma_parts(alpha: float, fc: FunctionClass):
     """Affine decomposition of the Schur-linearized certificate factor.
 
     Sigma = base + rho_sq*parts[0] + lam*parts[1] + sigma1*parts[2]
-    + sigma2*parts[3], in the variable order of ``LmiPoint``.
+    + sigma2*parts[3].
     """
     if not (fc.strongly_convex and fc.smooth):
         raise ValueError("the linear-rate certificate requires 0 < m <= L < inf")
@@ -119,35 +106,34 @@ def _sigma_parts(alpha: float, fc: FunctionClass):
     return base, parts
 
 
-def build_sigma_matrix(point: LmiPoint, alpha: float, fc: FunctionClass) -> np.ndarray:
-    """Schur-linearized 4x4 certificate factor at a decision point.
+def build_sigma_matrix(rho_sq: float, lam: float, sigma1: float, sigma2: float,
+                       alpha: float, fc: FunctionClass) -> np.ndarray:
+    """Schur-linearized 4x4 certificate factor at (rho^2, lambda, sigma1, sigma2).
 
     Negative semidefiniteness of this matrix is equivalent to the direct
     Case-3 certificate inequality at the same parameters.
     """
     base, parts = _sigma_parts(alpha, fc)
-    coeffs = [point.rho_sq, point.lam, point.sigma1, point.sigma2]
-    return base + np.tensordot(coeffs, parts, 1)
+    return base + np.tensordot([rho_sq, lam, sigma1, sigma2], parts, 1)
 
 
-def _barrier(F0, Fs, lo, hi, x, floor=None):
-    """Minimize x[0] over {x : F0 + sum_i x[i] Fs[i] > 0, lo < x < hi}.
+def _barrier(F0, Fs, x, hi):
+    """Minimize x[0] over {x : F0 + sum_i x[i] Fs[i] > 0, 0 < x < hi}.
 
     Log-barrier method (Boyd & Vandenberghe, Convex Optimization, sec. 11.3)
     from the strictly feasible ``x``: damped Newton steps on t x[0] + phi(x),
-    phi being -log det of the matrix plus -log of the distance to each finite
+    phi being -log det of the matrix plus -log of the distance to each
     bound, with t raised by _T_GROWTH per centering stage.  A stage ending at
     Newton decrement delta < 1 bounds x[0] - min by (nu + (delta + sqrt(nu))
     delta / (1 - delta)) / t for barrier parameter nu (Nesterov, Introductory
     Lectures on Convex Optimization, sec. 4.2); the last t brings it to
     _GAP_TOL.  When rounding stops a stage (an iterate leaves the feasible
     set or centering stalls, as happens once F is too ill-conditioned), the
-    solve ends at the previous stage, with its larger bound.  With ``floor``
-    the solve stops once x[0] < floor, or once the bound shows the minimum is
-    >= floor.  Returns (x, gap bound, Newton steps, centred stages).
+    solve ends at the previous stage, with its larger bound.  Returns (x, gap
+    bound, Newton steps, centred stages).
     """
     n = F0.shape[0]
-    nu = n + int(np.isfinite(lo).sum() + np.isfinite(hi).sum())
+    nu = n + len(x) + int(np.isfinite(hi).sum())
     tol = _CENTERING_TOL
     t_last = (nu + (tol + math.sqrt(nu)) * tol / (1.0 - tol)) / _GAP_TOL
     t, gap, steps, stages, centred = _T_START, math.inf, 0, 0, x
@@ -157,19 +143,17 @@ def _barrier(F0, Fs, lo, hi, x, floor=None):
             # a damped step has Hessian norm delta / (1 + delta) < 1, so it
             # keeps F > 0 and the bounds strict up to rounding
             w, V = np.linalg.eigh(F0 + np.tensordot(x, Fs, 1))
-            if w[0] <= 0 or np.any(x <= lo) or np.any(x >= hi):
+            if w[0] <= 0 or np.any(x <= 0) or np.any(x >= hi):
                 break
-            if floor is not None and x[0] < floor:
-                return x, gap, steps, stages
             # log-det derivatives in Gram form, C_i = F^-1/2 Fs[i] F^-1/2:
             # gradient -tr(C_i) and Hessian tr(C_i C_j), which stays positive
             # semidefinite in floating point near the boundary
             R = V / np.sqrt(w)
             C = (R.T @ Fs @ R).reshape(len(x), n * n)
-            to_lo, to_hi = x - lo, hi - x
-            g = 1.0 / to_hi - 1.0 / to_lo - C[:, ::n + 1].sum(axis=1)
+            to_hi = hi - x
+            g = 1.0 / to_hi - 1.0 / x - C[:, ::n + 1].sum(axis=1)
             g[0] += t
-            H = C @ C.T + np.diag(1.0 / to_lo ** 2 + 1.0 / to_hi ** 2)
+            H = C @ C.T + np.diag(1.0 / x ** 2 + 1.0 / to_hi ** 2)
             d = 1.0 / np.sqrt(np.diag(H))  # Jacobi scaling of the Newton system
             dx = -d * np.linalg.solve(H * np.outer(d, d), g * d)
             delta = math.sqrt(max(-float(g @ dx), 0.0))
@@ -183,57 +167,78 @@ def _barrier(F0, Fs, lo, hi, x, floor=None):
             return centred, gap, steps, stages
         stages, centred = stages + 1, x
         gap = (nu + (delta + math.sqrt(nu)) * delta / (1.0 - delta)) / t
-        if t >= t_last or (floor is not None and x[0] - gap >= floor):
+        if t >= t_last:
             return x, gap, steps, stages
         t = min(t * _T_GROWTH, t_last)
 
 
-def _solve(alpha: float, fc: FunctionClass, lam_fixed: Optional[float]) -> Optional[LmiPoint]:
-    """Minimum of rho^2 subject to Sigma < 0 over the boxes, with its witness.
+def _checked(alpha, fc, rho_sq, lam, sigma1, sigma2) -> certify.Certificate:
+    """Case-3 certificate at these parameters, re-checked on the 3x3 factor."""
+    cert = certify.make_certificate(certify.CertCase.CASE3, fc, alpha, lam=lam,
+                                    sigma1=sigma1, sigma2=sigma2, rho_sq=rho_sq)
+    if not cert.feasible:
+        raise RuntimeError(f"optimized certificate failed the 3x3 revalidation "
+                           f"(rho_sq {rho_sq:.12g}, max_eig {cert.max_eig:.3e})")
+    return cert
 
-    Works on F = -Sigma over (rho^2, lambda unless pinned, sigma1, sigma2).
-    Phase I minimizes a slack s with F + s I > 0 at rho^2 = 1 and stops at
-    s < 0, a strictly feasible start; phase II then minimizes rho^2 from
-    there.  Returns None when phase I finds no witness at rho^2 = 1, that is
-    no certified rate below 1.
+
+def _solve(alpha: float, fc: FunctionClass,
+           lam_fixed: Optional[float]) -> Optional[certify.Certificate]:
+    """Minimum of rho^2 subject to Sigma < 0, as a re-checked certificate.
+
+    Works on F = -Sigma over (rho^2, lambda unless pinned, sigma1, sigma2)
+    from a closed-form strictly feasible start.  With l = lambda0 = 1 (or the
+    pinned lambda), sigma2 = 4 l^2 / alpha and sigma1 = 8 l^2 (m + L) /
+    ((1 + alpha m)(1 + alpha L)), the trailing 3x3 block of F (rows y, z and
+    the Schur border) is B = [[8 l^2, -4 l^2, l], [-4 l^2, 4 l^2, -l], [l, -l, 1]].
+    Its Schur complement in the border entry, l^2 [[7, -3], [-3, 3]], is
+    positive definite, so B > 0.  rho^2 enters F only as +rho^2 in entry
+    (0, 0), so with c the rest of column 0, F > 0 exactly when rho^2 >
+    c^T B^-1 c - F[0, 0] at rho^2 = 0; the start puts rho^2 one above that
+    threshold and above 0.
+
+    sigma1 stays below _SIGMA1_RANGE times its start value.  For f in F(m, m)
+    the prox constraint is an equality, -Sigma grows without bound along
+    sigma1 and the barrier has no centre; for m < L the bound only binds when
+    alpha (L - m) is below about 1e-6 |1 - alpha m|.  Returns None when the
+    minimum is >= 1, that is no certified rate below 1.
     """
     base, parts = _sigma_parts(alpha, fc)
-    sig_hi = _SIGMA_BOX_SCALE / alpha
+    lam0 = 1.0 if lam_fixed is None else float(lam_fixed)
+    m, L = fc.m, fc.L
+    sigma1 = 8.0 * lam0 ** 2 * (m + L) / ((1.0 + alpha * m) * (1.0 + alpha * L))
+    x = np.array([0.0, lam0, sigma1, 4.0 * lam0 ** 2 / alpha])
+    F = -base - np.tensordot(x, parts, 1)
+    c = F[1:, 0]
+    x[0] = max(c @ np.linalg.solve(F[1:, 1:], c) - F[0, 0], 0.0) + 1.0
     keep = [0, 1, 2, 3] if lam_fixed is None else [0, 2, 3]
-    lo = np.array([-math.inf, _LAM_BOX[0], 0.0, 0.0])[keep]
-    hi = np.array([math.inf, _LAM_BOX[1], sig_hi, sig_hi])[keep]
-    x = np.array([1.0, 1.0, 1.0 / alpha, 1.0 / alpha])[keep]
+    hi = np.array([math.inf, math.inf, _SIGMA1_RANGE * sigma1, math.inf])[keep]
     F0 = -base - (lam_fixed or 0.0) * parts[1]
-    Fs = -parts[keep]
-    F1, Fs1 = F0 + Fs[0], np.concatenate((np.eye(4)[None], Fs[1:]))  # at rho^2 = 1
-    x[0] = 1.0 - np.linalg.eigvalsh(F1 + np.tensordot(x[1:], Fs[1:], 1))[0]
-    x, gap, steps1, stages1 = _barrier(F1, Fs1, lo, hi, x, floor=0.0)
-    tag = f"alpha={alpha:g} m={fc.m:g} L={fc.L:g} lam_fixed={lam_fixed}"
-    if x[0] >= 0:
-        logger.debug("%s: no witness at rho^2 = 1, max_eig(Sigma) >= %.3g after "
-                     "%d phase-I Newton steps", tag, x[0] - gap, steps1)
+    x, gap, steps, stages = _barrier(F0, -parts[keep], x[keep], hi)
+    logger.debug("alpha=%g m=%g L=%g lam_fixed=%s: rho_sq=%.12g after %d Newton "
+                 "steps in %d barrier stages, gap bound %.2e",
+                 alpha, m, L, lam_fixed, x[0], steps, stages, gap)
+    if not x[0] < 1:
         return None
-    lo[0], x[0] = 0.0, 1.0
-    x, gap, steps, stages = _barrier(F0, Fs, lo, hi, x)
-    logger.debug("%s: rho_sq=%.12g after %d Newton steps (%d in phase I) in %d "
-                 "barrier stages, gap bound %.2e", tag, x[0], steps1 + steps,
-                 steps1, stages1 + stages, gap)
-    lam = lam_fixed if lam_fixed is not None else x[1]
-    return LmiPoint(float(x[0]), float(lam), float(x[-2]), float(x[-1]))
+    lam = lam0 if lam_fixed is not None else x[1]
+    return _checked(alpha, fc, float(x[0]), float(lam), float(x[-2]), float(x[-1]))
 
 
-def feasibility_search(alpha: float, fc: FunctionClass, rho_sq: float) -> Optional[LmiPoint]:
-    """Witness (lambda, sigma1, sigma2) certifying the given squared rate, if any.
+def feasibility_search(alpha: float, fc: FunctionClass,
+                       rho_sq: float) -> Optional[certify.Certificate]:
+    """Certificate of the given squared rate, if one exists.
 
-    Solves for the optimal squared rate as ``optimize_rate`` does and returns
-    its witness at ``rho_sq`` when that optimum is <= ``rho_sq``: Sigma
-    decreases in rho^2, so the witness certifies every larger rate.  Returns
-    None otherwise; absence of a witness is a value, not an error.
+    Solves for the optimal squared rate as ``optimize_rate`` does and, when
+    that optimum is <= ``rho_sq``, returns its witness (lambda, sigma1,
+    sigma2) as a certificate at ``rho_sq``, re-checked on the direct 3x3
+    factor: Sigma decreases in rho^2, so the witness certifies every larger
+    rate.  Returns None otherwise; absence of a certificate is a value, not
+    an error.
     """
     best = _solve(alpha, fc, None)
     if best is None or best.rho_sq > rho_sq:
         return None
-    return replace(best, rho_sq=rho_sq)
+    return _checked(alpha, fc, rho_sq, best.lam, best.sigma1, best.sigma2)
 
 
 def optimize_rate(alpha: float, fc: FunctionClass,
@@ -241,23 +246,17 @@ def optimize_rate(alpha: float, fc: FunctionClass,
     """Best certified squared linear rate, with its witness.
 
     Minimizes rho^2 subject to the Schur-linearized certificate Sigma < 0,
-    with lambda in [0.01, 4] and sigma1, sigma2 in [0, 100/alpha], by a
-    log-barrier Newton method to a duality-gap bound of 1e-10 on rho^2, and
-    revalidates the final iterate once on the direct 3x3 certificate factor.
-    ``lam_fixed`` pins the relaxation parameter instead of optimizing it.
-    Raises RuntimeError when no rate below 1 is certified or the
-    revalidation fails.
+    over lambda > 0 and sigma1, sigma2 >= 0, by a log-barrier Newton method
+    from a closed-form strictly feasible start (see ``_solve``) to a
+    duality-gap bound of 1e-10 on rho^2, and revalidates the result once on
+    the direct 3x3 certificate factor.  ``lam_fixed`` pins the relaxation
+    parameter instead of optimizing it.  Raises RuntimeError when no rate
+    below 1 is certified or the revalidation fails.
     """
-    point = _solve(alpha, fc, lam_fixed)
-    if point is None:
+    cert = _solve(alpha, fc, lam_fixed)
+    if cert is None:
         pinned = "" if lam_fixed is None else f" and lambda={lam_fixed:g}"
         raise RuntimeError(f"no certificate with rho^2 < 1 exists at alpha={alpha:g}{pinned}")
-    cert = certify.make_certificate(
-        certify.CertCase.CASE3, fc, alpha, lam=point.lam,
-        sigma1=point.sigma1, sigma2=point.sigma2, rho_sq=point.rho_sq)
-    if not cert.feasible:
-        raise RuntimeError(f"optimized certificate failed the 3x3 revalidation "
-                           f"(rho_sq {point.rho_sq:.12g}, max_eig {cert.max_eig:.3e})")
     return cert
 
 

@@ -61,11 +61,6 @@ class DrsParams:
             if not np.all(seq > 0):
                 raise ValueError("every relaxation parameter must be > 0")
 
-    def lam_at(self, k: int) -> float:
-        if np.isscalar(self.lam):
-            return float(self.lam)
-        return float(self.lam[k])
-
 
 @dataclass
 class TraceRecord:
@@ -102,9 +97,6 @@ class Trace:
 
     def __len__(self):
         return len(self.fp_residual)
-
-    def __getitem__(self, i):
-        return self.records[i]
 
     @property
     def records(self) -> "_Records":
@@ -169,11 +161,11 @@ def _relaxations(params: DrsParams):
 
 def _drs_steps(f: ProxOperator, g: ProxOperator, params: DrsParams, x0: np.ndarray):
     """The DRS recursion, one step per item: (x_k, y_k, z_k, ||z_k - y_k||,
-    x_{k+1}).
+    x_{k+1}, stop).
 
-    Stops after the first step with ||z_k - y_k|| <= stop_tol, whose x_{k+1}
-    is x_k, or after max_iters steps.  Each array is new, so a consumer may
-    keep any of them.
+    Stops after the first step with ||z_k - y_k|| <= stop_tol, the only one
+    with stop True, whose x_{k+1} is x_k, or after max_iters steps.  Each
+    array is new, so a consumer may keep any of them.
     """
     a = params.alpha
     tol = params.stop_tol
@@ -191,11 +183,11 @@ def _drs_steps(f: ProxOperator, g: ProxOperator, params: DrsParams, x0: np.ndarr
         if not math.isfinite(fp):
             _raise_nonfinite(k, y=y, z=z)
         if fp <= tol:
-            yield x, y, z, fp, x
+            yield x, y, z, fp, x, True
             return
         if not math.isfinite(guard):
             _raise_nonfinite(k, x=x_next)
-        yield x, y, z, fp, x_next
+        yield x, y, z, fp, x_next, False
         x = x_next
 
 
@@ -203,8 +195,9 @@ _FIRST_ROWS = 1024  # initial row capacity when a run may stop early
 
 
 def _collect(steps, params: DrsParams, shape, objective) -> Trace:
-    """Read-only Trace of the (x, y, z, fp, state) steps; the last state is
-    x_final, and ``objective(X, Z)`` gives the objective column.
+    """Read-only Trace of the (x, y, z, fp, state, stop) steps; the last
+    state is x_final, the last stop flag marks convergence, and
+    ``objective(X, Z)`` gives the objective column.
 
     Rows go into preallocated arrays: max_iters rows when the run cannot
     stop early (stop_tol == 0), else a capacity that doubles as needed and
@@ -214,7 +207,7 @@ def _collect(steps, params: DrsParams, shape, objective) -> Trace:
     X, Y, Z = (np.empty((cap,) + shape) for _ in range(3))
     FP = np.empty(cap)
     k = 0
-    for x, y, z, fp, state in steps:
+    for x, y, z, fp, state, stop in steps:
         if k == cap:
             cap = min(2 * cap, params.max_iters)
             X, Y, Z, FP = (np.concatenate((c, np.empty((cap - k,) + c.shape[1:])))
@@ -226,7 +219,7 @@ def _collect(steps, params: DrsParams, shape, objective) -> Trace:
         k += 1
     X, Y, Z, FP = (c if len(c) == k else c[:k].copy() for c in (X, Y, Z, FP))
     trace = Trace(X, Y, Z, FP, FP / params.alpha, objective(X, Z),
-                  "converged" if fp <= params.stop_tol else "iteration-limit", state)
+                  "converged" if stop else "iteration-limit", state)
     for c in (X, Y, Z, FP, trace.subgrad_residual, trace.objective):
         if c is not None:
             c.flags.writeable = False
@@ -251,7 +244,9 @@ def drs_run(f: ProxOperator, g: ProxOperator, params: DrsParams, x0: np.ndarray)
 def _admm_steps(f_prox: ProxOperator, g_prox: ProxOperator, params: DrsParams,
                 u0: np.ndarray):
     """The relaxed ADMM recursion, one step per item: (x+, u, z+, ||x+ - z+||,
-    z+), stopping after the first step with ||x+ - z+|| <= stop_tol."""
+    z+, stop), stopping after the first step whose primal residual
+    ||x+ - z+|| and dual residual ||z+ - z|| / alpha are both <= stop_tol
+    (Boyd, Parikh, Chu, Peleato & Eckstein 2011, sec. 3.3)."""
     a = params.alpha
     u = np.array(u0, dtype=float)
     z = np.zeros_like(u)
@@ -262,14 +257,17 @@ def _admm_steps(f_prox: ProxOperator, g_prox: ProxOperator, params: DrsParams,
         with np.errstate(over="ignore", invalid="ignore"):
             d = xn - zn
             fp = math.sqrt(d @ d)
+            dz = zn - z
+            dual = math.sqrt(dz @ dz) / a
             un = u + v - zn
             guard = un @ un
         if not math.isfinite(fp):
             _raise_nonfinite(k, x=xn, z=zn)
         if not math.isfinite(guard):
             _raise_nonfinite(k, u=un)
-        yield xn, u, zn, fp, zn
-        if fp <= params.stop_tol:
+        stop = fp <= params.stop_tol and dual <= params.stop_tol
+        yield xn, u, zn, fp, zn, stop
+        if stop:
             return
         z, u = zn, un
 
@@ -283,8 +281,10 @@ def admm_run(f_prox: ProxOperator, g_prox: ProxOperator, params: DrsParams, u0: 
         z+ = prox_{ag}(v + u);  u+ = u + v - z+.
 
     The trace stores x = x+, y = u (dual), z = z+, with the primal residual
-    ||x+ - z+|| in fp_residual and f(x+) + g(z+) in objective.  This is
-    standard relaxed ADMM, equivalent to DRS applied to the dual problem.
+    ||x+ - z+|| in fp_residual and f(x+) + g(z+) in objective.  The run
+    stops once the primal residual and the dual residual ||z+ - z|| / alpha
+    are both <= stop_tol.  This is standard relaxed ADMM, equivalent to DRS
+    applied to the dual problem.
     """
     u0 = np.asarray(u0, dtype=float)
     return _collect(_admm_steps(f_prox, g_prox, params, u0), params, u0.shape,
@@ -334,9 +334,9 @@ def solve_reference(f: ProxOperator, g: ProxOperator, params: DrsParams, x0: np.
     cap = max(params.max_iters, 2_000_000)
     ref = DrsParams(alpha=params.alpha, lam=params.lam if np.isscalar(params.lam) else 1.0,
                     max_iters=cap, stop_tol=1e-12)
-    for x, y, z, fp, x_final in _drs_steps(f, g, ref, x0):
+    for x, y, z, fp, x_final, stop in _drs_steps(f, g, ref, x0):
         pass
-    if not fp <= ref.stop_tol:
+    if not stop:
         raise RuntimeError(
             f"reference solve did not reach ||z - y|| <= 1e-12 in {cap} "
             "iterations; increase the iteration cap"

@@ -157,10 +157,6 @@ class TestEstimateClassQuadratic:
         assert fc.m == 0.0
         assert fc.L == pytest.approx(1.0, abs=1e-12)
 
-    def test_include_strong_flag(self):
-        fc = estimate_class_quadratic(np.eye(2), include_strong=False)
-        assert fc.m == 0.0
-
     def test_rectangular(self):
         rng = np.random.default_rng(0)
         A = rng.standard_normal((8, 3))

@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 from drsplit import (
+    CertCase,
+    Certificate,
     FunctionClass,
-    LmiPoint,
     build_Q1,
     build_Q2,
     build_Qk,
@@ -102,21 +103,25 @@ class TestEigSym:
 FC = FunctionClass(1.0, 10.0)
 
 
+def _contraction_sq(alpha, fc):
+    """Squared lambda = 2 contraction factor of DRS (Giselsson & Boyd 2017)."""
+    return max(abs(1.0 - alpha * fc.m) / (1.0 + alpha * fc.m),
+               abs(alpha * fc.L - 1.0) / (alpha * fc.L + 1.0)) ** 2
+
+
 class TestBuildSigmaMatrix:
     def test_stationary_point(self):
-        S = build_sigma_matrix(LmiPoint(1.0, 0.0, 0.0, 0.0), 1.0, FC)
+        S = build_sigma_matrix(1.0, 0.0, 0.0, 0.0, 1.0, FC)
         assert np.allclose(S, np.diag([0.0, 0.0, 0.0, -1.0]), atol=1e-15)
 
     def test_affine_in_decision_variables(self):
         rng = np.random.default_rng(10)
         for _ in range(20):
-            p1 = LmiPoint(*rng.uniform(0.1, 2.0, size=4))
-            p2 = LmiPoint(*rng.uniform(0.1, 2.0, size=4))
-            mid = LmiPoint(*(0.5 * (np.array([p1.rho_sq, p1.lam, p1.sigma1, p1.sigma2])
-                                    + np.array([p2.rho_sq, p2.lam, p2.sigma1, p2.sigma2]))))
-            S1 = build_sigma_matrix(p1, 0.8, FC)
-            S2 = build_sigma_matrix(p2, 0.8, FC)
-            Sm = build_sigma_matrix(mid, 0.8, FC)
+            p1 = rng.uniform(0.1, 2.0, size=4)
+            p2 = rng.uniform(0.1, 2.0, size=4)
+            S1 = build_sigma_matrix(*p1, 0.8, FC)
+            S2 = build_sigma_matrix(*p2, 0.8, FC)
+            Sm = build_sigma_matrix(*(0.5 * (p1 + p2)), 0.8, FC)
             assert np.allclose(S1 + S2 - 2 * Sm, 0.0, atol=1e-13)
 
     def test_schur_equivalence_with_direct_check(self):
@@ -125,15 +130,13 @@ class TestBuildSigmaMatrix:
         rng = np.random.default_rng(11)
         agree = 0
         for _ in range(100):
-            point = LmiPoint(rho_sq=rng.uniform(0.05, 0.999),
-                             lam=rng.uniform(0.05, 3.0),
-                             sigma1=rng.uniform(0.0, 5.0),
-                             sigma2=rng.uniform(0.0, 5.0))
+            rho_sq, lam = rng.uniform(0.05, 0.999), rng.uniform(0.05, 3.0)
+            sigma1, sigma2 = rng.uniform(0.0, 5.0, size=2)
             alpha = rng.uniform(0.1, 2.0)
-            S = build_sigma_matrix(point, alpha, FC)
-            direct = (build_Qk(point.lam, point.rho_sq)
-                      + point.sigma1 * build_Q1(alpha, FC)
-                      + point.sigma2 * build_Q2(alpha))
+            S = build_sigma_matrix(rho_sq, lam, sigma1, sigma2, alpha, FC)
+            direct = (build_Qk(lam, rho_sq)
+                      + sigma1 * build_Q1(alpha, FC)
+                      + sigma2 * build_Q2(alpha))
             nsd_schur = max_eig(S) <= psd_tol(S)
             nsd_direct = max_eig(direct) <= psd_tol(direct)
             assert nsd_schur == nsd_direct
@@ -147,7 +150,7 @@ class TestBuildSigmaMatrix:
             v2 = rng.uniform(0.05, 3.0, size=4)
             vals = []
             for v in (v1, v2, 0.5 * (v1 + v2)):
-                S = build_sigma_matrix(LmiPoint(*v), 1.0, FC)
+                S = build_sigma_matrix(*v, 1.0, FC)
                 vals.append(max_eig(S))
             assert vals[2] <= max(vals[0], vals[1]) + 1e-12
 
@@ -156,9 +159,9 @@ class TestFeasibilitySearch:
     def test_near_stationary_rate_always_feasible(self):
         for alpha, fc in [(1.0, FC), (0.1, FunctionClass(1.0, 100.0)),
                           (2.0, FunctionClass(0.5, 1.0))]:
-            point = feasibility_search(alpha, fc, 1.0 - 1e-9)
-            assert point is not None
-            S = build_sigma_matrix(point, alpha, fc)
+            cert = feasibility_search(alpha, fc, 1.0 - 1e-9)
+            assert cert is not None
+            S = build_sigma_matrix(cert.rho_sq, cert.lam, cert.sigma1, cert.sigma2, alpha, fc)
             assert max_eig(S) <= psd_tol(S)
 
     def test_overtight_rate_infeasible(self):
@@ -182,14 +185,25 @@ class TestFeasibilitySearch:
         with pytest.raises(ValueError):
             feasibility_search(1.0, FunctionClass(0.0, 10.0), 0.9)
 
+    def test_returns_a_revalidated_certificate(self):
+        best = optimize_rate(1.0, FC)
+        cert = feasibility_search(1.0, FC, 0.8)
+        assert isinstance(cert, Certificate)
+        assert cert.feasible and cert.max_eig <= psd_tol(cert.witness)
+        assert cert.case is CertCase.CASE3 and cert.rho_sq == 0.8
+        assert (cert.lam, cert.sigma1, cert.sigma2) == (best.lam, best.sigma1, best.sigma2)
+        direct = (build_Qk(cert.lam, 0.8) + cert.sigma1 * build_Q1(1.0, FC)
+                  + cert.sigma2 * build_Q2(1.0))
+        assert max_eig(direct) <= 0.0
+
     def test_exact_at_the_optimum(self):
         # Sigma decreases in rho^2, so the witness exists exactly from the
         # optimal squared rate up
         for alpha, fc in [(1.0, FC), (10.0, FunctionClass(1.0, 100.0))]:
             best = optimize_rate(alpha, fc).rho_sq
             assert feasibility_search(alpha, fc, best - 1e-6) is None
-            point = feasibility_search(alpha, fc, best + 1e-6)
-            assert point is not None and point.rho_sq == best + 1e-6
+            cert = feasibility_search(alpha, fc, best + 1e-6)
+            assert cert is not None and cert.rho_sq == best + 1e-6
 
 
 class TestOptimizeRate:
@@ -235,9 +249,38 @@ class TestOptimizeRate:
         # of alpha*f with f in F(m, L) contracts by the factor below
         # (Giselsson & Boyd 2017), and the certified optimum attains it
         fc = FunctionClass(1.0, kappa)
-        factor = max(abs(1.0 - alpha * fc.m) / (1.0 + alpha * fc.m),
-                     abs(alpha * fc.L - 1.0) / (alpha * fc.L + 1.0))
-        assert optimize_rate(alpha, fc).rho_sq == pytest.approx(factor ** 2, abs=1e-9)
+        assert optimize_rate(alpha, fc).rho_sq == pytest.approx(
+            _contraction_sq(alpha, fc), abs=1e-9)
+
+    @pytest.mark.parametrize("alpha, m, L", [(0.0166, 2.99, 3.17), (0.172, 0.0149, 0.0152)])
+    def test_near_unit_condition_number_reaches_the_contraction(self, alpha, m, L):
+        # at kappa close to 1 the optimal sigma1 is far above 100/alpha, where
+        # a fixed multiplier box used to stop it
+        fc = FunctionClass(m, L)
+        cert = optimize_rate(alpha, fc)
+        assert cert.feasible
+        assert abs(cert.rho_sq - _contraction_sq(alpha, fc)) <= 1e-9
+
+    def test_random_classes_reach_the_contraction(self):
+        rng = np.random.default_rng(20261018)
+        for _ in range(200):
+            alpha = 10.0 ** rng.uniform(-3.0, 2.0)
+            m = 10.0 ** rng.uniform(-2.0, 1.0)
+            fc = FunctionClass(m, m * 10.0 ** rng.uniform(0.0, 4.0))
+            cert = optimize_rate(alpha, fc)
+            direct = (build_Qk(cert.lam, cert.rho_sq) + cert.sigma1 * build_Q1(alpha, fc)
+                      + cert.sigma2 * build_Q2(alpha))
+            assert max_eig(direct) <= psd_tol(direct), (alpha, fc)
+            assert abs(cert.rho_sq - _contraction_sq(alpha, fc)) <= 1e-8, (alpha, fc)
+
+    @pytest.mark.parametrize("alpha", [0.1, 1.0, 3.0])
+    def test_equality_class_is_certified_near_its_infimum(self, alpha):
+        # for f in F(m, m) no finite sigma1 attains the infimum; the bound on
+        # sigma1 keeps the barrier centred and the rate within 1e-5 of it
+        fc = FunctionClass(1.0, 1.0)
+        cert = optimize_rate(alpha, fc)
+        assert cert.feasible and cert.max_eig < 0.0
+        assert 0.0 <= cert.rho_sq - _contraction_sq(alpha, fc) <= 1e-5
 
     def test_ill_conditioned_cell_ends_at_the_rounding_limit(self):
         # alpha*m ~ 4e-5 leaves 1 - rho^2 ~ 1e-4 and a factor with condition

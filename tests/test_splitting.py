@@ -27,12 +27,12 @@ from drsplit.prox import ProxOperator
 class TestDrsParams:
     def test_valid(self):
         p = DrsParams(alpha=0.5, lam=1.2, max_iters=10, stop_tol=1e-8)
-        assert p.lam_at(0) == 1.2
-        assert p.lam_at(9) == 1.2
+        assert p.lam == 1.2
+        assert (p.alpha, p.max_iters, p.stop_tol) == (0.5, 10, 1e-8)
 
     def test_schedule(self):
         p = DrsParams(alpha=1.0, lam=[0.5, 1.0, 1.5], max_iters=3)
-        assert [p.lam_at(k) for k in range(3)] == [0.5, 1.0, 1.5]
+        assert list(p.lam) == [0.5, 1.0, 1.5]
 
     @pytest.mark.parametrize("kwargs", [
         dict(alpha=0.0),
@@ -342,6 +342,17 @@ class TestAdmmRun:
         tr = admm_run(f, g, DrsParams(alpha=1.0, lam=1.0, max_iters=2000,
                                       stop_tol=1e-10), np.zeros(8))
         assert tr.status == "converged"
+
+    def test_stops_only_when_the_dual_residual_is_small_too(self):
+        # min 0.5 (x - 1)^2 + 0: the first step has x+ = z+ = 0.5, a zero
+        # primal residual, but z moved by 0.5; the minimizer is 1
+        tr = admm_run(prox_quadratic(np.eye(1), np.ones(1)), prox_zero(),
+                      DrsParams(alpha=1.0, lam=1.0, max_iters=200, stop_tol=1e-10),
+                      np.zeros(1))
+        assert tr.status == "converged"
+        assert len(tr) > 1
+        assert tr.x_final[0] == pytest.approx(1.0, abs=1e-9)
+        assert abs(tr.z[-1, 0] - tr.z[-2, 0]) <= 1e-10
 
 
 class TestLyapunovSeries:
