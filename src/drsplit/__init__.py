@@ -47,7 +47,6 @@ from .sdplite import (
     eig_sym,
     max_eig,
     build_sigma_matrix,
-    feasibility_search,
     optimize_rate,
     sweep_heatmap,
     write_heatmap_csv,
@@ -64,7 +63,7 @@ __all__ = [
     "analytic_params_case1", "analytic_params_case2", "suggest_lambda_case2",
     "rate_bound", "kron_quadratic_form",
     "SweepCell", "eig_sym", "max_eig", "build_sigma_matrix",
-    "feasibility_search", "optimize_rate", "sweep_heatmap", "write_heatmap_csv",
+    "optimize_rate", "sweep_heatmap", "write_heatmap_csv",
 ]
 
 __version__ = "0.1.0"

@@ -3,7 +3,7 @@
 Certificates live on 3x3 Kronecker factors acting on the error signal
 e = (x - x*, y - y*, z - z*), in that fixed order.  A parameter tuple is
 certified when the assembled factor W + sigma1 Q1 + sigma2 Q2 is negative
-semidefinite up to a relative tolerance.
+semidefinite up to a tolerance scaled on the magnitudes of its three terms.
 """
 
 from __future__ import annotations
@@ -60,8 +60,13 @@ def detect_case(fc: FunctionClass) -> CertCase:
 
 
 def psd_tol(W: np.ndarray) -> float:
-    """Relative tolerance for declaring a symmetric factor NSD."""
-    return 1e-9 * (1.0 + float(np.abs(W).max()))
+    """Tolerance 1e-12 (1 + max|W|) for declaring a symmetric factor NSD.
+
+    ``W`` is the scale of the factor's rounding error: the entrywise sum of
+    the magnitudes of the terms it was summed from (``check_certificate``),
+    or the factor itself when its terms are not known.
+    """
+    return 1e-12 * (1.0 + float(np.abs(W).max()))
 
 
 def build_W0(alpha: float, lam: float, theta: float) -> np.ndarray:
@@ -120,7 +125,7 @@ class Certificate:
     ``theta`` applies to Cases 1-2 (running-sum weight), ``rho_sq`` to Case 3
     (squared linear rate).  ``witness`` is the assembled left-hand side and
     ``max_eig`` its largest eigenvalue; ``feasible`` records whether that
-    eigenvalue passed the relative NSD tolerance.
+    eigenvalue passed the NSD tolerance of ``check_certificate``.
     """
 
     case: CertCase
@@ -150,8 +155,8 @@ class Certificate:
                 raise ValueError("Case 3 requires 0 < m <= L < inf")
 
 
-def assemble(cert: Certificate) -> np.ndarray:
-    """Left-hand side W + sigma1 Q1 + sigma2 Q2 of the certificate inequality."""
+def _terms(cert: Certificate):
+    """The summed terms W, sigma1 Q1 and sigma2 Q2 of the certificate factor."""
     a, lam = cert.alpha, cert.lam
     if cert.case is CertCase.CASE1:
         W = build_W0(a, lam, cert.theta)
@@ -162,20 +167,28 @@ def assemble(cert: Certificate) -> np.ndarray:
     else:
         W = build_Qk(lam, cert.rho_sq)
         q1_class = cert.fc
-    return W + cert.sigma1 * build_Q1(a, q1_class) + cert.sigma2 * build_Q2(a)
+    return W, cert.sigma1 * build_Q1(a, q1_class), cert.sigma2 * build_Q2(a)
+
+
+def assemble(cert: Certificate) -> np.ndarray:
+    """Left-hand side W + sigma1 Q1 + sigma2 Q2 of the certificate inequality."""
+    W, S1, S2 = _terms(cert)
+    return W + S1 + S2
 
 
 def check_certificate(cert: Certificate):
     """Assemble and eigen-check the certificate; updates it in place.
 
     Returns (feasible, max_eig) where feasibility means the largest
-    eigenvalue is below the relative NSD tolerance.
+    eigenvalue is at most ``psd_tol`` of |W| + sigma1 |Q1| + sigma2 |Q2|,
+    so that cancellation between the terms cannot hide a positive
+    eigenvalue nor fail an exactly singular witness on rounding.
     """
-    W = assemble(cert)
-    evals, _ = sdplite.eig_sym(W)
-    cert.witness = W
+    W, S1, S2 = _terms(cert)
+    cert.witness = W + S1 + S2
+    evals, _ = sdplite.eig_sym(cert.witness)
     cert.max_eig = float(evals[-1])
-    cert.feasible = cert.max_eig <= psd_tol(W)
+    cert.feasible = cert.max_eig <= psd_tol(np.abs(W) + np.abs(S1) + np.abs(S2))
     return cert.feasible, cert.max_eig
 
 
@@ -207,9 +220,11 @@ def analytic_params_case2(alpha: float, lam: float, L_f: float):
     if not (0 < L_f < math.inf):
         raise ValueError("Case 2 requires 0 < L_f < inf")
     t = (2.0 - lam) / (alpha * L_f)
-    r = 1.0 / (math.sqrt(t * t + 1.0) + t)  # sqrt(t^2+1) - t without cancellation
+    s = math.sqrt(t * t + 1.0)
+    # r = s - t and 1 - r = 2 t / (1 + t + s), both without cancellation
+    r = 1.0 / (s + t)
     sigma = 2.0 * lam / alpha * r
-    theta = 2.0 * lam * alpha * (1.0 - r)
+    theta = 2.0 * lam * alpha * (2.0 * t / (1.0 + t + s))
     return sigma, theta
 
 

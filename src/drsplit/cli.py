@@ -177,7 +177,11 @@ def _certificate_for(args, fc: FunctionClass) -> certify.Certificate:
 def cmd_certify(args) -> int:
     spec = _spec_from_args(args)
     _, _, fc = build_problem(spec)
-    cert = _certificate_for(args, fc)
+    try:
+        cert = _certificate_for(args, fc)
+    except RuntimeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     certify.write_certificates_csv([cert], args.out)
     print(f"case={cert.case.value} alpha={cert.alpha:g} lambda={cert.lam:g} "
           f"max_eig={cert.max_eig:.3e} feasible={cert.feasible} -> {args.out}")
@@ -189,7 +193,11 @@ def cmd_tune(args) -> int:
     _, _, fc = build_problem(spec)
     case = certify.detect_case(fc)
     if case is certify.CertCase.CASE3:
-        cert = sdplite.optimize_rate(args.alpha, fc)
+        try:
+            cert = sdplite.optimize_rate(args.alpha, fc)
+        except RuntimeError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
         print(f"case3: lambda_opt={cert.lam:g} rho={math.sqrt(cert.rho_sq):g} "
               f"rho_sq={cert.rho_sq:g}")
     else:

@@ -30,7 +30,6 @@ __all__ = [
     "eig_sym",
     "max_eig",
     "build_sigma_matrix",
-    "feasibility_search",
     "optimize_rate",
     "sweep_heatmap",
     "write_heatmap_csv",
@@ -222,23 +221,6 @@ def _solve(alpha: float, fc: FunctionClass,
         return None
     lam = lam0 if lam_fixed is not None else x[1]
     return _checked(alpha, fc, float(x[0]), float(lam), float(x[-2]), float(x[-1]))
-
-
-def feasibility_search(alpha: float, fc: FunctionClass,
-                       rho_sq: float) -> Optional[certify.Certificate]:
-    """Certificate of the given squared rate, if one exists.
-
-    Solves for the optimal squared rate as ``optimize_rate`` does and, when
-    that optimum is <= ``rho_sq``, returns its witness (lambda, sigma1,
-    sigma2) as a certificate at ``rho_sq``, re-checked on the direct 3x3
-    factor: Sigma decreases in rho^2, so the witness certifies every larger
-    rate.  Returns None otherwise; absence of a certificate is a value, not
-    an error.
-    """
-    best = _solve(alpha, fc, None)
-    if best is None or best.rho_sq > rho_sq:
-        return None
-    return _checked(alpha, fc, rho_sq, best.lam, best.sigma1, best.sigma2)
 
 
 def optimize_rate(alpha: float, fc: FunctionClass,

@@ -8,7 +8,6 @@ keeps them as arrays with one row per iteration.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import math
 from collections.abc import Sequence
@@ -141,17 +140,6 @@ def _objective(f: ProxOperator, g: ProxOperator, at_f, at_g):
     return vf + vg
 
 
-def _raise_nonfinite(k: int, **arrays):
-    """Raise for the first array holding a non-finite entry.
-
-    Called when a scalar guard computed from the arrays (a squared norm) is
-    not finite; the guard is finite whenever the arrays are.
-    """
-    for name, v in arrays.items():
-        if not np.isfinite(v).all():
-            raise RuntimeError(f"non-finite {name} iterate at iteration {k}")
-
-
 def _relaxations(params: DrsParams):
     """lam_0, lam_1, ... as floats, one per iteration up to max_iters."""
     if np.isscalar(params.lam):
@@ -159,71 +147,84 @@ def _relaxations(params: DrsParams):
     return np.asarray(params.lam, dtype=float)[:params.max_iters].tolist()
 
 
-def _drs_steps(f: ProxOperator, g: ProxOperator, params: DrsParams, x0: np.ndarray):
-    """The DRS recursion, one step per item: (x_k, y_k, z_k, ||z_k - y_k||,
-    x_{k+1}, stop).
-
-    Stops after the first step with ||z_k - y_k|| <= stop_tol, the only one
-    with stop True, whose x_{k+1} is x_k, or after max_iters steps.  Each
-    array is new, so a consumer may keep any of them.
-    """
-    a = params.alpha
-    tol = params.stop_tol
-    x = np.array(x0, dtype=float)
-    for k, lam in enumerate(_relaxations(params)):
-        y = f.evaluate(x, a)
-        z = g.evaluate(2.0 * y - x, a)
-        if y.shape != x.shape or z.shape != x.shape:
-            raise ValueError("dimension mismatch between prox outputs and x0")
-        with np.errstate(over="ignore", invalid="ignore"):
-            d = z - y
-            fp = math.sqrt(d @ d)
-            x_next = x + lam * d
-            guard = x_next @ x_next
-        if not math.isfinite(fp):
-            _raise_nonfinite(k, y=y, z=z)
-        if fp <= tol:
-            yield x, y, z, fp, x, True
-            return
-        if not math.isfinite(guard):
-            _raise_nonfinite(k, x=x_next)
-        yield x, y, z, fp, x_next, False
-        x = x_next
-
-
 _FIRST_ROWS = 1024  # initial row capacity when a run may stop early
 
 
-def _collect(steps, params: DrsParams, shape, objective) -> Trace:
-    """Read-only Trace of the (x, y, z, fp, state, stop) steps; the last
-    state is x_final, the last stop flag marks convergence, and
-    ``objective(X, Z)`` gives the objective column.
+class _Rows:
+    """Preallocated rows x_k, y_k, z_k and fp_k of one run.
 
-    Rows go into preallocated arrays: max_iters rows when the run cannot
-    stop early (stop_tol == 0), else a capacity that doubles as needed and
-    is trimmed at the end, so memory follows the iterations actually run.
+    Holds max_iters rows when the run cannot stop early (stop_tol == 0), else
+    a capacity that doubles as needed and is trimmed at the end, so memory
+    follows the iterations actually run.
     """
-    cap = params.max_iters if params.stop_tol == 0 else min(params.max_iters, _FIRST_ROWS)
-    X, Y, Z = (np.empty((cap,) + shape) for _ in range(3))
-    FP = np.empty(cap)
-    k = 0
-    for x, y, z, fp, state, stop in steps:
-        if k == cap:
-            cap = min(2 * cap, params.max_iters)
-            X, Y, Z, FP = (np.concatenate((c, np.empty((cap - k,) + c.shape[1:])))
-                           for c in (X, Y, Z, FP))
+
+    def __init__(self, params: DrsParams, shape):
+        self.limit = params.max_iters
+        cap = self.limit if params.stop_tol == 0 else min(self.limit, _FIRST_ROWS)
+        self.cols = [np.empty((cap,) + shape) for _ in range(3)] + [np.empty(cap)]
+
+    def put(self, k, x, y, z, fp):
+        X, Y, Z, FP = cols = self.cols
+        if k == len(FP):
+            for i, c in enumerate(cols):
+                cols[i] = np.empty((min(2 * k, self.limit),) + c.shape[1:])
+                cols[i][:k] = c
+            X, Y, Z, FP = cols
         X[k] = x
         Y[k] = y
         Z[k] = z
         FP[k] = fp
-        k += 1
-    X, Y, Z, FP = (c if len(c) == k else c[:k].copy() for c in (X, Y, Z, FP))
-    trace = Trace(X, Y, Z, FP, FP / params.alpha, objective(X, Z),
-                  "converged" if stop else "iteration-limit", state)
-    for c in (X, Y, Z, FP, trace.subgrad_residual, trace.objective):
-        if c is not None:
-            c.flags.writeable = False
-    return trace
+
+    def trace(self, k: int, alpha: float, objective, stop: bool, x_final) -> Trace:
+        """Read-only Trace of the first k rows; ``objective(X, Z)`` gives its
+        objective column, evaluated once the oversized buffers are freed."""
+        cols, self.cols = self.cols, None
+        for i, c in enumerate(cols):
+            cols[i] = c if len(c) == k else c[:k].copy()
+        X, Y, Z, FP = cols
+        trace = Trace(X, Y, Z, FP, FP / alpha, objective(X, Z),
+                      "converged" if stop else "iteration-limit", x_final)
+        for c in (X, Y, Z, FP, trace.subgrad_residual, trace.objective):
+            if c is not None:
+                c.flags.writeable = False
+        return trace
+
+
+def _drs(f: ProxOperator, g: ProxOperator, params: DrsParams, x0: np.ndarray,
+         rows: Optional[_Rows]):
+    """The DRS recursion from x0, storing its rows in ``rows`` unless None.
+
+    Stops after the first iteration with ||z_k - y_k|| <= stop_tol, whose
+    x_final is x_k, or after max_iters iterations, whose x_final is x_{k+1}.
+    Returns (iterations, x_final, y, z, stop) with y, z those of the last
+    iteration.
+    """
+    a = params.alpha
+    tol = params.stop_tol
+    x = np.array(x0, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, lam in enumerate(_relaxations(params)):
+            y = f.evaluate(x, a)
+            z = g.evaluate(2.0 * y - x, a)
+            if y.shape != x.shape or z.shape != x.shape:
+                raise ValueError("dimension mismatch between prox outputs and x0")
+            d = z - y
+            fp = math.sqrt(d @ d)
+            # a norm is finite whenever its arrays are, so the arrays are
+            # scanned only when one overflows
+            if not math.isfinite(fp):
+                for name, v in (("y", y), ("z", z)):
+                    if not np.isfinite(v).all():
+                        raise RuntimeError(f"non-finite {name} iterate at iteration {k}")
+            if rows is not None:
+                rows.put(k, x, y, z, fp)
+            if fp <= tol:
+                return k + 1, x, y, z, True
+            x_next = x + lam * d
+            if not math.isfinite(x_next @ x_next) and not np.isfinite(x_next).all():
+                raise RuntimeError(f"non-finite x iterate at iteration {k}")
+            x = x_next
+    return k + 1, x, y, z, False
 
 
 def drs_run(f: ProxOperator, g: ProxOperator, params: DrsParams, x0: np.ndarray) -> Trace:
@@ -237,39 +238,9 @@ def drs_run(f: ProxOperator, g: ProxOperator, params: DrsParams, x0: np.ndarray)
     both function values are evaluable, computed once after the run.
     """
     x0 = np.asarray(x0, dtype=float)
-    return _collect(_drs_steps(f, g, params, x0), params, x0.shape,
-                    lambda X, Z: _objective(f, g, Z, Z))
-
-
-def _admm_steps(f_prox: ProxOperator, g_prox: ProxOperator, params: DrsParams,
-                u0: np.ndarray):
-    """The relaxed ADMM recursion, one step per item: (x+, u, z+, ||x+ - z+||,
-    z+, stop), stopping after the first step whose primal residual
-    ||x+ - z+|| and dual residual ||z+ - z|| / alpha are both <= stop_tol
-    (Boyd, Parikh, Chu, Peleato & Eckstein 2011, sec. 3.3)."""
-    a = params.alpha
-    u = np.array(u0, dtype=float)
-    z = np.zeros_like(u)
-    for k, lam in enumerate(_relaxations(params)):
-        xn = f_prox.evaluate(z - u, a)
-        v = lam * xn + (1.0 - lam) * z
-        zn = g_prox.evaluate(v + u, a)
-        with np.errstate(over="ignore", invalid="ignore"):
-            d = xn - zn
-            fp = math.sqrt(d @ d)
-            dz = zn - z
-            dual = math.sqrt(dz @ dz) / a
-            un = u + v - zn
-            guard = un @ un
-        if not math.isfinite(fp):
-            _raise_nonfinite(k, x=xn, z=zn)
-        if not math.isfinite(guard):
-            _raise_nonfinite(k, u=un)
-        stop = fp <= params.stop_tol and dual <= params.stop_tol
-        yield xn, u, zn, fp, zn, stop
-        if stop:
-            return
-        z, u = zn, un
+    rows = _Rows(params, x0.shape)
+    k, x_final, _, _, stop = _drs(f, g, params, x0, rows)
+    return rows.trace(k, params.alpha, lambda X, Z: _objective(f, g, Z, Z), stop, x_final)
 
 
 def admm_run(f_prox: ProxOperator, g_prox: ProxOperator, params: DrsParams, u0: np.ndarray) -> Trace:
@@ -283,12 +254,38 @@ def admm_run(f_prox: ProxOperator, g_prox: ProxOperator, params: DrsParams, u0: 
     The trace stores x = x+, y = u (dual), z = z+, with the primal residual
     ||x+ - z+|| in fp_residual and f(x+) + g(z+) in objective.  The run
     stops once the primal residual and the dual residual ||z+ - z|| / alpha
-    are both <= stop_tol.  This is standard relaxed ADMM, equivalent to DRS
-    applied to the dual problem.
+    are both <= stop_tol (Boyd, Parikh, Chu, Peleato & Eckstein 2011, sec.
+    3.3).  This is standard relaxed ADMM, equivalent to DRS applied to the
+    dual problem.
     """
-    u0 = np.asarray(u0, dtype=float)
-    return _collect(_admm_steps(f_prox, g_prox, params, u0), params, u0.shape,
-                    lambda X, Z: _objective(f_prox, g_prox, X, Z))
+    a = params.alpha
+    tol = params.stop_tol
+    u = np.array(u0, dtype=float)
+    z = np.zeros_like(u)
+    rows = _Rows(params, u.shape)
+    stop = False
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, lam in enumerate(_relaxations(params)):
+            xn = f_prox.evaluate(z - u, a)
+            v = lam * xn + (1.0 - lam) * z
+            zn = g_prox.evaluate(v + u, a)
+            d = xn - zn
+            fp = math.sqrt(d @ d)
+            dz = zn - z
+            dual = math.sqrt(dz @ dz) / a
+            un = u + v - zn
+            if not math.isfinite(fp):
+                for name, w in (("x", xn), ("z", zn)):
+                    if not np.isfinite(w).all():
+                        raise RuntimeError(f"non-finite {name} iterate at iteration {k}")
+            if not math.isfinite(un @ un) and not np.isfinite(un).all():
+                raise RuntimeError(f"non-finite u iterate at iteration {k}")
+            rows.put(k, xn, u, zn, fp)
+            if fp <= tol and dual <= tol:
+                stop = True
+                break
+            z, u = zn, un
+    return rows.trace(k + 1, a, lambda X, Z: _objective(f_prox, g_prox, X, Z), stop, zn)
 
 
 def lyapunov_series(trace: Trace, case, theta, x_star: np.ndarray,
@@ -334,15 +331,12 @@ def solve_reference(f: ProxOperator, g: ProxOperator, params: DrsParams, x0: np.
     cap = max(params.max_iters, 2_000_000)
     ref = DrsParams(alpha=params.alpha, lam=params.lam if np.isscalar(params.lam) else 1.0,
                     max_iters=cap, stop_tol=1e-12)
-    for x, y, z, fp, x_final, stop in _drs_steps(f, g, ref, x0):
-        pass
+    _, x_final, y, z, stop = _drs(f, g, ref, x0, None)
     if not stop:
         raise RuntimeError(
             f"reference solve did not reach ||z - y|| <= 1e-12 in {cap} "
             "iterations; increase the iteration cap"
         )
-    if fp > 1e-8 or fp / params.alpha > 1e-8 / params.alpha:
-        raise RuntimeError("terminal fixed-point residuals unexpectedly large")
     F_star = _objective(f, g, z, z)
     return x_final, y, None if F_star is None else float(F_star)
 
@@ -351,17 +345,15 @@ def write_trace_csv(trace: Trace, path, lyapunov: Optional[np.ndarray] = None):
     """Trace CSV: columns k, fp_residual, subgrad_residual, objective, V.
 
     Floats are written with ``repr``; the objective and V cells are blank
-    when the trace has no objective or no Lyapunov values are given.
+    when the trace has no objective or no Lyapunov values are given.  The
+    bytes are those of the csv module's default dialect (rows end in CRLF),
+    built as one string and written in one call.
     """
     n = len(trace)
-
-    def cells(column):
-        if column is None:
-            return itertools.repeat("", n)
-        return map(repr, np.asarray(column, dtype=float)[:n].tolist())
-
+    columns = (trace.fp_residual, trace.subgrad_residual, trace.objective, lyapunov)
+    row = ",".join(["{}"] + ["" if c is None else "{!r}" for c in columns]) + "\r\n"
+    values = [np.asarray(c, dtype=float)[:n].tolist() for c in columns if c is not None]
+    lines = itertools.chain(["k,fp_residual,subgrad_residual,objective,V\r\n"],
+                            (row.format(k, *r) for k, r in enumerate(zip(*values, strict=True))))
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["k", "fp_residual", "subgrad_residual", "objective", "V"])
-        w.writerows(zip(range(n), cells(trace.fp_residual), cells(trace.subgrad_residual),
-                        cells(trace.objective), cells(lyapunov), strict=True))
+        fh.write("".join(lines))

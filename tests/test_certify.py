@@ -205,8 +205,36 @@ class TestCheckCertificate:
         assert np.abs(assemble(cert)).max() <= 1e-12
 
     def test_psd_tol_relative(self):
-        assert psd_tol(np.zeros((3, 3))) == pytest.approx(1e-9)
-        assert psd_tol(100.0 * np.eye(3)) == pytest.approx(1.01e-7)
+        assert psd_tol(np.zeros((3, 3))) == pytest.approx(1e-12)
+        assert psd_tol(100.0 * np.eye(3)) == pytest.approx(1.01e-10)
+        assert psd_tol(-100.0 * np.eye(3)) == pytest.approx(1.01e-10)
+
+    def test_tolerance_rejects_a_lowered_rate_and_accepts_singular_witnesses(self):
+        # The optimal Case-3 witness at alpha = 0.0015 for F(0.024, 0.0266)
+        # (rho^2 = 0.99985602) with rho^2 lowered by 6.5e-4: the multipliers
+        # near 5e4 make max|W| about 1e6, and the factor has a positive
+        # eigenvalue of 2.8e-4, which a tolerance of 1e-9 (1 + max|W|) took
+        cert = make_certificate(CertCase.CASE3, FunctionClass(0.024, 0.0266), 0.0015,
+                                1.999939127177544, sigma1=51946.50012643451,
+                                sigma2=2666.5855145999826,
+                                rho_sq=0.9998560187297217 - 6.5e-4)
+        assert cert.max_eig > 2e-4
+        assert not cert.feasible
+        # exactly singular witnesses pass on rounding: the Case-1 factor is
+        # identically zero, and the Case-2 factor is singular with terms up
+        # to 7.6 that cancel to max|W| = 0.038 at alpha = 1, lambda = 1.9,
+        # L = 100, where max_eig is 4.9e-14; at alpha L >= 3e4 this
+        # needs theta without cancellation in 1 - r
+        for alpha in np.logspace(-6, 3, 19):
+            for lam in (0.05, 0.5, 1.0, 1.5, 1.9, 1.999):
+                sigma, theta = analytic_params_case1(alpha, lam)
+                assert make_certificate(CertCase.CASE1, F0INF, alpha, lam, sigma1=sigma,
+                                        sigma2=sigma, theta=theta).feasible
+                for L in (1e-3, 1.0, 100.0, 1e4):
+                    sigma, theta = analytic_params_case2(alpha, lam, L)
+                    cert = make_certificate(CertCase.CASE2, FunctionClass(0.0, L), alpha,
+                                            lam, sigma1=sigma, sigma2=sigma, theta=theta)
+                    assert cert.feasible, (alpha, lam, L, cert.max_eig)
 
 
 class TestCertificateValidation:

@@ -176,6 +176,17 @@ class TestCliCertify:
         assert float(rows[1][2]) == 1.5
         assert 0 < float(rows[1][6]) < 1
 
+    def test_no_case3_certificate_is_a_reported_failure(self, tmp_path, capsys):
+        # lambda = 3 leaves no certified rate below 1 for a strongly convex f
+        out = tmp_path / "cert.csv"
+        rc = main(["--mode", "certify", "--problem", "lasso", "--rank", "40",
+                   "--lambda", "3", "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "no certificate with rho^2 < 1" in err and "lambda=3" in err
+        assert not out.exists()
+
 
 class TestCliTune:
     def test_full_rank_lasso_reports_optimal_relaxation(self, tmp_path, capsys):

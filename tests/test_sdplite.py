@@ -8,15 +8,12 @@ import numpy as np
 import pytest
 
 from drsplit import (
-    CertCase,
-    Certificate,
     FunctionClass,
     build_Q1,
     build_Q2,
     build_Qk,
     build_sigma_matrix,
     eig_sym,
-    feasibility_search,
     max_eig,
     optimize_rate,
     sweep_heatmap,
@@ -153,57 +150,6 @@ class TestBuildSigmaMatrix:
                 S = build_sigma_matrix(*v, 1.0, FC)
                 vals.append(max_eig(S))
             assert vals[2] <= max(vals[0], vals[1]) + 1e-12
-
-
-class TestFeasibilitySearch:
-    def test_near_stationary_rate_always_feasible(self):
-        for alpha, fc in [(1.0, FC), (0.1, FunctionClass(1.0, 100.0)),
-                          (2.0, FunctionClass(0.5, 1.0))]:
-            cert = feasibility_search(alpha, fc, 1.0 - 1e-9)
-            assert cert is not None
-            S = build_sigma_matrix(cert.rho_sq, cert.lam, cert.sigma1, cert.sigma2, alpha, fc)
-            assert max_eig(S) <= psd_tol(S)
-
-    def test_overtight_rate_infeasible(self):
-        # well below the optimal squared rate (~0.67) nothing certifies
-        assert feasibility_search(1.0, FC, 0.3) is None
-
-    def test_monotone_in_rate(self):
-        rng = np.random.default_rng(13)
-        for _ in range(20):
-            m = rng.uniform(0.2, 1.0)
-            L = m * rng.uniform(1.5, 30.0)
-            alpha = rng.uniform(0.2, 2.0)
-            fc = FunctionClass(m, L)
-            rho_sq = rng.uniform(0.3, 0.95)
-            if feasibility_search(alpha, fc, rho_sq) is not None:
-                for worse in (rho_sq + 0.02, rho_sq + 0.2):
-                    if worse < 1.0:
-                        assert feasibility_search(alpha, fc, worse) is not None
-
-    def test_rejects_wrong_class(self):
-        with pytest.raises(ValueError):
-            feasibility_search(1.0, FunctionClass(0.0, 10.0), 0.9)
-
-    def test_returns_a_revalidated_certificate(self):
-        best = optimize_rate(1.0, FC)
-        cert = feasibility_search(1.0, FC, 0.8)
-        assert isinstance(cert, Certificate)
-        assert cert.feasible and cert.max_eig <= psd_tol(cert.witness)
-        assert cert.case is CertCase.CASE3 and cert.rho_sq == 0.8
-        assert (cert.lam, cert.sigma1, cert.sigma2) == (best.lam, best.sigma1, best.sigma2)
-        direct = (build_Qk(cert.lam, 0.8) + cert.sigma1 * build_Q1(1.0, FC)
-                  + cert.sigma2 * build_Q2(1.0))
-        assert max_eig(direct) <= 0.0
-
-    def test_exact_at_the_optimum(self):
-        # Sigma decreases in rho^2, so the witness exists exactly from the
-        # optimal squared rate up
-        for alpha, fc in [(1.0, FC), (10.0, FunctionClass(1.0, 100.0))]:
-            best = optimize_rate(alpha, fc).rho_sq
-            assert feasibility_search(alpha, fc, best - 1e-6) is None
-            cert = feasibility_search(alpha, fc, best + 1e-6)
-            assert cert is not None and cert.rho_sq == best + 1e-6
 
 
 class TestOptimizeRate:

@@ -1,6 +1,7 @@
 """The splitting iterations, trace recording, residual identity, Lyapunov values."""
 
 import csv
+import io
 import math
 import tracemalloc
 
@@ -22,6 +23,17 @@ from drsplit import (
 )
 from drsplit.cli import ProblemSpec, gen_basis_pursuit, gen_lasso
 from drsplit.prox import ProxOperator
+
+
+class Exploding(ProxOperator):
+    """Scales its input by 1e200: the second prox evaluation overflows."""
+
+    def __init__(self):
+        self.function_class = FunctionClass(0.0, math.inf)
+
+    def evaluate(self, v, alpha):
+        with np.errstate(over="ignore"):
+            return v * 1e200
 
 
 class TestDrsParams:
@@ -128,14 +140,6 @@ class TestDrsRun:
                     np.zeros(3))
 
     def test_nonfinite_iterate_reported_with_iteration(self):
-        class Exploding(ProxOperator):
-            def __init__(self):
-                self.function_class = FunctionClass(0.0, math.inf)
-
-            def evaluate(self, v, alpha):
-                with np.errstate(over="ignore"):
-                    return v * 1e200
-
         with pytest.raises(RuntimeError, match="iteration"):
             drs_run(Exploding(), prox_zero(),
                     DrsParams(alpha=1.0, max_iters=10), np.array([1.0]))
@@ -343,6 +347,12 @@ class TestAdmmRun:
                                       stop_tol=1e-10), np.zeros(8))
         assert tr.status == "converged"
 
+    def test_nonfinite_iterate_reported_with_iteration(self):
+        # x+ = -1e200 at k = 0; at k = 1 the prox overflows to -inf
+        with pytest.raises(RuntimeError, match="non-finite x iterate at iteration 1"):
+            admm_run(Exploding(), prox_zero(), DrsParams(alpha=1.0, max_iters=10),
+                     np.array([1.0]))
+
     def test_stops_only_when_the_dual_residual_is_small_too(self):
         # min 0.5 (x - 1)^2 + 0: the first step has x+ = z+ = 0.5, a zero
         # primal residual, but z moved by 0.5; the minimizer is 1
@@ -353,6 +363,39 @@ class TestAdmmRun:
         assert len(tr) > 1
         assert tr.x_final[0] == pytest.approx(1.0, abs=1e-9)
         assert abs(tr.z[-1, 0] - tr.z[-2, 0]) <= 1e-10
+
+
+class TestFloatingPointState:
+    """Each run sets numpy's floating-point error handling once, for the
+    whole loop, and leaves it as it found it, also when it raises."""
+
+    RUNS = {"drs_run": drs_run, "admm_run": admm_run, "solve_reference": solve_reference}
+
+    @pytest.mark.parametrize("name", RUNS)
+    def test_errstate_entered_once_per_run(self, name, monkeypatch):
+        f, g = prox_quadratic(np.eye(3), np.ones(3)), prox_l1(0.5)
+        f.evaluate(np.zeros(3), 1.0)  # the prox's per-alpha cache
+        entered = []
+        errstate = np.errstate
+
+        def counting(**kwargs):
+            entered.append(kwargs)
+            return errstate(**kwargs)
+
+        monkeypatch.setattr(np, "errstate", counting)
+        self.RUNS[name](f, g, DrsParams(alpha=1.0, max_iters=200), np.array([3.0, -2.0, 0.1]))
+        assert len(entered) == 1
+
+    @pytest.mark.parametrize("name", RUNS)
+    def test_settings_restored(self, name):
+        before = np.geterr()
+        self.RUNS[name](prox_quadratic(np.eye(2), np.ones(2)), prox_l1(0.5),
+                        DrsParams(alpha=1.0, max_iters=20), np.array([3.0, -2.0]))
+        assert np.geterr() == before
+        with pytest.raises(RuntimeError, match="non-finite"):
+            self.RUNS[name](Exploding(), prox_zero(), DrsParams(alpha=1.0, max_iters=10),
+                            np.array([1.0]))
+        assert np.geterr() == before
 
 
 class TestLyapunovSeries:
@@ -477,6 +520,39 @@ class TestTraceCsv:
             rows = list(csv.reader(fh))
         assert rows[1][3] == ""
         assert rows[1][4] == ""
+
+    @pytest.mark.parametrize("evaluable", [True, False])
+    @pytest.mark.parametrize("with_v", [True, False])
+    def test_bytes_match_the_csv_module(self, tmp_path, evaluable, with_v):
+        class Opaque(ProxOperator):
+            def __init__(self):
+                self.function_class = FunctionClass(0.0, math.inf)
+
+            def evaluate(self, v, alpha):
+                return 0.5 * v
+
+        rng = np.random.default_rng(21)
+        f = prox_quadratic(rng.standard_normal((3, 3)), rng.standard_normal(3))
+        tr = drs_run(f if evaluable else Opaque(), prox_l1(0.2),
+                     DrsParams(alpha=0.9, max_iters=40), rng.standard_normal(3))
+        assert (tr.objective is None) is not evaluable
+        V = None
+        if with_v:
+            V = np.geomspace(1e-300, 1e300, len(tr)) * (-1.0) ** np.arange(len(tr))
+            V[[1, 2, 3]] = np.nan, np.inf, -0.0
+        out = tmp_path / "trace.csv"
+        write_trace_csv(tr, out, lyapunov=V)
+
+        def cell(column, k):
+            return "" if column is None else repr(float(column[k]))
+
+        expected = io.StringIO(newline="")
+        w = csv.writer(expected)
+        w.writerow(["k", "fp_residual", "subgrad_residual", "objective", "V"])
+        for k in range(len(tr)):
+            w.writerow([k, cell(tr.fp_residual, k), cell(tr.subgrad_residual, k),
+                        cell(tr.objective, k), cell(V, k)])
+        assert out.read_bytes() == expected.getvalue().encode()
 
     def test_floats_roundtrip_exactly(self, tmp_path):
         rng = np.random.default_rng(13)
