@@ -46,7 +46,6 @@ from .sdplite import (
     SweepCell,
     eig_sym,
     max_eig,
-    build_sigma_matrix,
     optimize_rate,
     sweep_heatmap,
     write_heatmap_csv,
@@ -62,8 +61,8 @@ __all__ = [
     "build_Qk", "check_certificate", "make_certificate",
     "analytic_params_case1", "analytic_params_case2", "suggest_lambda_case2",
     "rate_bound", "kron_quadratic_form",
-    "SweepCell", "eig_sym", "max_eig", "build_sigma_matrix",
-    "optimize_rate", "sweep_heatmap", "write_heatmap_csv",
+    "SweepCell", "eig_sym", "max_eig", "optimize_rate",
+    "sweep_heatmap", "write_heatmap_csv",
 ]
 
 __version__ = "0.1.0"

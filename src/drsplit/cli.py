@@ -177,11 +177,7 @@ def _certificate_for(args, fc: FunctionClass) -> certify.Certificate:
 def cmd_certify(args) -> int:
     spec = _spec_from_args(args)
     _, _, fc = build_problem(spec)
-    try:
-        cert = _certificate_for(args, fc)
-    except RuntimeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    cert = _certificate_for(args, fc)
     certify.write_certificates_csv([cert], args.out)
     print(f"case={cert.case.value} alpha={cert.alpha:g} lambda={cert.lam:g} "
           f"max_eig={cert.max_eig:.3e} feasible={cert.feasible} -> {args.out}")
@@ -193,11 +189,7 @@ def cmd_tune(args) -> int:
     _, _, fc = build_problem(spec)
     case = certify.detect_case(fc)
     if case is certify.CertCase.CASE3:
-        try:
-            cert = sdplite.optimize_rate(args.alpha, fc)
-        except RuntimeError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
+        cert = sdplite.optimize_rate(args.alpha, fc)
         print(f"case3: lambda_opt={cert.lam:g} rho={math.sqrt(cert.rho_sq):g} "
               f"rho_sq={cert.rho_sq:g}")
     else:
@@ -282,6 +274,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:  # a diverged run or no certificate
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

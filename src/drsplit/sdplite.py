@@ -2,13 +2,13 @@
 
 ``eig_sym`` checks its input and hands it to LAPACK (``np.linalg.eigh``); it
 is the one eigensolver entry point of the certificate checks.  The optimizer
-works on the Schur-linearized 4x4 certificate factor Sigma, in which the
-squared rate, the relaxation parameter, and both multipliers all enter
-affinely, so minimizing rho^2 subject to Sigma < 0 is a small semidefinite
-program.  It is solved by one deterministic log-barrier Newton method from a
-closed-form strictly feasible start, over rho^2 > 0, lambda > 0 and
-sigma1, sigma2 >= 0 (sigma1 below a multiple of its start value, see
-``_solve``), and each result is revalidated on the direct 3x3 certificate
+fixes the relaxation parameter (at 2 unless pinned), where the direct 3x3
+Case-3 certificate factor is affine in the squared rate and both
+multipliers, so minimizing rho^2 over the factor's negative semidefinite set
+is a small semidefinite program.  It is solved by one deterministic
+log-barrier Newton method from a closed-form strictly feasible start, over
+rho^2 > 0 and sigma1, sigma2 >= 0 (sigma1 below a multiple of its start
+value, see ``optimize_rate``), and each result is revalidated on the same
 factor.
 """
 
@@ -29,7 +29,6 @@ __all__ = [
     "SweepCell",
     "eig_sym",
     "max_eig",
-    "build_sigma_matrix",
     "optimize_rate",
     "sweep_heatmap",
     "write_heatmap_csv",
@@ -82,38 +81,6 @@ def eig_sym(M: np.ndarray):
 def max_eig(M: np.ndarray) -> float:
     """Largest eigenvalue of a small symmetric matrix."""
     return float(eig_sym(M)[0][-1])
-
-
-def _sigma_parts(alpha: float, fc: FunctionClass):
-    """Affine decomposition of the Schur-linearized certificate factor.
-
-    Sigma = base + rho_sq*parts[0] + lam*parts[1] + sigma1*parts[2]
-    + sigma2*parts[3].
-    """
-    if not (fc.strongly_convex and fc.smooth):
-        raise ValueError("the linear-rate certificate requires 0 < m <= L < inf")
-    base = np.zeros((4, 4))
-    base[0, 0] = 1.0
-    base[3, 3] = -1.0
-    parts = np.zeros((4, 4, 4))
-    parts[0, 0, 0] = -1.0
-    # top-left couplings of the rate decrement, with the quadratic lambda
-    # terms cancelled by the Schur border column (0, -lam, lam)
-    parts[1] = [[0, -1, 1, 0], [-1, 0, 0, -1], [1, 0, 0, 1], [0, -1, 1, 0]]
-    parts[2, :3, :3] = certify.build_Q1(alpha, fc)
-    parts[3, :3, :3] = certify.build_Q2(alpha)
-    return base, parts
-
-
-def build_sigma_matrix(rho_sq: float, lam: float, sigma1: float, sigma2: float,
-                       alpha: float, fc: FunctionClass) -> np.ndarray:
-    """Schur-linearized 4x4 certificate factor at (rho^2, lambda, sigma1, sigma2).
-
-    Negative semidefiniteness of this matrix is equivalent to the direct
-    Case-3 certificate inequality at the same parameters.
-    """
-    base, parts = _sigma_parts(alpha, fc)
-    return base + np.tensordot([rho_sq, lam, sigma1, sigma2], parts, 1)
 
 
 def _barrier(F0, Fs, x, hi):
@@ -171,74 +138,64 @@ def _barrier(F0, Fs, x, hi):
         t = min(t * _T_GROWTH, t_last)
 
 
-def _checked(alpha, fc, rho_sq, lam, sigma1, sigma2) -> certify.Certificate:
-    """Case-3 certificate at these parameters, re-checked on the 3x3 factor."""
+def optimize_rate(alpha: float, fc: FunctionClass,
+                  lam_fixed: Optional[float] = None) -> certify.Certificate:
+    """Best certified squared linear rate, with its witness.
+
+    The relaxation parameter is ``lam_fixed`` when given and otherwise 2.
+    With R_f, the reflected resolvent of alpha f, delta-contractive for delta
+    = max(|1 - alpha m| / (1 + alpha m), |1 - alpha L| / (1 + alpha L)), the
+    best rate at a fixed lambda is (|1 - lambda/2| + lambda delta / 2)^2,
+    smallest at lambda = 2 where it is delta^2 (Giselsson & Boyd, "Linear
+    convergence and metric selection for Douglas-Rachford splitting and
+    ADMM", 2017).
+
+    At fixed lambda the direct 3x3 factor F = -(Qk(lambda, rho^2) + sigma1 Q1
+    + sigma2 Q2) is affine in (rho^2, sigma1, sigma2), so minimizing rho^2
+    subject to F > 0 is a small semidefinite program, solved by ``_barrier``
+    to a duality-gap bound of 1e-10 on rho^2 from a closed-form strictly
+    feasible start.  With l = lambda, sigma2 = 4 l^2 / alpha and sigma1 =
+    8 l^2 (m + L) / ((1 + alpha m)(1 + alpha L)), the (y, z) block of F is
+    B = l^2 [[7, -3], [-3, 3]] > 0: -sigma1 Q1 adds 8 l^2 to its (y, y)
+    entry, -sigma2 Q2 adds l^2 [[0, -4], [-4, 4]] and -Qk adds l^2 [[-1, 1],
+    [1, -1]].  rho^2 enters F only as +rho^2 in entry (0, 0), so with c the
+    rest of column 0, F > 0 exactly when rho^2 > c^T B^-1 c - F[0, 0] at
+    rho^2 = 0; the start puts rho^2 one above that threshold and above 0.
+
+    sigma1 stays below _SIGMA1_RANGE times its start value.  For f in F(m, m)
+    the prox constraint is an equality, F grows without bound along sigma1
+    and the barrier has no centre; for m < L the bound only binds when
+    alpha (L - m) is below about 1e-6 |1 - alpha m|.  The result is
+    revalidated once on the same factor by ``certify.make_certificate``.
+    Raises RuntimeError when no rate below 1 is certified or the
+    revalidation fails.
+    """
+    if not (fc.strongly_convex and fc.smooth):
+        raise ValueError("the linear-rate certificate requires 0 < m <= L < inf")
+    lam = 2.0 if lam_fixed is None else float(lam_fixed)
+    m, L = fc.m, fc.L
+    F0 = -certify.build_Qk(lam, 0.0)
+    Fs = np.array([np.diag([1.0, 0.0, 0.0]), -certify.build_Q1(alpha, fc),
+                   -certify.build_Q2(alpha)])
+    sigma1 = 8.0 * lam ** 2 * (m + L) / ((1.0 + alpha * m) * (1.0 + alpha * L))
+    x = np.array([0.0, sigma1, 4.0 * lam ** 2 / alpha])
+    F = F0 + np.tensordot(x, Fs, 1)
+    c = F[1:, 0]
+    x[0] = max(c @ np.linalg.solve(F[1:, 1:], c) - F[0, 0], 0.0) + 1.0
+    hi = np.array([math.inf, _SIGMA1_RANGE * sigma1, math.inf])
+    x, gap, steps, stages = _barrier(F0, Fs, x, hi)
+    logger.debug("alpha=%g m=%g L=%g lam=%g: rho_sq=%.12g after %d Newton "
+                 "steps in %d barrier stages, gap bound %.2e",
+                 alpha, m, L, lam, x[0], steps, stages, gap)
+    if not x[0] < 1:
+        pinned = "" if lam_fixed is None else f" and lambda={lam_fixed:g}"
+        raise RuntimeError(f"no certificate with rho^2 < 1 exists at alpha={alpha:g}{pinned}")
+    rho_sq, sigma1, sigma2 = (float(v) for v in x)
     cert = certify.make_certificate(certify.CertCase.CASE3, fc, alpha, lam=lam,
                                     sigma1=sigma1, sigma2=sigma2, rho_sq=rho_sq)
     if not cert.feasible:
         raise RuntimeError(f"optimized certificate failed the 3x3 revalidation "
                            f"(rho_sq {rho_sq:.12g}, max_eig {cert.max_eig:.3e})")
-    return cert
-
-
-def _solve(alpha: float, fc: FunctionClass,
-           lam_fixed: Optional[float]) -> Optional[certify.Certificate]:
-    """Minimum of rho^2 subject to Sigma < 0, as a re-checked certificate.
-
-    Works on F = -Sigma over (rho^2, lambda unless pinned, sigma1, sigma2)
-    from a closed-form strictly feasible start.  With l = lambda0 = 1 (or the
-    pinned lambda), sigma2 = 4 l^2 / alpha and sigma1 = 8 l^2 (m + L) /
-    ((1 + alpha m)(1 + alpha L)), the trailing 3x3 block of F (rows y, z and
-    the Schur border) is B = [[8 l^2, -4 l^2, l], [-4 l^2, 4 l^2, -l], [l, -l, 1]].
-    Its Schur complement in the border entry, l^2 [[7, -3], [-3, 3]], is
-    positive definite, so B > 0.  rho^2 enters F only as +rho^2 in entry
-    (0, 0), so with c the rest of column 0, F > 0 exactly when rho^2 >
-    c^T B^-1 c - F[0, 0] at rho^2 = 0; the start puts rho^2 one above that
-    threshold and above 0.
-
-    sigma1 stays below _SIGMA1_RANGE times its start value.  For f in F(m, m)
-    the prox constraint is an equality, -Sigma grows without bound along
-    sigma1 and the barrier has no centre; for m < L the bound only binds when
-    alpha (L - m) is below about 1e-6 |1 - alpha m|.  Returns None when the
-    minimum is >= 1, that is no certified rate below 1.
-    """
-    base, parts = _sigma_parts(alpha, fc)
-    lam0 = 1.0 if lam_fixed is None else float(lam_fixed)
-    m, L = fc.m, fc.L
-    sigma1 = 8.0 * lam0 ** 2 * (m + L) / ((1.0 + alpha * m) * (1.0 + alpha * L))
-    x = np.array([0.0, lam0, sigma1, 4.0 * lam0 ** 2 / alpha])
-    F = -base - np.tensordot(x, parts, 1)
-    c = F[1:, 0]
-    x[0] = max(c @ np.linalg.solve(F[1:, 1:], c) - F[0, 0], 0.0) + 1.0
-    keep = [0, 1, 2, 3] if lam_fixed is None else [0, 2, 3]
-    hi = np.array([math.inf, math.inf, _SIGMA1_RANGE * sigma1, math.inf])[keep]
-    F0 = -base - (lam_fixed or 0.0) * parts[1]
-    x, gap, steps, stages = _barrier(F0, -parts[keep], x[keep], hi)
-    logger.debug("alpha=%g m=%g L=%g lam_fixed=%s: rho_sq=%.12g after %d Newton "
-                 "steps in %d barrier stages, gap bound %.2e",
-                 alpha, m, L, lam_fixed, x[0], steps, stages, gap)
-    if not x[0] < 1:
-        return None
-    lam = lam0 if lam_fixed is not None else x[1]
-    return _checked(alpha, fc, float(x[0]), float(lam), float(x[-2]), float(x[-1]))
-
-
-def optimize_rate(alpha: float, fc: FunctionClass,
-                  lam_fixed: Optional[float] = None) -> certify.Certificate:
-    """Best certified squared linear rate, with its witness.
-
-    Minimizes rho^2 subject to the Schur-linearized certificate Sigma < 0,
-    over lambda > 0 and sigma1, sigma2 >= 0, by a log-barrier Newton method
-    from a closed-form strictly feasible start (see ``_solve``) to a
-    duality-gap bound of 1e-10 on rho^2, and revalidates the result once on
-    the direct 3x3 certificate factor.  ``lam_fixed`` pins the relaxation
-    parameter instead of optimizing it.  Raises RuntimeError when no rate
-    below 1 is certified or the revalidation fails.
-    """
-    cert = _solve(alpha, fc, lam_fixed)
-    if cert is None:
-        pinned = "" if lam_fixed is None else f" and lambda={lam_fixed:g}"
-        raise RuntimeError(f"no certificate with rho^2 < 1 exists at alpha={alpha:g}{pinned}")
     return cert
 
 

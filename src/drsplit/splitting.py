@@ -101,9 +101,6 @@ class Trace:
     def records(self) -> "_Records":
         return _Records(self)
 
-    def fp_residuals(self) -> np.ndarray:
-        return self.fp_residual.copy()
-
     def objectives(self) -> np.ndarray:
         """The objective column, NaN throughout when F is not evaluable."""
         if self.objective is None:

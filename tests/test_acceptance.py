@@ -145,7 +145,7 @@ def test_criterion_03_case1_residual_bound_on_trajectory():
     t0 = time.perf_counter()
     trace, x0, x_star, _, _ = _basis_pursuit_run()
     dist_sq = float(np.sum((x0 - x_star) ** 2))
-    running_min = np.minimum.accumulate(trace.fp_residuals() ** 2)
+    running_min = np.minimum.accumulate(trace.fp_residual ** 2)
     k = np.arange(1, len(trace) + 1, dtype=float)
     # alpha = lam = 1: min_{i<k} ||z_i - y_i||^2 <= ||x0 - x*||^2 / k
     assert np.all(running_min <= dist_sq / k)

@@ -144,6 +144,17 @@ class TestCliSolve:
         assert main(base + ["--x0-seed", "7", "--out", str(out7)]) == 0
         assert out0.read_bytes() != out7.read_bytes()
 
+    def test_diverged_run_is_a_reported_failure(self, tmp_path, capsys):
+        # lambda = 50 makes the relaxed iteration blow up to inf
+        out = tmp_path / "diverged.csv"
+        rc = main(["--mode", "solve", "--problem", "lasso", "--rows", "20",
+                   "--cols", "10", "--lambda", "50", "--max-iters", "2000",
+                   "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: non-finite x iterate at iteration ")
+        assert not out.exists()
+
 
 class TestCliCertify:
     def test_nonsmooth_problem_feasible(self, tmp_path):

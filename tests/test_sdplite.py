@@ -12,7 +12,6 @@ from drsplit import (
     build_Q1,
     build_Q2,
     build_Qk,
-    build_sigma_matrix,
     eig_sym,
     max_eig,
     optimize_rate,
@@ -106,52 +105,6 @@ def _contraction_sq(alpha, fc):
                abs(alpha * fc.L - 1.0) / (alpha * fc.L + 1.0)) ** 2
 
 
-class TestBuildSigmaMatrix:
-    def test_stationary_point(self):
-        S = build_sigma_matrix(1.0, 0.0, 0.0, 0.0, 1.0, FC)
-        assert np.allclose(S, np.diag([0.0, 0.0, 0.0, -1.0]), atol=1e-15)
-
-    def test_affine_in_decision_variables(self):
-        rng = np.random.default_rng(10)
-        for _ in range(20):
-            p1 = rng.uniform(0.1, 2.0, size=4)
-            p2 = rng.uniform(0.1, 2.0, size=4)
-            S1 = build_sigma_matrix(*p1, 0.8, FC)
-            S2 = build_sigma_matrix(*p2, 0.8, FC)
-            Sm = build_sigma_matrix(*(0.5 * (p1 + p2)), 0.8, FC)
-            assert np.allclose(S1 + S2 - 2 * Sm, 0.0, atol=1e-13)
-
-    def test_schur_equivalence_with_direct_check(self):
-        # the bordered 4x4 is negative semidefinite exactly when the direct
-        # 3x3 certificate factor is
-        rng = np.random.default_rng(11)
-        agree = 0
-        for _ in range(100):
-            rho_sq, lam = rng.uniform(0.05, 0.999), rng.uniform(0.05, 3.0)
-            sigma1, sigma2 = rng.uniform(0.0, 5.0, size=2)
-            alpha = rng.uniform(0.1, 2.0)
-            S = build_sigma_matrix(rho_sq, lam, sigma1, sigma2, alpha, FC)
-            direct = (build_Qk(lam, rho_sq)
-                      + sigma1 * build_Q1(alpha, FC)
-                      + sigma2 * build_Q2(alpha))
-            nsd_schur = max_eig(S) <= psd_tol(S)
-            nsd_direct = max_eig(direct) <= psd_tol(direct)
-            assert nsd_schur == nsd_direct
-            agree += 1
-        assert agree == 100
-
-    def test_convexity_of_max_eigenvalue_along_segments(self):
-        rng = np.random.default_rng(12)
-        for _ in range(100):
-            v1 = rng.uniform(0.05, 3.0, size=4)
-            v2 = rng.uniform(0.05, 3.0, size=4)
-            vals = []
-            for v in (v1, v2, 0.5 * (v1 + v2)):
-                S = build_sigma_matrix(*v, 1.0, FC)
-                vals.append(max_eig(S))
-            assert vals[2] <= max(vals[0], vals[1]) + 1e-12
-
-
 class TestOptimizeRate:
     def test_witness_revalidated(self):
         cert = optimize_rate(1.0, FC)
@@ -241,10 +194,19 @@ class TestOptimizeRate:
     @pytest.mark.parametrize("alpha", [1.0, 10.0])
     @pytest.mark.parametrize("kappa", [10.0, 100.0])
     def test_free_optimum_beats_every_pinned_relaxation(self, alpha, kappa):
+        # the pinned optimum (|1 - lam/2| + lam delta/2)^2 is smallest at
+        # lam = 2 and reaches 1 at lam = 4/(1 + delta) (Giselsson & Boyd 2017)
         fc = FunctionClass(1.0, kappa)
-        free = optimize_rate(alpha, fc).rho_sq
-        for lam in (0.5, 1.0, 1.5, 1.9):
-            assert free <= optimize_rate(alpha, fc, lam_fixed=lam).rho_sq + 1e-9, lam
+        free = optimize_rate(alpha, fc)
+        assert free.lam == 2.0
+        edge = 4.0 / (1.0 + math.sqrt(_contraction_sq(alpha, fc)))
+        for lam in (0.5, 1.0, 1.5, 1.9, 1.99, (2.0 + edge) / 2, 1.01 * edge):
+            if lam < edge:
+                pinned = optimize_rate(alpha, fc, lam_fixed=lam).rho_sq
+                assert free.rho_sq <= pinned + 1e-9, lam
+            else:
+                with pytest.raises(RuntimeError, match="no certificate"):
+                    optimize_rate(alpha, fc, lam_fixed=lam)
 
     def test_infeasible_relaxation_raises_runtime_error(self):
         with pytest.raises(RuntimeError, match="no certificate"):
@@ -274,7 +236,7 @@ class TestSweepHeatmap:
         for c in cells:
             assert c.feasible
             assert 0 < c.rho_opt < 1
-            assert c.lambda_opt == pytest.approx(2.0, abs=0.05)
+            assert c.lambda_opt == 2.0
 
     def test_m_base_scaling_changes_class(self):
         cells = sweep_heatmap([1.0], [10.0], m_base=2.0)

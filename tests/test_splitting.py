@@ -116,7 +116,7 @@ class TestDrsRun:
         for lam in (0.5, 1.0, 1.9):
             tr = drs_run(f, g, DrsParams(alpha=1.0, lam=lam, max_iters=300),
                          rng.standard_normal(5))
-            running_min = np.minimum.accumulate(tr.fp_residuals())
+            running_min = np.minimum.accumulate(tr.fp_residual)
             assert np.all(np.diff(running_min) <= 0.0)
 
     def test_translation_invariance(self):

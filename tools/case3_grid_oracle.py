@@ -3,7 +3,8 @@
 Enumerates (lambda, sigma1, sigma2) on a 200^3 grid (lambda in [0.01, 4],
 sigmas in [0, 100]) and bisects the squared rate per grid point using a
 direct eigenvalue check of the 3x3 certificate factor.  Independent of the
-optimizer: no Schur form, no barrier method, no shared search code.
+optimizer: lambda is searched, not fixed at 2, with no barrier method and no
+shared search code.
 
 Run:  python tools/case3_grid_oracle.py
 The printed values are frozen into the acceptance suite.
