@@ -1,4 +1,4 @@
-"""Reduced certificate matrices, feasibility checks, and analytic parameters.
+"""Reduced certificate matrices, feasibility checks, and the parameter rules.
 
 Certificates live on 3x3 Kronecker factors acting on the error signal
 e = (x - x*, y - y*, z - z*), in that fixed order.  A parameter tuple is
@@ -11,7 +11,6 @@ from __future__ import annotations
 import enum
 import csv
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
@@ -21,23 +20,10 @@ from .funclass import FunctionClass, prox_qc_matrix
 from . import sdplite
 
 __all__ = [
-    "CertCase",
-    "Certificate",
-    "psd_tol",
-    "build_W0",
-    "build_W1",
-    "build_Q1",
-    "build_Q2",
-    "build_Qk",
-    "assemble",
-    "check_certificate",
-    "make_certificate",
-    "analytic_params_case1",
-    "analytic_params_case2",
-    "suggest_lambda_case2",
-    "rate_bound",
-    "kron_quadratic_form",
-    "detect_case",
+    "CertCase", "Certificate", "psd_tol", "build_W0", "build_W1", "build_Q1",
+    "build_Q2", "build_Qk", "assemble", "check_certificate", "make_certificate",
+    "analytic_params_case1", "analytic_params_case2", "suggest_lambda_case2",
+    "tune", "rate_bound", "kron_quadratic_form", "detect_case",
     "write_certificates_csv",
 ]
 
@@ -229,23 +215,51 @@ def analytic_params_case2(alpha: float, lam: float, L_f: float):
 
 
 def suggest_lambda_case2(alpha: float, L_f: float) -> float:
-    """Relaxation parameter approximately maximizing the Case-2 weight theta.
+    """Relaxation parameter maximizing the Case-2 weight theta, exactly.
 
-    Second-order approximation, accurate for moderate alpha * L_f; clamped
-    into (0, 2) with a warning when clamping occurs.
+    With a = alpha L_f, c = 2 / a, t = (2 - lambda) / a in (0, c) and
+    s = sqrt(t^2 + 1), ``analytic_params_case2`` gives theta = 2 alpha a
+    (c - t) h(t), where h = 1 + t - s is increasing and concave
+    (h' = 1 / (s (s + t)), h'' = -1 / s^3).  So d theta / dt has the sign of
+    phi = (c - t) h' - h, which falls strictly from c at t = 0 to -h(c) at
+    t = c, and its one root is the maximizer.  Isolating s in s phi = 0 and
+    squaring gives 4 t^3 + (1 - 2c) t^2 + (4 - 2c) t + c (c - 2) = 0; at a = 1
+    this is t^2 (4 t - 3) = 0, so t = 3/4 and lambda = 5/4.  The root is
+    bisected on lambda in (0, 2) down to adjacent floats, with c - t = lambda / a.
     """
     if not (alpha > 0 and L_f > 0):
         raise ValueError("alpha and L_f must be > 0")
-    s = alpha * L_f
-    lam = 2.0 / 3.0 * (2.0 - s + math.sqrt(1.0 - s + s * s))
-    if not 0 < lam < 2:
-        clamped = min(max(lam, 1e-9), 2.0 - 1e-9)
-        warnings.warn(
-            f"suggested relaxation parameter {lam} clamped to {clamped}",
-            stacklevel=2,
-        )
-        lam = clamped
-    return lam
+    a = alpha * L_f
+    lo, hi, lam = 0.0, 2.0, 1.0
+    while lo < lam < hi:
+        t = (2.0 - lam) / a
+        s = math.hypot(t, 1.0)
+        if lam / a / s / (s + t) > 2.0 * t / (1.0 + t + s):  # phi(t) > 0
+            hi = lam
+        else:
+            lo = lam
+        lam = 0.5 * (lo + hi)
+    return lo  # below 2 also where the maximizer rounds to 2 (alpha L < 1e-32)
+
+
+def tune(fc: FunctionClass, alpha: float, lam: Optional[float] = None) -> Certificate:
+    """Re-checked certificate for f's regime at step size ``alpha``.
+
+    A given ``lam`` is used as is (as ``lam_fixed`` in Case 3).  Otherwise
+    lambda maximizes the certified quantity: 1 for the Case-1 weight
+    alpha^2 lambda (2 - lambda), ``suggest_lambda_case2`` in Case 2, and 2 in
+    Case 3 through ``sdplite.optimize_rate``.
+    """
+    case = detect_case(fc)
+    if case is CertCase.CASE3:
+        return sdplite.optimize_rate(alpha, fc, lam_fixed=lam)
+    if case is CertCase.CASE1:
+        lam = 1.0 if lam is None else lam
+        sigma, theta = analytic_params_case1(alpha, lam)
+    else:
+        lam = suggest_lambda_case2(alpha, fc.L) if lam is None else lam
+        sigma, theta = analytic_params_case2(alpha, lam, fc.L)
+    return make_certificate(case, fc, alpha, lam, sigma1=sigma, sigma2=sigma, theta=theta)
 
 
 def rate_bound(cert_sequence: Union[Certificate, Sequence[Certificate]],

@@ -16,7 +16,6 @@ from typing import Optional
 
 import numpy as np
 
-from .funclass import FunctionClass
 from .prox import prox_affine_indicator, prox_l1, prox_quadratic
 from .splitting import DrsParams, drs_run, write_trace_csv
 from . import certify
@@ -151,33 +150,20 @@ def cmd_solve(args) -> int:
         out = _out_with_suffix(args.out, f"_lam{lam:g}") if multi else args.out
         write_trace_csv(trace, out)
         print(f"lambda={lam:g}: {len(trace)} iterations, status={trace.status}, "
-              f"final residual={trace.records[-1].fp_residual:.3e} -> {out}")
+              f"final residual={trace.fp_residual[-1]:.3e} -> {out}")
     return 0
-
-
-def _closed_form_certificate(fc: FunctionClass, alpha: float, lam: float,
-                             theta: Optional[float] = None) -> certify.Certificate:
-    """Case-1/Case-2 certificate at the analytic (sigma, theta); ``theta``
-    overrides the analytic weight."""
-    case = certify.detect_case(fc)
-    if case is certify.CertCase.CASE1:
-        sigma, weight = certify.analytic_params_case1(alpha, lam)
-    else:
-        sigma, weight = certify.analytic_params_case2(alpha, lam, fc.L)
-    return certify.make_certificate(case, fc, alpha, lam, sigma1=sigma, sigma2=sigma,
-                                    theta=weight if theta is None else theta)
-
-
-def _certificate_for(args, fc: FunctionClass) -> certify.Certificate:
-    if certify.detect_case(fc) is certify.CertCase.CASE3:
-        return sdplite.optimize_rate(args.alpha, fc, lam_fixed=args.lam)
-    return _closed_form_certificate(fc, args.alpha, args.lam, args.theta)
 
 
 def cmd_certify(args) -> int:
     spec = _spec_from_args(args)
     _, _, fc = build_problem(spec)
-    cert = _certificate_for(args, fc)
+    if args.theta is not None and certify.detect_case(fc) is certify.CertCase.CASE3:
+        raise ValueError("--theta sets the Case-1/2 weight; f is strongly convex (Case 3)")
+    cert = certify.tune(fc, args.alpha, args.lam)
+    if args.theta is not None:
+        cert = certify.make_certificate(cert.case, fc, args.alpha, cert.lam,
+                                        sigma1=cert.sigma1, sigma2=cert.sigma2,
+                                        theta=args.theta)
     certify.write_certificates_csv([cert], args.out)
     print(f"case={cert.case.value} alpha={cert.alpha:g} lambda={cert.lam:g} "
           f"max_eig={cert.max_eig:.3e} feasible={cert.feasible} -> {args.out}")
@@ -187,17 +173,12 @@ def cmd_certify(args) -> int:
 def cmd_tune(args) -> int:
     spec = _spec_from_args(args)
     _, _, fc = build_problem(spec)
-    case = certify.detect_case(fc)
-    if case is certify.CertCase.CASE3:
-        cert = sdplite.optimize_rate(args.alpha, fc)
+    cert = certify.tune(fc, args.alpha)
+    if cert.case is certify.CertCase.CASE3:
         print(f"case3: lambda_opt={cert.lam:g} rho={math.sqrt(cert.rho_sq):g} "
               f"rho_sq={cert.rho_sq:g}")
     else:
-        # lambda = 1 maximizes the running-sum growth for Case 1
-        lam = (1.0 if case is certify.CertCase.CASE1
-               else certify.suggest_lambda_case2(args.alpha, fc.L))
-        cert = _closed_form_certificate(fc, args.alpha, lam)
-        print(f"{case.value}: lambda={lam:g} theta={cert.theta:g} "
+        print(f"{cert.case.value}: lambda={cert.lam:g} theta={cert.theta:g} "
               f"sigma={cert.sigma1:g} (bound ||x0-x*||^2/(theta k))")
     certify.write_certificates_csv([cert], args.out)
     return 0 if cert.feasible else 1

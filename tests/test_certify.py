@@ -30,7 +30,8 @@ from drsplit import (
     solve_reference,
     suggest_lambda_case2,
 )
-from drsplit.certify import assemble, detect_case, psd_tol, write_certificates_csv
+from drsplit import sdplite
+from drsplit.certify import assemble, detect_case, psd_tol, tune, write_certificates_csv
 from drsplit.cli import ProblemSpec, gen_lasso
 
 F0INF = FunctionClass(0.0, math.inf)
@@ -316,33 +317,110 @@ class TestAnalyticParamsCase2:
         with pytest.raises(ValueError):
             analytic_params_case2(1.0, lam, 1.0)
 
+    def test_shared_multiplier_is_optimal(self):
+        # For each (sigma1, sigma2) on a log grid around the shared closed-form
+        # sigma, the largest theta at which W1(theta) + sigma1 Q1 + sigma2 Q2
+        # passes the eigen check of check_certificate: its largest eigenvalue
+        # is convex in theta, so a golden-section search finds its minimum
+        # and a bisection the upper end of the feasible interval above it.
+        ratios = 10.0 ** np.linspace(-2.0, 2.0, 17)
+        shared = 8 * 17 + 8  # index of the pair (sigma, sigma)
+        golden = (math.sqrt(5.0) - 1.0) / 2.0
+        for alpha, L, lam in [(1.0, 1e-3, 1.9), (0.1, 1.0, 0.5), (1.0, 1.0, 1.25),
+                              (2.0, 2.0, 1.0676), (1.0, 100.0, 1.0), (10.0, 1e3, 1.5)]:
+            sigma, theta = analytic_params_case2(alpha, lam, L)
+            s1, s2 = (sigma * r.reshape(-1, 1, 1) for r in np.meshgrid(ratios, ratios))
+            Q1, Q2 = build_Q1(alpha, FunctionClass(0.0, L)), build_Q2(alpha)
+            W0 = build_W1(alpha, lam, 0.0, L)
+            D = build_W1(alpha, lam, 1.0, L) - W0
+            S, scale = s1 * Q1 + s2 * Q2, s1 * np.abs(Q1) + s2 * np.abs(Q2)
+
+            def excess(th):  # largest eigenvalue minus the psd_tol of the terms
+                W = W0 + th.reshape(-1, 1, 1) * D
+                tol = 1e-12 * (1.0 + (np.abs(W) + scale).max(axis=(1, 2)))
+                return np.linalg.eigvalsh(W + S)[:, -1] - tol
+
+            cap = np.full(ratios.size ** 2, 4.0 * theta)
+            lo, hi = np.zeros_like(cap), cap
+            for _ in range(80):
+                m1, m2 = hi - golden * (hi - lo), lo + golden * (hi - lo)
+                left = excess(m1) < excess(m2)
+                lo, hi = np.where(left, lo, m1), np.where(left, m2, hi)
+            lo = (lo + hi) / 2.0
+            feasible = excess(lo) <= 0
+            hi = cap
+            for _ in range(80):
+                mid = (lo + hi) / 2.0
+                ok = excess(mid) <= 0
+                lo, hi = np.where(ok, mid, lo), np.where(ok, hi, mid)
+            assert feasible[shared] and lo[shared] >= theta * (1.0 - 1e-9)
+            assert lo[feasible].max() <= theta * (1.0 + 1e-9), (alpha, L, lam)
+
 
 class TestSuggestLambdaCase2:
-    def test_unit_product(self):
-        assert suggest_lambda_case2(1.0, 1.0) == pytest.approx(4.0 / 3.0)
+    PRODUCTS = (1e-6, 1e-3, 1.6e-2, 6.3e-2, 0.25, 1.0, 4.0, 1e2, 1e4, 1e6)
 
-    def test_small_product_limit(self):
-        assert suggest_lambda_case2(1e-8, 1.0) == pytest.approx(2.0, abs=1e-6)
+    def test_unit_product(self):
+        # at alpha L = 1 the stationarity cubic is t^2 (4 t - 3) = 0
+        assert abs(suggest_lambda_case2(1.0, 1.0) - 1.25) <= 1e-12
 
     def test_always_in_open_interval(self):
-        # the formula maps (0, inf) into (1, 2), so the defensive clamp
-        # never fires for valid inputs
-        for s in (1e-12, 1e-3, 0.5, 1.0, 10.0, 1e6):
-            assert 1.0 < suggest_lambda_case2(1.0, s) < 2.0
+        # the maximizer, about 2 - sqrt(alpha L) for small alpha L, falls to 1
+        # as alpha L grows; below alpha L = 1e-32 it rounds to 2
+        for s in self.PRODUCTS + (1e-40, 1e-12, 0.5, 10.0, 1e12):
+            for alpha, L in ((1.0, s), (s, 1.0)):
+                assert 1.0 < suggest_lambda_case2(alpha, L) < 2.0
 
-    def test_near_optimal_weight(self):
-        # the suggestion comes from a series expansion accurate for moderate
-        # and large alpha * L; within 2% of the grid-maximal weight there
-        # (the approximation degrades below alpha * L ~ 0.8, where the
-        # certified weight is within 6% at 0.5 and 16% at 0.2)
-        grid = np.arange(1e-3, 2.0, 1e-3)
-        for s, frac in [(0.2, 0.84), (0.5, 0.94), (0.8, 0.98), (1.0, 0.98),
-                        (1.5, 0.98), (2.0, 0.98)]:
-            a, L = 1.0, s
-            lam_star = suggest_lambda_case2(a, L)
-            _, theta_star = analytic_params_case2(a, lam_star, L)
-            best = max(analytic_params_case2(a, lam, L)[1] for lam in grid)
-            assert theta_star >= frac * best
+    def test_maximizes_weight_on_fine_grid(self):
+        grid = np.arange(1, 200_000) * 1e-5  # (0, 2) in steps of 1e-5
+        for s in self.PRODUCTS:
+            for alpha, L in ((1.0, s), (s, 1.0)):
+                # analytic_params_case2's weight, vectorized over lambda
+                t = (2.0 - grid) / s
+                weights = 2.0 * grid * alpha * (2.0 * t / (1.0 + t + np.sqrt(t * t + 1.0)))
+                for k in (0, 99_999, 199_998):
+                    assert weights[k] == pytest.approx(
+                        analytic_params_case2(alpha, grid[k], L)[1], rel=1e-14)
+                lam = suggest_lambda_case2(alpha, L)
+                _, theta = analytic_params_case2(alpha, lam, L)
+                assert theta >= weights.max() * (1.0 - 1e-12), (alpha, L, lam)
+
+
+class TestTune:
+    def test_case1_unit_relaxation(self):
+        cert = tune(F0INF, 0.7)
+        assert cert.case is CertCase.CASE1 and cert.feasible
+        assert cert.lam == 1.0
+        assert (cert.sigma1, cert.theta) == analytic_params_case1(0.7, 1.0)
+
+    def test_case2_best_weight(self):
+        fc = FunctionClass(0.0, 4.0)
+        cert = tune(fc, 0.5)
+        assert cert.case is CertCase.CASE2 and cert.feasible
+        assert cert.lam == suggest_lambda_case2(0.5, 4.0)
+        assert cert.theta == analytic_params_case2(0.5, cert.lam, 4.0)[1]
+
+    def test_case3_is_the_rate_optimizer(self):
+        fc = FunctionClass(1.0, 10.0)
+        for lam in (None, 1.5):
+            cert, ref = tune(fc, 0.3, lam), sdplite.optimize_rate(0.3, fc, lam_fixed=lam)
+            assert cert.feasible
+            assert (cert.rho_sq, cert.lam, cert.sigma1, cert.sigma2) == (
+                ref.rho_sq, ref.lam, ref.sigma1, ref.sigma2)
+
+    def test_pinned_relaxation(self):
+        assert tune(F0INF, 1.0, 1.5).lam == 1.5
+        assert tune(FunctionClass(0.0, 2.0), 1.0, 0.5).lam == 0.5
+        with pytest.raises(ValueError):
+            tune(F0INF, 1.0, 2.0)
+
+    def test_rate_optimizer_looked_up_at_call_time(self, monkeypatch):
+        def fail(alpha, fc, lam_fixed=None):
+            raise RuntimeError("patched")
+
+        monkeypatch.setattr(sdplite, "optimize_rate", fail)
+        with pytest.raises(RuntimeError, match="patched"):
+            tune(FunctionClass(1.0, 10.0), 1.0)
 
 
 class TestRateBound:

@@ -198,6 +198,15 @@ class TestCliCertify:
         assert "no certificate with rho^2 < 1" in err and "lambda=3" in err
         assert not out.exists()
 
+    def test_weight_override_rejected_for_case3(self, tmp_path, capsys):
+        out = tmp_path / "cert.csv"
+        rc = main(["--mode", "certify", "--problem", "lasso", "--rank", "40",
+                   "--theta", "5", "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "--theta" in err
+        assert not out.exists()
+
 
 class TestCliTune:
     def test_full_rank_lasso_reports_optimal_relaxation(self, tmp_path, capsys):
@@ -218,6 +227,17 @@ class TestCliTune:
                    "--cols", "8", "--rank", "4", "--seed", "2", "--out", str(out)])
         assert rc == 0
         assert "case2" in capsys.readouterr().out
+
+    def test_rank_deficient_lasso_gets_best_weight(self, tmp_path):
+        # the series approximation of the relaxation parameter gave 0.0023375
+        out = tmp_path / "tune.csv"
+        rc = main(["--mode", "tune", "--problem", "lasso", "--rank", "20",
+                   "--alpha", "0.001", "--out", str(out)])
+        assert rc == 0
+        with open(out, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[1][0] == "case2"
+        assert float(rows[1][3]) >= 0.0037555
 
     def test_nonsmooth_uses_unit_relaxation(self, tmp_path, capsys):
         out = tmp_path / "tune.csv"
