@@ -4,6 +4,8 @@ Certificates live on 3x3 Kronecker factors acting on the error signal
 e = (x - x*, y - y*, z - z*), in that fixed order.  A parameter tuple is
 certified when the assembled factor W + sigma1 Q1 + sigma2 Q2 is negative
 semidefinite up to a tolerance scaled on the magnitudes of its three terms.
+A ``Certificate`` runs this check when it is built and is immutable after,
+so its ``feasible`` flag always describes the parameters it carries.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 import enum
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -21,7 +23,7 @@ from . import sdplite
 
 __all__ = [
     "CertCase", "Certificate", "psd_tol", "build_W0", "build_W1", "build_Q1",
-    "build_Q2", "build_Qk", "assemble", "check_certificate", "make_certificate",
+    "build_Q2", "build_Qk", "make_certificate",
     "analytic_params_case1", "analytic_params_case2", "suggest_lambda_case2",
     "tune", "rate_bound", "kron_quadratic_form", "detect_case",
     "write_certificates_csv",
@@ -49,8 +51,8 @@ def psd_tol(W: np.ndarray) -> float:
     """Tolerance 1e-12 (1 + max|W|) for declaring a symmetric factor NSD.
 
     ``W`` is the scale of the factor's rounding error: the entrywise sum of
-    the magnitudes of the terms it was summed from (``check_certificate``),
-    or the factor itself when its terms are not known.
+    the magnitudes of the terms it was summed from (``Certificate``), or the
+    factor itself when its terms are not known.
     """
     return 1e-12 * (1.0 + float(np.abs(W).max()))
 
@@ -104,14 +106,18 @@ def build_Q2(alpha: float) -> np.ndarray:
     return (M + M.T) / 2
 
 
-@dataclass
+@dataclass(frozen=True)
 class Certificate:
-    """A verified parameter tuple with its assembled certificate factor.
+    """A parameter tuple, eigen-checked on its certificate factor when built.
 
     ``theta`` applies to Cases 1-2 (running-sum weight), ``rho_sq`` to Case 3
-    (squared linear rate).  ``witness`` is the assembled left-hand side and
-    ``max_eig`` its largest eigenvalue; ``feasible`` records whether that
-    eigenvalue passed the NSD tolerance of ``check_certificate``.
+    (squared linear rate).  Construction validates the tuple and computes the
+    read-only ``witness`` W + sigma1 Q1 + sigma2 Q2, its largest eigenvalue
+    ``max_eig``, and ``feasible``: whether that eigenvalue is at most
+    ``psd_tol`` of |W| + sigma1 |Q1| + sigma2 |Q2|, so that cancellation
+    between the terms cannot hide a positive eigenvalue nor fail an exactly
+    singular witness on rounding.  The instance is frozen, so the check always
+    belongs to the parameters it carries.
     """
 
     case: CertCase
@@ -122,70 +128,43 @@ class Certificate:
     sigma2: float
     theta: Optional[float] = None
     rho_sq: Optional[float] = None
-    witness: Optional[np.ndarray] = None
-    max_eig: Optional[float] = None
-    feasible: bool = False
+    witness: np.ndarray = field(init=False)
+    max_eig: float = field(init=False)
+    feasible: bool = field(init=False)
 
     def __post_init__(self):
+        a, lam = self.alpha, self.lam
         if self.sigma1 < 0 or self.sigma2 < 0:
             raise ValueError("multipliers sigma1, sigma2 must be >= 0")
-        if self.case in (CertCase.CASE1, CertCase.CASE2):
-            if self.theta is None or not self.theta > 0:
-                raise ValueError("Cases 1-2 require theta > 0")
-        if self.case is CertCase.CASE2 and not self.fc.smooth:
-            raise ValueError("Case 2 requires a finite smoothness constant")
-        if self.case is CertCase.CASE3:
+        if self.case is not CertCase.CASE3 and (self.theta is None or not self.theta > 0):
+            raise ValueError("Cases 1-2 require theta > 0")
+        if self.case is CertCase.CASE1:
+            W, q1_class = build_W0(a, lam, self.theta), FunctionClass(0.0, math.inf)
+        elif self.case is CertCase.CASE2:
+            if not self.fc.smooth:
+                raise ValueError("Case 2 requires a finite smoothness constant")
+            W, q1_class = build_W1(a, lam, self.theta, self.fc.L), self.fc
+        else:
             if self.rho_sq is None or not (0 < self.rho_sq < 1):
                 raise ValueError("Case 3 requires rho_sq in (0, 1)")
             if not (self.fc.strongly_convex and self.fc.smooth):
                 raise ValueError("Case 3 requires 0 < m <= L < inf")
-
-
-def _terms(cert: Certificate):
-    """The summed terms W, sigma1 Q1 and sigma2 Q2 of the certificate factor."""
-    a, lam = cert.alpha, cert.lam
-    if cert.case is CertCase.CASE1:
-        W = build_W0(a, lam, cert.theta)
-        q1_class = FunctionClass(0.0, math.inf)
-    elif cert.case is CertCase.CASE2:
-        W = build_W1(a, lam, cert.theta, cert.fc.L)
-        q1_class = cert.fc
-    else:
-        W = build_Qk(lam, cert.rho_sq)
-        q1_class = cert.fc
-    return W, cert.sigma1 * build_Q1(a, q1_class), cert.sigma2 * build_Q2(a)
-
-
-def assemble(cert: Certificate) -> np.ndarray:
-    """Left-hand side W + sigma1 Q1 + sigma2 Q2 of the certificate inequality."""
-    W, S1, S2 = _terms(cert)
-    return W + S1 + S2
-
-
-def check_certificate(cert: Certificate):
-    """Assemble and eigen-check the certificate; updates it in place.
-
-    Returns (feasible, max_eig) where feasibility means the largest
-    eigenvalue is at most ``psd_tol`` of |W| + sigma1 |Q1| + sigma2 |Q2|,
-    so that cancellation between the terms cannot hide a positive
-    eigenvalue nor fail an exactly singular witness on rounding.
-    """
-    W, S1, S2 = _terms(cert)
-    cert.witness = W + S1 + S2
-    evals, _ = sdplite.eig_sym(cert.witness)
-    cert.max_eig = float(evals[-1])
-    cert.feasible = cert.max_eig <= psd_tol(np.abs(W) + np.abs(S1) + np.abs(S2))
-    return cert.feasible, cert.max_eig
+            W, q1_class = build_Qk(lam, self.rho_sq), self.fc
+        S1, S2 = self.sigma1 * build_Q1(a, q1_class), self.sigma2 * build_Q2(a)
+        witness = W + S1 + S2
+        witness.flags.writeable = False
+        max_eig = float(sdplite.eig_sym(witness)[0][-1])
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "max_eig", max_eig)
+        object.__setattr__(self, "feasible",
+                           max_eig <= psd_tol(np.abs(W) + np.abs(S1) + np.abs(S2)))
 
 
 def make_certificate(case: CertCase, fc: FunctionClass, alpha: float, lam: float,
                      sigma1: float, sigma2: float, theta: Optional[float] = None,
                      rho_sq: Optional[float] = None) -> Certificate:
-    """Construct and immediately check a certificate."""
-    cert = Certificate(case=case, fc=fc, alpha=alpha, lam=lam, sigma1=sigma1,
-                       sigma2=sigma2, theta=theta, rho_sq=rho_sq)
-    check_certificate(cert)
-    return cert
+    """The checked ``Certificate`` of a tuple; library code builds them here."""
+    return Certificate(case, fc, alpha, lam, sigma1, sigma2, theta, rho_sq)
 
 
 def analytic_params_case1(alpha: float, lam: float):
@@ -206,7 +185,7 @@ def analytic_params_case2(alpha: float, lam: float, L_f: float):
     if not (0 < L_f < math.inf):
         raise ValueError("Case 2 requires 0 < L_f < inf")
     t = (2.0 - lam) / (alpha * L_f)
-    s = math.sqrt(t * t + 1.0)
+    s = math.hypot(t, 1.0)
     # r = s - t and 1 - r = 2 t / (1 + t + s), both without cancellation
     r = 1.0 / (s + t)
     sigma = 2.0 * lam / alpha * r
@@ -314,6 +293,6 @@ def write_certificates_csv(certs: Sequence[Certificate], path):
                 "" if c.theta is None else repr(c.theta),
                 repr(c.sigma1), repr(c.sigma2),
                 "" if c.rho_sq is None else repr(c.rho_sq),
-                "" if c.max_eig is None else repr(c.max_eig),
+                repr(c.max_eig),
                 int(c.feasible),
             ])

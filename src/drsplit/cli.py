@@ -59,28 +59,18 @@ class ProblemSpec:
 def gen_basis_pursuit(spec: ProblemSpec):
     """Affine-constraint + l1 pair with a consistent k-sparse ground truth.
 
-    b = A x_truth with k = ceil(rows/4) nonzeros.  If A A^T turns out rank
-    deficient the next seed is tried, at most 3 times.
+    b = A x_truth with k = ceil(rows/4) nonzeros.
     """
     if spec.kind != "basis_pursuit":
         raise ValueError("spec.kind must be basis_pursuit")
-    last_err = None
-    for attempt in range(3):
-        rng = np.random.default_rng(spec.seed + attempt)
-        A = rng.standard_normal((spec.rows, spec.cols))
-        k = math.ceil(spec.rows / 4)
-        support = rng.choice(spec.cols, size=k, replace=False)
-        x_truth = np.zeros(spec.cols)
-        x_truth[support] = rng.standard_normal(k)
-        b = A @ x_truth
-        try:
-            f = prox_affine_indicator(A, b)
-        except ValueError as exc:
-            last_err = exc
-            continue
-        g = prox_l1(1.0)
-        return f, g, {"A": A, "b": b, "x_truth": x_truth}
-    raise RuntimeError(f"could not generate a full-row-rank A in 3 attempts: {last_err}")
+    rng = np.random.default_rng(spec.seed)
+    A = rng.standard_normal((spec.rows, spec.cols))
+    k = math.ceil(spec.rows / 4)
+    support = rng.choice(spec.cols, size=k, replace=False)
+    x_truth = np.zeros(spec.cols)
+    x_truth[support] = rng.standard_normal(k)
+    b = A @ x_truth
+    return prox_affine_indicator(A, b), prox_l1(1.0), {"A": A, "b": b, "x_truth": x_truth}
 
 
 def gen_lasso(spec: ProblemSpec):

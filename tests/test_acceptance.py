@@ -179,6 +179,11 @@ def test_linear_rate_on_lasso_wider_than_64_columns():
     _assert_linear_rate(trace, x0, x_star, cert)
 
 
+def test_linear_rate_on_lasso_with_1000_columns():
+    trace, x0, x_star, cert, _, _ = _lasso_full_rank_run(1000, 1000)
+    _assert_linear_rate(trace, x0, x_star, cert)
+
+
 def test_criterion_06_optimizer_matches_grid_oracle():
     t0 = time.perf_counter()
     for (alpha, m, L), oracle in GRID_ORACLE.items():

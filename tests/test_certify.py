@@ -1,6 +1,7 @@
 """Certificate factors, feasibility checks, analytic parameters, rate bounds."""
 
 import csv
+import dataclasses
 import math
 
 import numpy as np
@@ -18,7 +19,6 @@ from drsplit import (
     build_Qk,
     build_W0,
     build_W1,
-    check_certificate,
     drs_run,
     kron_quadratic_form,
     lyapunov_series,
@@ -31,7 +31,7 @@ from drsplit import (
     suggest_lambda_case2,
 )
 from drsplit import sdplite
-from drsplit.certify import assemble, detect_case, psd_tol, tune, write_certificates_csv
+from drsplit.certify import detect_case, psd_tol, tune, write_certificates_csv
 from drsplit.cli import ProblemSpec, gen_lasso
 
 F0INF = FunctionClass(0.0, math.inf)
@@ -203,7 +203,7 @@ class TestCheckCertificate:
         sigma, theta = analytic_params_case1(0.7, 1.2)
         cert = Certificate(case=CertCase.CASE1, fc=F0INF, alpha=0.7, lam=1.2,
                            sigma1=sigma, sigma2=sigma, theta=theta)
-        assert np.abs(assemble(cert)).max() <= 1e-12
+        assert np.abs(cert.witness).max() <= 1e-12
 
     def test_psd_tol_relative(self):
         assert psd_tol(np.zeros((3, 3))) == pytest.approx(1e-12)
@@ -262,6 +262,41 @@ class TestCertificateValidation:
                         sigma1=-1.0, sigma2=1.0, theta=1.0)
 
 
+class TestCertificateIsChecked:
+    @staticmethod
+    def tuples():
+        """(case, fc, alpha, lam, sigma1, sigma2, theta, rho_sq), feasible or not."""
+        s1, t1 = analytic_params_case1(0.7, 1.2)
+        s2, t2 = analytic_params_case2(0.5, 1.0, 4.0)
+        return [
+            ((CertCase.CASE1, F0INF, 0.7, 1.2, s1, s1, t1, None), True),
+            ((CertCase.CASE1, F0INF, 1.0, 1.0, 1.0, 1.0, 5.0, None), False),
+            ((CertCase.CASE2, FunctionClass(0.0, 4.0), 0.5, 1.0, s2, s2, t2, None), True),
+            ((CertCase.CASE3, FunctionClass(1.0, 10.0), 1.0, 1.0, 0.0, 0.0, None, 0.5),
+             False),
+        ]
+
+    def test_constructor_checks_like_make_certificate(self):
+        for args, feasible in self.tuples():
+            cert, ref = Certificate(*args), make_certificate(*args)
+            assert np.array_equal(cert.witness, ref.witness)
+            assert (cert.max_eig, cert.feasible) == (ref.max_eig, ref.feasible)
+            assert cert.feasible is feasible, args
+
+    def test_fields_cannot_be_assigned(self):
+        cert = tune(FunctionClass(1.0, 10.0), 1.0)
+        rho_sq = cert.rho_sq
+        for f in dataclasses.fields(cert):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(cert, f.name, 1e-6)
+        assert cert.rho_sq == rho_sq and cert.feasible
+
+    def test_witness_is_read_only(self):
+        cert = tune(F0INF, 1.0)
+        with pytest.raises(ValueError):
+            cert.witness[0, 0] = 1.0
+
+
 class TestAnalyticParamsCase1:
     def test_reference_values(self):
         assert analytic_params_case1(1.0, 1.0) == (2.0, 1.0)
@@ -294,11 +329,14 @@ class TestAnalyticParamsCase2:
         # as L -> 0 the weight approaches 2 lam alpha
         lam, a = 1.3, 0.8
         prev = 0.0
-        for L in (1.0, 0.1, 0.01, 1e-4):
+        for L in (1.0, 0.1, 0.01, 1e-4, 1e-160):
             _, theta = analytic_params_case2(a, lam, L)
             assert theta > prev
             prev = theta
         assert prev == pytest.approx(2.0 * lam * a, rel=1e-3)
+        # t = (2 - lambda) / (alpha L) far above 1e154 must not overflow in s
+        cert = tune(FunctionClass(0.0, 1e-300), 1.0)
+        assert cert.case is CertCase.CASE2 and cert.feasible and cert.theta > 0
 
     def test_feasible_on_grid(self):
         # alpha * L down to 1e-6 exercises the cancellation-free closed form
@@ -320,7 +358,7 @@ class TestAnalyticParamsCase2:
     def test_shared_multiplier_is_optimal(self):
         # For each (sigma1, sigma2) on a log grid around the shared closed-form
         # sigma, the largest theta at which W1(theta) + sigma1 Q1 + sigma2 Q2
-        # passes the eigen check of check_certificate: its largest eigenvalue
+        # passes the eigen check of Certificate: its largest eigenvalue
         # is convex in theta, so a golden-section search finds its minimum
         # and a bisection the upper end of the feasible interval above it.
         ratios = 10.0 ** np.linspace(-2.0, 2.0, 17)
