@@ -128,7 +128,7 @@ class Certificate:
     sigma2: float
     theta: Optional[float] = None
     rho_sq: Optional[float] = None
-    witness: np.ndarray = field(init=False)
+    witness: np.ndarray = field(init=False, compare=False)
     max_eig: float = field(init=False)
     feasible: bool = field(init=False)
 
@@ -193,6 +193,14 @@ def analytic_params_case2(alpha: float, lam: float, L_f: float):
     return sigma, theta
 
 
+# Largest relaxation parameter suggest_lambda_case2 returns.  Toward 2 the
+# term sigma Q1 of the Case-2 witness grows like 2 / (2 - lambda), and the
+# eigen-check's tolerance with it (to 9e3 where the maximizer rounds to 2),
+# while theta gains less than (2 - lambda) / 2 relative to its supremum
+# 4 alpha.  Here the tolerance stays near 2e-7.
+_LAMBDA_CASE2_MAX = 2.0 - 1e-5
+
+
 def suggest_lambda_case2(alpha: float, L_f: float) -> float:
     """Relaxation parameter maximizing the Case-2 weight theta, exactly.
 
@@ -205,6 +213,9 @@ def suggest_lambda_case2(alpha: float, L_f: float) -> float:
     squaring gives 4 t^3 + (1 - 2c) t^2 + (4 - 2c) t + c (c - 2) = 0; at a = 1
     this is t^2 (4 t - 3) = 0, so t = 3/4 and lambda = 5/4.  The root is
     bisected on lambda in (0, 2) down to adjacent floats, with c - t = lambda / a.
+    The maximizer is about 2 - sqrt(a) for small a; it is capped at
+    2 - 1e-5 (reached for a below about 1e-10), past which the certificate's
+    eigen-check could no longer tell a feasible witness from an infeasible one.
     """
     if not (alpha > 0 and L_f > 0):
         raise ValueError("alpha and L_f must be > 0")
@@ -218,7 +229,7 @@ def suggest_lambda_case2(alpha: float, L_f: float) -> float:
         else:
             lo = lam
         lam = 0.5 * (lo + hi)
-    return lo  # below 2 also where the maximizer rounds to 2 (alpha L < 1e-32)
+    return min(lo, _LAMBDA_CASE2_MAX)
 
 
 def tune(fc: FunctionClass, alpha: float, lam: Optional[float] = None) -> Certificate:

@@ -31,6 +31,12 @@ class ProxOperator:
     function_class: FunctionClass
 
     def evaluate(self, v: np.ndarray, alpha: float) -> np.ndarray:
+        """prox_{alpha f}(v).
+
+        Must be a deterministic function of (v, alpha): equal arguments give
+        bitwise-equal results.  ``splitting.drs_run`` relies on this to replay
+        a run whose iterates repeat instead of recomputing them.
+        """
         raise NotImplementedError
 
     def objective(self, x: np.ndarray):

@@ -145,6 +145,7 @@ def _relaxations(params: DrsParams):
 
 
 _FIRST_ROWS = 1024  # initial row capacity when a run may stop early
+_CSV_ROWS = 4096  # trace CSV rows formatted and written per block
 
 
 class _Rows:
@@ -160,17 +161,37 @@ class _Rows:
         cap = self.limit if params.stop_tol == 0 else min(self.limit, _FIRST_ROWS)
         self.cols = [np.empty((cap,) + shape) for _ in range(3)] + [np.empty(cap)]
 
+    def _grow(self, k, cap):
+        """Reallocate to ``cap`` rows, keeping the first k."""
+        for i, c in enumerate(self.cols):
+            self.cols[i] = np.empty((cap,) + c.shape[1:])
+            self.cols[i][:k] = c[:k]
+
     def put(self, k, x, y, z, fp):
-        X, Y, Z, FP = cols = self.cols
-        if k == len(FP):
-            for i, c in enumerate(cols):
-                cols[i] = np.empty((min(2 * k, self.limit),) + c.shape[1:])
-                cols[i][:k] = c
-            X, Y, Z, FP = cols
+        if k == len(self.cols[3]):
+            self._grow(k, min(2 * k, self.limit))
+        X, Y, Z, FP = self.cols
         X[k] = x
         Y[k] = y
         Z[k] = z
         FP[k] = fp
+
+    def repeat(self, k: int, p: int) -> np.ndarray:
+        """Fill rows k .. limit-1 with rows k-p .. k-1 repeated, for a run
+        whose x_k equals x_{k-p}; return (a copy of) x_limit, the terminal x.
+
+        Doubling slice copies, so no temporary of the filled size is made.
+        """
+        if len(self.cols[3]) < self.limit:
+            self._grow(k, self.limit)
+        cols = self.cols
+        start, end = k - p, k
+        while end < self.limit:
+            n = min(end - start, self.limit - end)
+            for c in cols:
+                c[end:end + n] = c[start:start + n]
+            end += n
+        return cols[0][start + (self.limit - k) % p].copy()
 
     def trace(self, k: int, alpha: float, objective, stop: bool, x_final) -> Trace:
         """Read-only Trace of the first k rows; ``objective(X, Z)`` gives its
@@ -193,14 +214,29 @@ def _drs(f: ProxOperator, g: ProxOperator, params: DrsParams, x0: np.ndarray,
 
     Stops after the first iteration with ||z_k - y_k|| <= stop_tol, whose
     x_final is x_k, or after max_iters iterations, whose x_final is x_{k+1}.
-    Returns (iterations, x_final, y, z, stop) with y, z those of the last
-    iteration.
+    Returns (iterations, x_final, y, z, stop, period) with y, z those of the
+    last iteration run.
+
+    With a constant lambda one step is a function of x alone, so once x_k
+    equals an earlier x_{k-p} byte for byte every later iterate repeats with
+    period p, and none of them stops the run.  Such a cycle is found by
+    comparing x_k with the iterate marked at iteration 0 or at the last
+    power of two (Brent 1980), and the loop then returns at the top of
+    iteration k with period p > 0 and x_final = x_k; period is 0 otherwise.
     """
     a = params.alpha
     tol = params.stop_tol
+    periodic = np.isscalar(params.lam)
+    mark, marked = None, 0
     x = np.array(x0, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
         for k, lam in enumerate(_relaxations(params)):
+            if periodic:
+                key = x.tobytes()
+                if key == mark:
+                    return k, x, y, z, False, k - marked
+                if k & (k - 1) == 0:
+                    mark, marked = key, k
             y = f.evaluate(x, a)
             z = g.evaluate(2.0 * y - x, a)
             if y.shape != x.shape or z.shape != x.shape:
@@ -216,12 +252,12 @@ def _drs(f: ProxOperator, g: ProxOperator, params: DrsParams, x0: np.ndarray,
             if rows is not None:
                 rows.put(k, x, y, z, fp)
             if fp <= tol:
-                return k + 1, x, y, z, True
+                return k + 1, x, y, z, True, 0
             x_next = x + lam * d
             if not math.isfinite(x_next @ x_next) and not np.isfinite(x_next).all():
                 raise RuntimeError(f"non-finite x iterate at iteration {k}")
             x = x_next
-    return k + 1, x, y, z, False
+    return k + 1, x, y, z, False, 0
 
 
 def drs_run(f: ProxOperator, g: ProxOperator, params: DrsParams, x0: np.ndarray) -> Trace:
@@ -233,10 +269,19 @@ def drs_run(f: ProxOperator, g: ProxOperator, params: DrsParams, x0: np.ndarray)
     Stops when ||z_k - y_k|| <= stop_tol or the iteration cap is reached.
     Records every iterate; the objective column is F evaluated at z_k when
     both function values are evaluable, computed once after the run.
+
+    With a constant lambda, a run whose iterate x_k repeats an earlier
+    x_{k-p} exactly (as runs at rounding level do) is not iterated further:
+    rows k onward are copies of rows k-p .. k-1 in turn, x_final is the row
+    the period gives for iteration max_iters, and the status is
+    "iteration-limit".  Every value is the one the full loop would compute,
+    as each prox is a deterministic function of its arguments.
     """
     x0 = np.asarray(x0, dtype=float)
     rows = _Rows(params, x0.shape)
-    k, x_final, _, _, stop = _drs(f, g, params, x0, rows)
+    k, x_final, _, _, stop, period = _drs(f, g, params, x0, rows)
+    if period:
+        k, x_final = params.max_iters, rows.repeat(k, period)
     return rows.trace(k, params.alpha, lambda X, Z: _objective(f, g, Z, Z), stop, x_final)
 
 
@@ -323,12 +368,21 @@ def solve_reference(f: ProxOperator, g: ProxOperator, params: DrsParams, x0: np.
     Reruns the iteration with a tight tolerance and a large iteration cap,
     keeping only the current iterate, so memory is O(n) however many
     iterations it takes; the terminal y (equal to z within tolerance) is the
-    minimizer and F* is the objective there.
+    minimizer and F* is the objective there.  Raises RuntimeError when the
+    cap is reached, or as soon as the iterates repeat exactly (their
+    rounding floor lies above the tolerance, which they can then never
+    reach), naming the period and the iteration it was found from.
     """
     cap = max(params.max_iters, 2_000_000)
     ref = DrsParams(alpha=params.alpha, lam=params.lam if np.isscalar(params.lam) else 1.0,
                     max_iters=cap, stop_tol=1e-12)
-    _, x_final, y, z, stop = _drs(f, g, ref, x0, None)
+    k, x_final, y, z, stop, period = _drs(f, g, ref, x0, None)
+    if period:
+        raise RuntimeError(
+            "reference solve did not reach ||z - y|| <= 1e-12: the iterates "
+            f"repeat with period {period} from iteration {k - period}, so no "
+            "iteration cap would suffice"
+        )
     if not stop:
         raise RuntimeError(
             f"reference solve did not reach ||z - y|| <= 1e-12 in {cap} "
@@ -343,14 +397,20 @@ def write_trace_csv(trace: Trace, path, lyapunov: Optional[np.ndarray] = None):
 
     Floats are written with ``repr``; the objective and V cells are blank
     when the trace has no objective or no Lyapunov values are given.  The
-    bytes are those of the csv module's default dialect (rows end in CRLF),
-    built as one string and written in one call.
+    bytes are those of the csv module's default dialect (rows end in CRLF).
+    Rows are built and written in blocks of _CSV_ROWS, with ``repr`` run
+    once per distinct float64 bit pattern in a block, as runs at rounding
+    level repeat their values.
     """
     n = len(trace)
     columns = (trace.fp_residual, trace.subgrad_residual, trace.objective, lyapunov)
-    row = ",".join(["{}"] + ["" if c is None else "{!r}" for c in columns]) + "\r\n"
-    values = [np.asarray(c, dtype=float)[:n].tolist() for c in columns if c is not None]
-    lines = itertools.chain(["k,fp_residual,subgrad_residual,objective,V\r\n"],
-                            (row.format(k, *r) for k, r in enumerate(zip(*values, strict=True))))
+    row = ",".join(["{}"] + ["" if c is None else "{}" for c in columns]) + "\r\n"
+    values = np.array([np.asarray(c, dtype=float)[:n] for c in columns if c is not None])
     with open(path, "w", newline="") as fh:
-        fh.write("".join(lines))
+        fh.write("k,fp_residual,subgrad_residual,objective,V\r\n")
+        for start in range(0, n, _CSV_ROWS):
+            block = values[:, start:start + _CSV_ROWS]
+            bits, index = np.unique(block.view(np.int64), return_inverse=True)
+            text = np.array([repr(v) for v in bits.view(float).tolist()], dtype=object)
+            cells = text[index.reshape(block.shape)]
+            fh.write("".join(row.format(k, *r) for k, r in enumerate(zip(*cells), start)))

@@ -296,6 +296,11 @@ class TestCertificateIsChecked:
         with pytest.raises(ValueError):
             cert.witness[0, 0] = 1.0
 
+    def test_equal_tuples_compare_and_hash_equal(self):
+        a, b = tune(FunctionClass(1.0, 10.0), 1.0), tune(FunctionClass(1.0, 10.0), 1.0)
+        assert a == b and hash(a) == hash(b)
+        assert a != tune(FunctionClass(1.0, 20.0), 1.0)
+
 
 class TestAnalyticParamsCase1:
     def test_reference_values(self):
@@ -404,7 +409,7 @@ class TestSuggestLambdaCase2:
 
     def test_always_in_open_interval(self):
         # the maximizer, about 2 - sqrt(alpha L) for small alpha L, falls to 1
-        # as alpha L grows; below alpha L = 1e-32 it rounds to 2
+        # as alpha L grows; below alpha L of about 1e-10 it is capped at 2 - 1e-5
         for s in self.PRODUCTS + (1e-40, 1e-12, 0.5, 10.0, 1e12):
             for alpha, L in ((1.0, s), (s, 1.0)):
                 assert 1.0 < suggest_lambda_case2(alpha, L) < 2.0
@@ -425,6 +430,27 @@ class TestSuggestLambdaCase2:
 
 
 class TestTune:
+    def test_case2_check_resolves_as_smoothness_vanishes(self):
+        # alpha = 1, L = 1e-1 ... 1e-300: each certificate is checked with a
+        # tolerance (psd_tol of its terms) of at most 1e-6, and for
+        # L >= 1e-10 theta is the weight at the exact maximizer, the root in
+        # (0, c) of the stationarity cubic of suggest_lambda_case2
+        for e in range(1, 301):
+            L = 10.0 ** -e
+            fc = FunctionClass(0.0, L)
+            cert = tune(fc, 1.0)
+            terms = (np.abs(build_W1(1.0, cert.lam, cert.theta, L))
+                     + cert.sigma1 * np.abs(build_Q1(1.0, fc))
+                     + cert.sigma2 * np.abs(build_Q2(1.0)))
+            assert cert.feasible and psd_tol(terms) <= 1e-6, (L, psd_tol(terms))
+            if L >= 1e-10:
+                c = 2.0 / L
+                roots = np.roots([4.0, 1.0 - 2.0 * c, 4.0 - 2.0 * c, c * (c - 2.0)])
+                best = max(analytic_params_case2(1.0, 2.0 - L * t, L)[1]
+                           for t in roots.real[(abs(roots.imag) <= 1e-9 * abs(roots))
+                                               & (roots.real > 0) & (roots.real < c)])
+                assert cert.theta == pytest.approx(best, rel=1e-9), L
+
     def test_case1_unit_relaxation(self):
         cert = tune(F0INF, 0.7)
         assert cert.case is CertCase.CASE1 and cert.feasible

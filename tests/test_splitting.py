@@ -19,6 +19,7 @@ from drsplit import (
     prox_quadratic,
     prox_zero,
     solve_reference,
+    tune,
     write_trace_csv,
 )
 from drsplit.cli import ProblemSpec, gen_basis_pursuit, gen_lasso
@@ -278,6 +279,102 @@ class TestTraceStorage:
         assert peak < 1 << 20
 
 
+class Counting(ProxOperator):
+    """Delegates to a prox operator and counts its evaluations."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.function_class = inner.function_class
+        self.calls = 0
+
+    def evaluate(self, v, alpha):
+        self.calls += 1
+        return self.inner.evaluate(v, alpha)
+
+    def objective(self, x):
+        return self.inner.objective(x)
+
+
+def _plain_drs(f, g, params, x0):
+    """The DRS loop with every iteration computed: columns x, y, z, fp and
+    the objective, x_final and the status, in the library's arithmetic."""
+    a, n = params.alpha, params.max_iters
+    lams = [float(params.lam)] * n if np.isscalar(params.lam) else list(params.lam)
+    x = np.array(x0, dtype=float)
+    X, Y, Z, FP = [], [], [], []
+    status = "iteration-limit"
+    for k in range(n):
+        y = f.evaluate(x, a)
+        z = g.evaluate(2.0 * y - x, a)
+        d = z - y
+        fp = math.sqrt(d @ d)
+        X.append(x), Y.append(y), Z.append(z), FP.append(fp)
+        if fp <= params.stop_tol:
+            status = "converged"
+            break
+        x = x + lams[k] * d
+    Z = np.array(Z)
+    return dict(x=np.array(X), y=np.array(Y), z=Z, fp_residual=np.array(FP),
+                objective=f.objective(Z) + g.objective(Z), x_final=x), status
+
+
+class TestCycleReplay:
+    """A run with constant lambda that reaches rounding level and repeats an
+    earlier iterate exactly is replayed, not iterated: the trace is bitwise
+    that of the full loop, at a fraction of the prox evaluations."""
+
+    ITERS = 10_000
+
+    @staticmethod
+    def _lasso(rank):
+        f, g, fc = gen_lasso(ProblemSpec("lasso", 60, 40, rank=rank, seed=7))
+        return Counting(f), Counting(g), tune(fc, 1.0).lam
+
+    def _assert_bitwise(self, tr, f, g, params):
+        ref, status = _plain_drs(f.inner, g.inner, params, np.zeros(40))
+        assert (tr.status, len(tr)) == (status, len(ref["x"]))
+        for name, col in ref.items():
+            assert getattr(tr, name).tobytes() == col.tobytes(), name
+        assert tr.subgrad_residual.tobytes() == (ref["fp_residual"] / params.alpha).tobytes()
+
+    @pytest.mark.parametrize("rank", [40, 20])  # Cases 3 and 2
+    def test_cycling_run_matches_the_full_loop(self, rank):
+        f, g, lam = self._lasso(rank)
+        params = DrsParams(alpha=1.0, lam=lam, max_iters=self.ITERS)
+        tr = drs_run(f, g, params, np.zeros(40))
+        assert f.calls == g.calls < self.ITERS
+        self._assert_bitwise(tr, f, g, params)
+
+    def test_tolerance_below_rounding_grows_to_the_cap(self):
+        f, g, lam = self._lasso(40)
+        params = DrsParams(alpha=1.0, lam=lam, max_iters=self.ITERS, stop_tol=1e-17)
+        tr = drs_run(f, g, params, np.zeros(40))
+        assert tr.status == "iteration-limit" and len(tr) == self.ITERS
+        assert f.calls < self.ITERS
+        self._assert_bitwise(tr, f, g, params)
+
+    def test_schedule_is_iterated_in_full(self):
+        f, g, lam = self._lasso(40)
+        params = DrsParams(alpha=1.0, lam=[lam] * 2000, max_iters=2000)
+        tr = drs_run(f, g, params, np.zeros(40))
+        assert f.calls == g.calls == 2000
+        self._assert_bitwise(tr, f, g, params)
+
+    def test_reference_solve_fails_once_the_iterates_cycle(self):
+        # b and gamma scaled by 2^20 scale every iterate of the Case-3 run by
+        # exactly 2^20, so it cycles as that run does, with ||z - y|| at
+        # 2^20 times a rounding floor near 1e-16: above 1e-12 throughout
+        f, g, lam = self._lasso(40)
+        s = 2.0 ** 20
+        scaled = Counting(prox_quadratic(f.inner.A, s * f.inner.b))
+        with pytest.raises(RuntimeError, match=r"^reference solve did not reach "
+                           r"\|\|z - y\|\| <= 1e-12: the iterates repeat with period \d+ "
+                           r"from iteration \d+"):
+            solve_reference(scaled, prox_l1(s * g.inner.gamma),
+                            DrsParams(alpha=1.0, lam=lam), np.zeros(40))
+        assert scaled.calls < self.ITERS
+
+
 class TestAdmmRun:
     def test_zero_problem_is_stationary(self):
         tr = admm_run(prox_zero(), prox_zero(),
@@ -533,13 +630,17 @@ class TestTraceCsv:
 
         rng = np.random.default_rng(21)
         f = prox_quadratic(rng.standard_normal((3, 3)), rng.standard_normal(3))
+        # the quadratic run keeps more rows than the writer formats in one block
         tr = drs_run(f if evaluable else Opaque(), prox_l1(0.2),
-                     DrsParams(alpha=0.9, max_iters=40), rng.standard_normal(3))
+                     DrsParams(alpha=0.9, max_iters=5000), rng.standard_normal(3))
         assert (tr.objective is None) is not evaluable
         V = None
         if with_v:
             V = np.geomspace(1e-300, 1e300, len(tr)) * (-1.0) ** np.arange(len(tr))
             V[[1, 2, 3]] = np.nan, np.inf, -0.0
+            # zeros of both signs, a NaN of another bit pattern, and repeats,
+            # which share one repr per bit pattern
+            V[[4, 5, 6, 7, 8, 9]] = 0.0, -0.0, -np.nan, 0.0, V[0], V[0]
         out = tmp_path / "trace.csv"
         write_trace_csv(tr, out, lyapunov=V)
 
