@@ -100,7 +100,7 @@ class _AffineProjection(ProxOperator):
         self._feas_tol = 1e-9 * (1.0 + float(np.linalg.norm(b)))
 
     def evaluate(self, v, alpha):
-        return v - self._Q @ (v @ self._Q - self._c)
+        return v - np.dot(self._Q, np.dot(v, self._Q) - self._c)
 
     def objective(self, x):
         r = np.linalg.norm(x @ self.A.T - self.b, axis=-1)
@@ -139,7 +139,7 @@ class _QuadraticProx(ProxOperator):
 
     def evaluate(self, v, alpha):
         inverse, offset = self._factor(alpha)
-        return inverse @ v + offset
+        return np.dot(inverse, v) + offset
 
     def objective(self, x):
         r = x @ self.A.T - self.b

@@ -28,7 +28,6 @@ from . import certify
 __all__ = [
     "SweepCell",
     "eig_sym",
-    "max_eig",
     "optimize_rate",
     "sweep_heatmap",
     "write_heatmap_csv",
@@ -76,11 +75,6 @@ def eig_sym(M: np.ndarray):
     if float(np.abs(M - M.T).max(initial=0.0)) > 1e-12 * scale:
         raise ValueError("input matrix is not symmetric")
     return np.linalg.eigh(M)
-
-
-def max_eig(M: np.ndarray) -> float:
-    """Largest eigenvalue of a small symmetric matrix."""
-    return float(eig_sym(M)[0][-1])
 
 
 def _barrier(F0, Fs, x, hi):

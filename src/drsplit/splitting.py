@@ -161,20 +161,12 @@ class _Rows:
         cap = self.limit if params.stop_tol == 0 else min(self.limit, _FIRST_ROWS)
         self.cols = [np.empty((cap,) + shape) for _ in range(3)] + [np.empty(cap)]
 
-    def _grow(self, k, cap):
-        """Reallocate to ``cap`` rows, keeping the first k."""
+    def grow(self, k, cap):
+        """Reallocate to ``cap`` rows, keeping the first k; return the columns."""
         for i, c in enumerate(self.cols):
             self.cols[i] = np.empty((cap,) + c.shape[1:])
             self.cols[i][:k] = c[:k]
-
-    def put(self, k, x, y, z, fp):
-        if k == len(self.cols[3]):
-            self._grow(k, min(2 * k, self.limit))
-        X, Y, Z, FP = self.cols
-        X[k] = x
-        Y[k] = y
-        Z[k] = z
-        FP[k] = fp
+        return self.cols
 
     def repeat(self, k: int, p: int) -> np.ndarray:
         """Fill rows k .. limit-1 with rows k-p .. k-1 repeated, for a run
@@ -183,7 +175,7 @@ class _Rows:
         Doubling slice copies, so no temporary of the filled size is made.
         """
         if len(self.cols[3]) < self.limit:
-            self._grow(k, self.limit)
+            self.grow(k, self.limit)
         cols = self.cols
         start, end = k - p, k
         while end < self.limit:
@@ -219,30 +211,50 @@ def _drs(f: ProxOperator, g: ProxOperator, params: DrsParams, x0: np.ndarray,
 
     With a constant lambda one step is a function of x alone, so once x_k
     equals an earlier x_{k-p} byte for byte every later iterate repeats with
-    period p, and none of them stops the run.  Such a cycle is found by
-    comparing x_k with the iterate marked at iteration 0 or at the last
-    power of two (Brent 1980), and the loop then returns at the top of
-    iteration k with period p > 0 and x_final = x_k; period is 0 otherwise.
+    period p, and none of them stops the run.  The loop then returns at the
+    top of iteration k with period p > 0 and x_final = x_k; period is 0
+    otherwise.  With rows, a cycle is found at its first repeat: a dict maps
+    the hash of each x_j's bytes to j, and a hit is confirmed against the
+    stored row.  Without rows, x_k is compared with the iterate marked at
+    iteration 0 or at the last power of two (Brent 1980), which needs O(n)
+    memory but finds a period p only at the first mark after both the cycle's
+    start and p.
+
+    Shapes are checked at iteration 0.  The y and z iterates are scanned for
+    non-finite entries only when ||z_k - y_k|| is not finite.  The x iterate
+    is scanned only once the running bound B_0 = ||x_0||,
+    B_{k+1} = B_k + lam_k ||z_k - y_k||, which bounds ||x_{k+1}|| up to
+    rounding, is not below 1e300: below it, x_{k+1} is finite.
     """
     a = params.alpha
     tol = params.stop_tol
+    f_eval, g_eval = f.evaluate, g.evaluate
     periodic = np.isscalar(params.lam)
-    mark, marked = None, 0
+    mark, marked = None, 0  # Brent's mark, without rows
+    seen = {}  # hash of x_j's bytes -> j, with rows
+    if rows is not None:
+        X, Y, Z, FP = rows.cols
     x = np.array(x0, dtype=float)
+    bound = math.sqrt(x @ x)
     with np.errstate(over="ignore", invalid="ignore"):
         for k, lam in enumerate(_relaxations(params)):
             if periodic:
                 key = x.tobytes()
-                if key == mark:
-                    return k, x, y, z, False, k - marked
-                if k & (k - 1) == 0:
-                    mark, marked = key, k
-            y = f.evaluate(x, a)
-            z = g.evaluate(2.0 * y - x, a)
-            if y.shape != x.shape or z.shape != x.shape:
+                if rows is None:
+                    if key == mark:
+                        return k, x, y, z, False, k - marked
+                    if k & (k - 1) == 0:
+                        mark, marked = key, k
+                else:
+                    j = seen.setdefault(hash(key), k)
+                    if j != k and X[j].tobytes() == key:
+                        return k, x, y, z, False, k - j
+            y = f_eval(x, a)
+            z = g_eval(2.0 * y - x, a)
+            if not k and (y.shape != x.shape or z.shape != x.shape):
                 raise ValueError("dimension mismatch between prox outputs and x0")
             d = z - y
-            fp = math.sqrt(d @ d)
+            fp = math.sqrt(np.dot(d, d))
             # a norm is finite whenever its arrays are, so the arrays are
             # scanned only when one overflows
             if not math.isfinite(fp):
@@ -250,13 +262,19 @@ def _drs(f: ProxOperator, g: ProxOperator, params: DrsParams, x0: np.ndarray,
                     if not np.isfinite(v).all():
                         raise RuntimeError(f"non-finite {name} iterate at iteration {k}")
             if rows is not None:
-                rows.put(k, x, y, z, fp)
+                if k == len(FP):
+                    X, Y, Z, FP = rows.grow(k, min(2 * k, rows.limit))
+                X[k] = x
+                Y[k] = y
+                Z[k] = z
+                FP[k] = fp
             if fp <= tol:
                 return k + 1, x, y, z, True, 0
-            x_next = x + lam * d
-            if not math.isfinite(x_next @ x_next) and not np.isfinite(x_next).all():
+            x = x + lam * d
+            bound += lam * fp
+            if (not bound < 1e300 and not math.isfinite(x @ x)
+                    and not np.isfinite(x).all()):
                 raise RuntimeError(f"non-finite x iterate at iteration {k}")
-            x = x_next
     return k + 1, x, y, z, False, 0
 
 
@@ -270,10 +288,10 @@ def drs_run(f: ProxOperator, g: ProxOperator, params: DrsParams, x0: np.ndarray)
     Records every iterate; the objective column is F evaluated at z_k when
     both function values are evaluable, computed once after the run.
 
-    With a constant lambda, a run whose iterate x_k repeats an earlier
-    x_{k-p} exactly (as runs at rounding level do) is not iterated further:
-    rows k onward are copies of rows k-p .. k-1 in turn, x_final is the row
-    the period gives for iteration max_iters, and the status is
+    With a constant lambda, a run is not iterated past the first k whose
+    iterate x_k repeats an earlier x_{k-p} exactly (as runs at rounding level
+    do): rows k onward are copies of rows k-p .. k-1 in turn, x_final is the
+    row the period gives for iteration max_iters, and the status is
     "iteration-limit".  Every value is the one the full loop would compute,
     as each prox is a deterministic function of its arguments.
     """
@@ -305,6 +323,7 @@ def admm_run(f_prox: ProxOperator, g_prox: ProxOperator, params: DrsParams, u0: 
     u = np.array(u0, dtype=float)
     z = np.zeros_like(u)
     rows = _Rows(params, u.shape)
+    X, Y, Z, FP = rows.cols
     stop = False
     with np.errstate(over="ignore", invalid="ignore"):
         for k, lam in enumerate(_relaxations(params)):
@@ -322,7 +341,12 @@ def admm_run(f_prox: ProxOperator, g_prox: ProxOperator, params: DrsParams, u0: 
                         raise RuntimeError(f"non-finite {name} iterate at iteration {k}")
             if not math.isfinite(un @ un) and not np.isfinite(un).all():
                 raise RuntimeError(f"non-finite u iterate at iteration {k}")
-            rows.put(k, xn, u, zn, fp)
+            if k == len(FP):
+                X, Y, Z, FP = rows.grow(k, min(2 * k, rows.limit))
+            X[k] = xn
+            Y[k] = u
+            Z[k] = zn
+            FP[k] = fp
             if fp <= tol and dual <= tol:
                 stop = True
                 break
@@ -346,7 +370,7 @@ def lyapunov_series(trace: Trace, case, theta, x_star: np.ndarray,
     case = CertCase(case)
     n = len(trace)
     diff = (trace.x - np.asarray(x_star, dtype=float)).reshape(n, -1)
-    dist = np.sum(diff ** 2, axis=1)
+    dist = np.sum(np.square(diff, out=diff), axis=1)
     if case is CertCase.CASE3:
         return dist
     th = float(theta) if np.isscalar(theta) else np.asarray(theta, dtype=float)[:n]
@@ -400,11 +424,10 @@ def write_trace_csv(trace: Trace, path, lyapunov: Optional[np.ndarray] = None):
     bytes are those of the csv module's default dialect (rows end in CRLF).
     Rows are built and written in blocks of _CSV_ROWS, with ``repr`` run
     once per distinct float64 bit pattern in a block, as runs at rounding
-    level repeat their values.
+    level repeat their values, and each row joined from its cells.
     """
     n = len(trace)
     columns = (trace.fp_residual, trace.subgrad_residual, trace.objective, lyapunov)
-    row = ",".join(["{}"] + ["" if c is None else "{}" for c in columns]) + "\r\n"
     values = np.array([np.asarray(c, dtype=float)[:n] for c in columns if c is not None])
     with open(path, "w", newline="") as fh:
         fh.write("k,fp_residual,subgrad_residual,objective,V\r\n")
@@ -412,5 +435,8 @@ def write_trace_csv(trace: Trace, path, lyapunov: Optional[np.ndarray] = None):
             block = values[:, start:start + _CSV_ROWS]
             bits, index = np.unique(block.view(np.int64), return_inverse=True)
             text = np.array([repr(v) for v in bits.view(float).tolist()], dtype=object)
-            cells = text[index.reshape(block.shape)]
-            fh.write("".join(row.format(k, *r) for k, r in enumerate(zip(*cells), start)))
+            filled = iter(text[index.reshape(block.shape)].tolist())
+            m = block.shape[1]
+            cells = [itertools.repeat("", m) if c is None else next(filled) for c in columns]
+            rows = zip(map(str, range(start, start + m)), *cells)
+            fh.write("\r\n".join(map(",".join, rows)) + "\r\n")

@@ -32,6 +32,17 @@ class TestSoftThreshold:
         with pytest.raises(ValueError):
             prox_l1(0.0)
 
+    @pytest.mark.parametrize("gamma, alpha", [(1.0, 1.0), (0.3, 0.7), (2.5e-310, 1.0)])
+    def test_bitwise_equal_to_sign_times_shrunk_magnitude(self, gamma, alpha):
+        # copysign(shrunk, v) would give -0.0 at v = -0.0, where sign(v) is +0.0
+        t = alpha * gamma
+        edges = [0.0, t, np.nextafter(t, 0.0), np.nextafter(t, math.inf), 1.0 + t,
+                 math.inf, 5e-324, 2.2e-308, np.nextafter(2.2e-308, 0.0)]
+        v = np.concatenate((edges, np.negative(edges),
+                            np.random.default_rng(11).standard_normal(10_000) * 3 * t))
+        expected = np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
+        assert prox_l1(gamma).evaluate(v, alpha).tobytes() == expected.tobytes()
+
 
 class TestAffineProjection:
     def test_coordinate_hyperplane(self):
@@ -114,6 +125,28 @@ class TestQuadraticProx:
         op = prox_quadratic(rng.standard_normal((4, 4)), rng.standard_normal(4))
         v = rng.standard_normal(4)
         assert np.array_equal(op.evaluate(v, 0.7), op.evaluate(v, 0.7))
+
+
+class TestMatrixProductForm:
+    """evaluate is bitwise the prox written with ``@`` on the cached factors."""
+
+    @pytest.mark.parametrize("n", [4, 40, 100])
+    def test_affine_projection(self, n):
+        rng = np.random.default_rng(n)
+        p = n // 3 + 1
+        op = prox_affine_indicator(rng.standard_normal((p, n)), rng.standard_normal(p))
+        for v in rng.standard_normal((50, n)) * 10.0 ** rng.integers(-5, 6, (50, 1)):
+            expected = v - op._Q @ (v @ op._Q - op._c)
+            assert op.evaluate(v, 1.0).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("n", [4, 40, 100])
+    def test_quadratic(self, n):
+        rng = np.random.default_rng(n)
+        op = prox_quadratic(rng.standard_normal((n + 20, n)), rng.standard_normal(n + 20))
+        for alpha in (0.3, 1.0):
+            inverse, offset = op._factor(alpha)
+            for v in rng.standard_normal((50, n)) * 10.0 ** rng.integers(-5, 6, (50, 1)):
+                assert op.evaluate(v, alpha).tobytes() == (inverse @ v + offset).tobytes()
 
 
 class TestZeroProx:

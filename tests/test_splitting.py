@@ -37,6 +37,16 @@ class Exploding(ProxOperator):
             return v * 1e200
 
 
+class BoxClip(ProxOperator):
+    """Projection onto the box [-1, 1]^n: finite for every input but NaN."""
+
+    def __init__(self):
+        self.function_class = FunctionClass(0.0, math.inf)
+
+    def evaluate(self, v, alpha):
+        return np.clip(v, -1.0, 1.0)
+
+
 class TestDrsParams:
     def test_valid(self):
         p = DrsParams(alpha=0.5, lam=1.2, max_iters=10, stop_tol=1e-8)
@@ -141,9 +151,32 @@ class TestDrsRun:
                     np.zeros(3))
 
     def test_nonfinite_iterate_reported_with_iteration(self):
-        with pytest.raises(RuntimeError, match="iteration"):
+        with pytest.raises(RuntimeError, match="^non-finite y iterate at iteration 1$"):
             drs_run(Exploding(), prox_zero(),
                     DrsParams(alpha=1.0, max_iters=10), np.array([1.0]))
+
+    @pytest.mark.parametrize("lam", [3.0, [3.0] * 2000])
+    def test_x_overflow_with_finite_proxes(self, lam):
+        # y = clip(x) and z = 2y - x stay finite while x_{k+1} = 3y - 2x
+        # doubles in size each iteration until it overflows
+        x, k = np.array([5.0, -0.5]), 0
+        with np.errstate(over="ignore"):
+            while np.isfinite(x).all():
+                x, k = 3.0 * np.clip(x, -1.0, 1.0) - 2.0 * x, k + 1
+        assert k == 1023
+        with pytest.raises(RuntimeError, match=f"^non-finite x iterate at iteration {k - 1}$"):
+            drs_run(BoxClip(), prox_zero(),
+                    DrsParams(alpha=1.0, lam=lam, max_iters=2000), np.array([5.0, -0.5]))
+
+    @pytest.mark.parametrize("f, g, x0, message", [
+        (BoxClip(), BoxClip(), [math.inf, 0.0], "x"),  # y and z finite
+        (BoxClip(), BoxClip(), [math.nan, 0.0], "y"),
+        (BoxClip(), prox_zero(), [-math.inf, 0.0], "z"),
+    ])
+    def test_nonfinite_start(self, f, g, x0, message):
+        with pytest.raises(RuntimeError,
+                           match=f"^non-finite {message} iterate at iteration 0$"):
+            drs_run(f, g, DrsParams(alpha=1.0, max_iters=10), np.array(x0))
 
     def test_objective_column(self):
         f = prox_quadratic(np.eye(1), np.zeros(1))
@@ -318,6 +351,17 @@ def _plain_drs(f, g, params, x0):
                 objective=f.objective(Z) + g.objective(Z), x_final=x), status
 
 
+def _first_repeat(X):
+    """The first k whose row X[k] equals an earlier row byte for byte."""
+    seen = set()
+    for k, row in enumerate(X):
+        key = row.tobytes()
+        if key in seen:
+            return k
+        seen.add(key)
+    return None
+
+
 class TestCycleReplay:
     """A run with constant lambda that reaches rounding level and repeats an
     earlier iterate exactly is replayed, not iterated: the trace is bitwise
@@ -339,10 +383,23 @@ class TestCycleReplay:
 
     @pytest.mark.parametrize("rank", [40, 20])  # Cases 3 and 2
     def test_cycling_run_matches_the_full_loop(self, rank):
+        first_repeat = {40: 78, 20: 570}[rank]
         f, g, lam = self._lasso(rank)
         params = DrsParams(alpha=1.0, lam=lam, max_iters=self.ITERS)
         tr = drs_run(f, g, params, np.zeros(40))
-        assert f.calls == g.calls < self.ITERS
+        # x_k of the first repeat is not evaluated: calls are iterations 0 .. k-1
+        assert f.calls == g.calls == first_repeat == _first_repeat(tr.x)
+        self._assert_bitwise(tr, f, g, params)
+
+    def test_long_period_found_at_its_first_repeat(self):
+        # period 4,932 from iteration 711: Brent's power-of-two marks would
+        # find it at 8,192 + 4,932, after max_iters
+        f, g, fc = gen_lasso(ProblemSpec("lasso", 60, 40, rank=20, seed=1825957107))
+        f, g = Counting(f), Counting(g)
+        params = DrsParams(alpha=1.0, lam=tune(fc, 1.0).lam, max_iters=self.ITERS)
+        tr = drs_run(f, g, params, np.zeros(40))
+        assert f.calls == g.calls == 711 + 4932 == _first_repeat(tr.x)
+        assert tr.x[711].tobytes() == tr.x[711 + 4932].tobytes()
         self._assert_bitwise(tr, f, g, params)
 
     def test_tolerance_below_rounding_grows_to_the_cap(self):
@@ -534,6 +591,12 @@ class TestLyapunovSeries:
         expected = np.sum((tr.records[k].x - x_star) ** 2) + theta * sum(
             tr.records[i].objective - F_star for i in range(k))
         assert V[k] == pytest.approx(expected, rel=1e-10)
+
+    @pytest.mark.parametrize("case", ["case1", "case3"])
+    def test_distance_bitwise_equal_to_the_squared_difference(self, case):
+        tr, x_star, _ = self._trace()
+        V = lyapunov_series(tr, case, 0.0, x_star)
+        assert V.tobytes() == np.sum((tr.x - x_star) ** 2, axis=1).tobytes()
 
     def test_case3_is_distance(self):
         tr, x_star, _ = self._trace()
