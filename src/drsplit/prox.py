@@ -2,9 +2,11 @@
 
 Every operator evaluates ``prox_{alpha f}(v) = argmin_y f(y) + ||v-y||^2/(2a)``
 in closed form and declares the function class of the underlying f.  The
-subgradient used implicitly by the prox is recoverable as (v - y)/alpha.
-Operators with an evaluable objective expose it via ``objective``, at one
-point or at every row of a stack of points; others return None there.
+subgradient used implicitly by the prox is (v - y)/alpha.  Operators with an
+evaluable objective expose it via ``objective``, at one point or at every row
+of a stack of points; others return None there.  On a stack the objectives
+hold no temporary of the stack's size: the affine and quadratic ones work in
+place on their one matrix product, the soft threshold's in row blocks.
 """
 
 from __future__ import annotations
@@ -21,8 +23,29 @@ __all__ = [
     "prox_affine_indicator",
     "prox_quadratic",
     "prox_zero",
-    "recover_subgradient",
 ]
+
+_BLOCK_ROWS = 512  # rows per block of a blockwise row sum
+
+
+def _row_sums(X: np.ndarray, fill) -> np.ndarray:
+    """Sum of each row of a stack X after an elementwise map, without a
+    temporary of X's size.
+
+    ``fill(rows, out)`` writes the map of a block of rows into ``out``, a
+    buffer of the block's shape; blocks of _BLOCK_ROWS rows go through one
+    buffer.  Each row is reduced on its own, so the sums are bitwise those of
+    ``np.add.reduce(map(X), axis=1)``.
+    """
+    n = len(X)
+    sums = np.empty(n)
+    buf = np.empty((min(n, _BLOCK_ROWS),) + X.shape[1:])
+    for start in range(0, n, _BLOCK_ROWS):
+        rows = X[start:start + _BLOCK_ROWS]
+        block = buf[:len(rows)]
+        fill(rows, block)
+        np.add.reduce(block, axis=1, out=sums[start:start + len(rows)])
+    return sums
 
 
 class ProxOperator:
@@ -62,7 +85,10 @@ class _SoftThreshold(ProxOperator):
         return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
 
     def objective(self, x):
-        return self.gamma * np.sum(np.abs(x), axis=-1)
+        x = np.asarray(x)
+        if x.ndim != 2:
+            return self.gamma * np.sum(np.abs(x), axis=-1)
+        return self.gamma * _row_sums(x, lambda rows, out: np.abs(rows, out=out))
 
 
 class _AffineProjection(ProxOperator):
@@ -103,7 +129,11 @@ class _AffineProjection(ProxOperator):
         return v - np.dot(self._Q, np.dot(v, self._Q) - self._c)
 
     def objective(self, x):
-        r = np.linalg.norm(x @ self.A.T - self.b, axis=-1)
+        # ||Ax - b|| as np.linalg.norm computes it, in place on the one product
+        r = x @ self.A.T
+        np.subtract(r, self.b, out=r)
+        np.multiply(r, r, out=r)
+        r = np.sqrt(np.add.reduce(r, axis=-1))
         return np.where(r <= self._feas_tol, 0.0, math.inf)[()]
 
 
@@ -142,8 +172,10 @@ class _QuadraticProx(ProxOperator):
         return np.dot(inverse, v) + offset
 
     def objective(self, x):
-        r = x @ self.A.T - self.b
-        return 0.5 * np.sum(r * r, axis=-1)
+        r = x @ self.A.T
+        np.subtract(r, self.b, out=r)
+        np.multiply(r, r, out=r)
+        return 0.5 * np.add.reduce(r, axis=-1)
 
 
 class _Identity(ProxOperator):
@@ -178,7 +210,3 @@ def prox_zero() -> ProxOperator:
     """Identity prox (f = 0); useful for degenerate tests."""
     return _Identity()
 
-
-def recover_subgradient(op: ProxOperator, v: np.ndarray, y: np.ndarray, alpha: float) -> np.ndarray:
-    """Subgradient of f at y = op.evaluate(v, alpha), i.e. (v - y)/alpha."""
-    return (np.asarray(v, dtype=float) - np.asarray(y, dtype=float)) / alpha

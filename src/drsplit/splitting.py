@@ -16,7 +16,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .prox import ProxOperator
+from .prox import ProxOperator, _row_sums
 
 __all__ = [
     "DrsParams",
@@ -34,8 +34,9 @@ __all__ = [
 class DrsParams:
     """Step size, relaxation schedule, iteration cap, and stopping tolerance.
 
-    ``lam`` is either a constant relaxation parameter or an explicit
-    per-iteration sequence covering at least ``max_iters`` entries.
+    ``lam`` is either a constant relaxation parameter (any value with
+    ``np.ndim(lam) == 0``, a 0-d array included) or an explicit per-iteration
+    sequence covering at least ``max_iters`` entries.
     """
 
     alpha: float
@@ -50,7 +51,7 @@ class DrsParams:
             raise ValueError("max_iters must be >= 1")
         if self.stop_tol < 0:
             raise ValueError("stop_tol must be >= 0")
-        if np.isscalar(self.lam):
+        if np.ndim(self.lam) == 0:
             if not self.lam > 0:
                 raise ValueError(f"relaxation parameter must be > 0, got {self.lam}")
         else:
@@ -139,7 +140,7 @@ def _objective(f: ProxOperator, g: ProxOperator, at_f, at_g):
 
 def _relaxations(params: DrsParams):
     """lam_0, lam_1, ... as floats, one per iteration up to max_iters."""
-    if np.isscalar(params.lam):
+    if np.ndim(params.lam) == 0:
         return itertools.repeat(float(params.lam), params.max_iters)
     return np.asarray(params.lam, dtype=float)[:params.max_iters].tolist()
 
@@ -207,7 +208,7 @@ def _drs(f: ProxOperator, g: ProxOperator, params: DrsParams, x0: np.ndarray,
     Stops after the first iteration with ||z_k - y_k|| <= stop_tol, whose
     x_final is x_k, or after max_iters iterations, whose x_final is x_{k+1}.
     Returns (iterations, x_final, y, z, stop, period) with y, z those of the
-    last iteration run.
+    last iteration run; x_final is a copy of its own.
 
     With a constant lambda one step is a function of x alone, so once x_k
     equals an earlier x_{k-p} byte for byte every later iterate repeats with
@@ -220,6 +221,12 @@ def _drs(f: ProxOperator, g: ProxOperator, params: DrsParams, x0: np.ndarray,
     memory but finds a period p only at the first mark after both the cycle's
     start and p.
 
+    Each iterate is written once: x_{k+1} = x_k + lam_k (z_k - y_k) goes
+    straight into row k + 1, which x_{k+1} then is a view of, or, past the
+    last row or without rows, into one of two vectors used in turn.  2 y_k -
+    x_k and z_k - y_k are computed into two work vectors that every
+    iteration reuses; rows y_k and z_k are copied from the prox outputs.
+
     Shapes are checked at iteration 0.  The y and z iterates are scanned for
     non-finite entries only when ||z_k - y_k|| is not finite.  The x iterate
     is scanned only once the running bound B_0 = ||x_0||,
@@ -228,13 +235,18 @@ def _drs(f: ProxOperator, g: ProxOperator, params: DrsParams, x0: np.ndarray,
     """
     a = params.alpha
     tol = params.stop_tol
+    limit = params.max_iters
     f_eval, g_eval = f.evaluate, g.evaluate
-    periodic = np.isscalar(params.lam)
+    periodic = np.ndim(params.lam) == 0
     mark, marked = None, 0  # Brent's mark, without rows
     seen = {}  # hash of x_j's bytes -> j, with rows
+    x = np.array(x0, dtype=float)
+    spare = (x, np.empty_like(x))  # x_{k+1} without a row: spare[(k + 1) % 2]
+    v, d = np.empty_like(x), np.empty_like(x)  # 2 y_k - x_k; lam_k (z_k - y_k)
     if rows is not None:
         X, Y, Z, FP = rows.cols
-    x = np.array(x0, dtype=float)
+        X[0] = x
+        x = X[0]
     bound = math.sqrt(x @ x)
     with np.errstate(over="ignore", invalid="ignore"):
         for k, lam in enumerate(_relaxations(params)):
@@ -242,40 +254,48 @@ def _drs(f: ProxOperator, g: ProxOperator, params: DrsParams, x0: np.ndarray,
                 key = x.tobytes()
                 if rows is None:
                     if key == mark:
-                        return k, x, y, z, False, k - marked
+                        return k, x.copy(), y, z, False, k - marked
                     if k & (k - 1) == 0:
                         mark, marked = key, k
                 else:
                     j = seen.setdefault(hash(key), k)
                     if j != k and X[j].tobytes() == key:
-                        return k, x, y, z, False, k - j
+                        return k, x.copy(), y, z, False, k - j
             y = f_eval(x, a)
-            z = g_eval(2.0 * y - x, a)
-            if not k and (y.shape != x.shape or z.shape != x.shape):
+            if not k and y.shape != x.shape:
                 raise ValueError("dimension mismatch between prox outputs and x0")
-            d = z - y
+            np.multiply(y, 2.0, out=v)
+            z = g_eval(np.subtract(v, x, out=v), a)
+            if not k and z.shape != x.shape:
+                raise ValueError("dimension mismatch between prox outputs and x0")
+            np.subtract(z, y, out=d)
             fp = math.sqrt(np.dot(d, d))
             # a norm is finite whenever its arrays are, so the arrays are
             # scanned only when one overflows
             if not math.isfinite(fp):
-                for name, v in (("y", y), ("z", z)):
-                    if not np.isfinite(v).all():
+                for name, w in (("y", y), ("z", z)):
+                    if not np.isfinite(w).all():
                         raise RuntimeError(f"non-finite {name} iterate at iteration {k}")
             if rows is not None:
-                if k == len(FP):
-                    X, Y, Z, FP = rows.grow(k, min(2 * k, rows.limit))
-                X[k] = x
                 Y[k] = y
                 Z[k] = z
                 FP[k] = fp
             if fp <= tol:
-                return k + 1, x, y, z, True, 0
-            x = x + lam * d
+                return k + 1, x.copy(), y, z, True, 0
+            if lam != 1.0:  # 1.0 * d is d, bit for bit
+                np.multiply(d, lam, out=d)
+            if rows is None or k + 1 == limit:
+                nxt = spare[(k + 1) & 1]
+            else:
+                if k + 1 == len(X):
+                    X, Y, Z, FP = rows.grow(k + 1, min(2 * (k + 1), limit))
+                nxt = X[k + 1]
+            x = np.add(x, d, out=nxt)
             bound += lam * fp
             if (not bound < 1e300 and not math.isfinite(x @ x)
                     and not np.isfinite(x).all()):
                 raise RuntimeError(f"non-finite x iterate at iteration {k}")
-    return k + 1, x, y, z, False, 0
+    return k + 1, x.copy(), y, z, False, 0
 
 
 def drs_run(f: ProxOperator, g: ProxOperator, params: DrsParams, x0: np.ndarray) -> Trace:
@@ -363,17 +383,31 @@ def lyapunov_series(trace: Trace, case, theta, x_star: np.ndarray,
     Case 3: V_k = ||x_k - x*||^2.
 
     ``theta`` is a constant or a sequence with at least one entry per
-    iteration.
+    iteration.  The distances are computed in row blocks through one
+    block-sized buffer, so no temporary of the trace's size is made.
     """
     from .certify import CertCase
 
     case = CertCase(case)
     n = len(trace)
-    diff = (trace.x - np.asarray(x_star, dtype=float)).reshape(n, -1)
-    dist = np.sum(np.square(diff, out=diff), axis=1)
+    X = trace.x.reshape(n, -1)
+    xs = np.asarray(x_star, dtype=float).reshape(-1)
+    if xs.size != X.shape[1]:
+        raise ValueError(f"x_star has {xs.size} entries but the iterates have {X.shape[1]}")
+
+    def fill(rows, out):
+        np.subtract(rows, xs, out=out)
+        np.square(out, out=out)
+
+    dist = _row_sums(X, fill)
     if case is CertCase.CASE3:
         return dist
-    th = float(theta) if np.isscalar(theta) else np.asarray(theta, dtype=float)[:n]
+    if np.ndim(theta) == 0:
+        th = float(theta)
+    else:
+        th = np.asarray(theta, dtype=float)[:n]
+        if len(th) < n:
+            raise ValueError(f"theta has {len(th)} entries for a trace of {n} iterations")
     if case is CertCase.CASE1:
         incr = th * trace.subgrad_residual ** 2
     else:
@@ -398,7 +432,7 @@ def solve_reference(f: ProxOperator, g: ProxOperator, params: DrsParams, x0: np.
     reach), naming the period and the iteration it was found from.
     """
     cap = max(params.max_iters, 2_000_000)
-    ref = DrsParams(alpha=params.alpha, lam=params.lam if np.isscalar(params.lam) else 1.0,
+    ref = DrsParams(alpha=params.alpha, lam=params.lam if np.ndim(params.lam) == 0 else 1.0,
                     max_iters=cap, stop_tol=1e-12)
     k, x_final, y, z, stop, period = _drs(f, g, ref, x0, None)
     if period:
@@ -427,6 +461,8 @@ def write_trace_csv(trace: Trace, path, lyapunov: Optional[np.ndarray] = None):
     level repeat their values, and each row joined from its cells.
     """
     n = len(trace)
+    if lyapunov is not None and len(lyapunov) < n:
+        raise ValueError(f"lyapunov has {len(lyapunov)} values for a trace of {n} iterations")
     columns = (trace.fp_residual, trace.subgrad_residual, trace.objective, lyapunov)
     values = np.array([np.asarray(c, dtype=float)[:n] for c in columns if c is not None])
     with open(path, "w", newline="") as fh:

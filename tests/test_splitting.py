@@ -11,6 +11,7 @@ import pytest
 from drsplit import (
     DrsParams,
     FunctionClass,
+    Trace,
     admm_run,
     drs_run,
     lyapunov_series,
@@ -56,6 +57,11 @@ class TestDrsParams:
     def test_schedule(self):
         p = DrsParams(alpha=1.0, lam=[0.5, 1.0, 1.5], max_iters=3)
         assert list(p.lam) == [0.5, 1.0, 1.5]
+
+    def test_zero_dimensional_lambda_is_a_constant(self):
+        assert DrsParams(alpha=1.0, lam=np.array(1.5), max_iters=3).lam == 1.5
+        with pytest.raises(ValueError, match="must be > 0"):
+            DrsParams(alpha=1.0, lam=np.array(-1.0))
 
     @pytest.mark.parametrize("kwargs", [
         dict(alpha=0.0),
@@ -432,6 +438,82 @@ class TestCycleReplay:
         assert scaled.calls < self.ITERS
 
 
+class TestIterateWrittenOnce:
+    """x_{k+1} is written straight into its row, 2y - x and z - y into two
+    reused vectors, and lam * d is skipped at lam = 1: every column, x_final
+    and the status stay bitwise those of the plain loop."""
+
+    @staticmethod
+    def _assert_plain(tr, f, g, params, x0):
+        ref, status = _plain_drs(f, g, params, x0)
+        assert (tr.status, len(tr)) == (status, len(ref["x"]))
+        for name, col in ref.items():
+            assert getattr(tr, name).tobytes() == col.tobytes(), name
+
+    @pytest.mark.parametrize("lam", [1.0, 1.5])
+    def test_full_run(self, lam):
+        # basis pursuit does not cycle within these iterations
+        f, g, _ = gen_basis_pursuit(ProblemSpec("basis_pursuit", 30, 100, seed=42))
+        params = DrsParams(alpha=1.0, lam=lam, max_iters=3000)
+        self._assert_plain(drs_run(f, g, params, np.zeros(100)), f, g, params, np.zeros(100))
+
+    @pytest.mark.parametrize("lam", [1.0, 1.5])
+    @pytest.mark.parametrize("stop", [1023, 1024, 1025, 3000])
+    def test_early_stop_around_the_row_capacity(self, lam, stop):
+        # rows start at 1,024 and double, so the run stops on either side of
+        # the first growth, or after growing past 2,048 rows
+        f, g, x0 = TestTraceStorage._slow_problem(n=20)
+        fp = _plain_drs(f, g, DrsParams(alpha=1.0, lam=lam, max_iters=stop + 1),
+                        x0)[0]["fp_residual"]
+        assert np.all(np.diff(fp) < 0)
+        params = DrsParams(alpha=1.0, lam=lam, max_iters=10_000, stop_tol=fp[stop])
+        tr = drs_run(f, g, params, x0)
+        assert tr.status == "converged" and len(tr) == stop + 1
+        self._assert_plain(tr, f, g, params, x0)
+
+    @pytest.mark.parametrize("how", ["limit", "stop", "cycle"])
+    def test_x_final_is_a_writable_copy(self, how):
+        f, g, fc = gen_lasso(ProblemSpec("lasso", 60, 40, rank=40, seed=7))
+        lam = tune(fc, 1.0).lam
+        params = {"limit": DrsParams(alpha=1.0, lam=lam, max_iters=20),
+                  "stop": DrsParams(alpha=1.0, lam=lam, max_iters=10_000, stop_tol=1e-6),
+                  "cycle": DrsParams(alpha=1.0, lam=lam, max_iters=10_000)}[how]
+        tr = drs_run(f, g, params, np.zeros(40))
+        assert tr.status == ("converged" if how == "stop" else "iteration-limit")
+        assert tr.x_final.flags.writeable
+        assert not np.shares_memory(tr.x_final, tr.x)
+        self._assert_plain(tr, f, g, params, np.zeros(40))
+
+    def test_zero_dimensional_lambda(self):
+        f, g, fc = gen_lasso(ProblemSpec("lasso", 60, 40, rank=40, seed=7))
+        f, g = Counting(f), Counting(g)
+        x0 = np.zeros(40)
+        tr = drs_run(f, g, DrsParams(alpha=1.0, lam=np.array(1.5), max_iters=10_000), x0)
+        assert f.calls < 10_000  # a constant: the cycle is replayed
+        ref = drs_run(f.inner, g.inner, DrsParams(alpha=1.0, lam=1.5, max_iters=10_000), x0)
+        for name in ("x", "y", "z", "fp_residual", "subgrad_residual", "objective", "x_final"):
+            assert getattr(tr, name).tobytes() == getattr(ref, name).tobytes(), name
+        assert tr.status == ref.status
+        mine = solve_reference(f.inner, g.inner, DrsParams(alpha=1.0, lam=np.array(1.5)), x0)
+        theirs = solve_reference(f.inner, g.inner, DrsParams(alpha=1.0, lam=1.5), x0)
+        assert mine[0].tobytes() == theirs[0].tobytes() and mine[2] == theirs[2]
+
+    def test_memory_above_the_trace_is_one_matrix_product(self):
+        # Case 1 of the benchmark's size: 10^4 rows of n = 100; the only
+        # temporary of the trace's length is the affine objective's product
+        f, g, _ = gen_basis_pursuit(ProblemSpec("basis_pursuit", 30, 100, seed=42))
+        params = DrsParams(alpha=1.0, max_iters=10_000)
+        x0 = np.zeros(100)
+        tracemalloc.start()
+        try:
+            tr = drs_run(f, g, params, x0)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held >= tr.x.nbytes + tr.y.nbytes + tr.z.nbytes
+        assert peak - held <= 10_000 * 30 * 8 + (1 << 19)
+
+
 class TestAdmmRun:
     def test_zero_problem_is_stationary(self):
         tr = admm_run(prox_zero(), prox_zero(),
@@ -603,6 +685,51 @@ class TestLyapunovSeries:
         V = lyapunov_series(tr, "case3", None, x_star)
         assert V[0] == pytest.approx(np.sum((tr.records[0].x - x_star) ** 2))
 
+    @pytest.mark.parametrize("iters", [511, 512, 513, 1025])
+    @pytest.mark.parametrize("case", ["case1", "case2", "case3"])
+    def test_blocks_bitwise_equal_to_the_whole_trace(self, iters, case):
+        rng = np.random.default_rng(iters)
+        f = prox_quadratic(rng.standard_normal((5, 5)), rng.standard_normal(5))
+        tr = drs_run(f, prox_l1(0.5), DrsParams(alpha=1.0, lam=1.3, max_iters=iters),
+                     rng.standard_normal(5))
+        x_star, F_star = rng.standard_normal(5), -1.0
+        theta = np.linspace(0.1, 1.0, iters)
+        V = lyapunov_series(tr, case, theta, x_star, F_star=F_star)
+        expected = np.sum(np.square(tr.x - x_star), axis=1)
+        if case != "case3":
+            incr = theta * (tr.subgrad_residual ** 2 if case == "case1"
+                            else tr.objective - F_star)
+            expected = expected + np.concatenate(([0.0], np.cumsum(incr)[:-1]))
+        assert V.tobytes() == expected.tobytes()
+
+    def test_memory_is_the_output_and_one_block(self):
+        rng = np.random.default_rng(2)
+        n, m = 10_000, 100
+        X = rng.standard_normal((n, m))
+        fp = rng.uniform(0.0, 1.0, n)
+        tr = Trace(X, X, X, fp, fp, fp)
+        for case, theta in (("case1", 0.5), ("case2", 0.5), ("case3", None)):
+            tracemalloc.start()
+            try:
+                V = lyapunov_series(tr, case, theta, np.zeros(m), F_star=0.0)
+                held, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert held >= V.nbytes
+            assert peak - V.nbytes < 1 << 20, case
+
+    @pytest.mark.parametrize("case", ["case1", "case2"])
+    def test_short_theta_names_both_lengths(self, case):
+        tr, x_star, F_star = self._trace()
+        with pytest.raises(ValueError, match=f"^theta has 399 entries for a trace of {len(tr)} iterations$"):
+            lyapunov_series(tr, case, np.ones(399), x_star, F_star=F_star)
+
+    @pytest.mark.parametrize("case", ["case1", "case2", "case3"])
+    def test_x_star_of_another_size_names_both(self, case):
+        tr, x_star, F_star = self._trace()
+        with pytest.raises(ValueError, match="^x_star has 4 entries but the iterates have 5$"):
+            lyapunov_series(tr, case, 1.0, x_star[:4], F_star=F_star)
+
     def test_theta_schedule(self):
         tr, x_star, _ = self._trace()
         thetas = np.linspace(0.1, 1.0, len(tr))
@@ -717,6 +844,12 @@ class TestTraceCsv:
             w.writerow([k, cell(tr.fp_residual, k), cell(tr.subgrad_residual, k),
                         cell(tr.objective, k), cell(V, k)])
         assert out.read_bytes() == expected.getvalue().encode()
+
+    def test_short_lyapunov_names_both_lengths(self, tmp_path):
+        tr = drs_run(prox_quadratic(np.eye(2), np.zeros(2)), prox_l1(1.0),
+                     DrsParams(alpha=1.0, max_iters=5), np.ones(2))
+        with pytest.raises(ValueError, match="^lyapunov has 4 values for a trace of 5 iterations$"):
+            write_trace_csv(tr, tmp_path / "trace.csv", lyapunov=np.zeros(4))
 
     def test_floats_roundtrip_exactly(self, tmp_path):
         rng = np.random.default_rng(13)

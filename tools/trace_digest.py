@@ -1,0 +1,109 @@
+"""One sha256 over every DRS output the certified_run benchmark depends on.
+
+For each seed, the benchmark's certified_run problem pools (Cases 1-3, built
+by ``perfbench/workloads.py``, which this script imports and does not change)
+are run through the paper's workflow at the tuned relaxation parameter:
+
+  * ``drs_run`` for 10^4 iterations at stop_tol 0 and at 1e-10: every Trace
+    column, x_final and the status;
+  * ``solve_reference``: (x*, y*, F*), or its error message;
+  * the trace CSV of the stop_tol 0 run with its Lyapunov values, as bytes.
+
+Two checkouts whose library gives the same bits print the same digest.
+
+Run from the root of a checkout (the library is imported from its ``src``):
+
+    python tools/trace_digest.py --seeds 0-7
+"""
+
+from __future__ import annotations
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"  # as the benchmark pins them
+
+import argparse
+import hashlib
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+import numpy as np  # noqa: E402
+
+import workloads  # noqa: E402
+from drsplit import certify, splitting  # noqa: E402
+
+ALPHA = 1.0
+STOP_TOLS = (0.0, 1e-10)
+COLUMNS = ("x", "y", "z", "fp_residual", "subgrad_residual", "objective", "x_final")
+
+
+def seed_range(text: str):
+    """'0-7' -> [0, ..., 7]; '3' -> [3]."""
+    lo, _, hi = text.partition("-")
+    return list(range(int(lo), int(hi or lo) + 1))
+
+
+def _array(h, name: str, a):
+    if a is None:
+        h.update(f"{name}:None;".encode())
+        return
+    a = np.ascontiguousarray(a)
+    h.update(f"{name}:{a.dtype.str}{a.shape};".encode())
+    h.update(a.tobytes())
+
+
+def digest_problem(h, f, g, fc, out_dir: str):
+    """Feed one problem's runs, reference solve and trace CSV into ``h``."""
+    cert = certify.tune(fc, ALPHA)
+    x0 = np.zeros(f.A.shape[1])
+    traces = []
+    for tol in STOP_TOLS:
+        params = splitting.DrsParams(alpha=ALPHA, lam=cert.lam,
+                                     max_iters=workloads.TRAJECTORY_ITERS, stop_tol=tol)
+        tr = splitting.drs_run(f, g, params, x0)
+        h.update(f"run tol={tol!r} status={tr.status} len={len(tr)};".encode())
+        for name in COLUMNS:
+            _array(h, name, getattr(tr, name))
+        traces.append((params, tr))
+    params, trace = traces[0]
+    try:
+        x_star, y_star, F_star = splitting.solve_reference(f, g, params, x0)
+    except RuntimeError as exc:
+        h.update(f"reference error: {exc};".encode())
+        return
+    _array(h, "x_star", x_star)
+    _array(h, "y_star", y_star)
+    h.update(f"F_star={F_star!r};".encode())
+    V = splitting.lyapunov_series(trace, cert.case, cert.theta, x_star, F_star=F_star)
+    path = os.path.join(out_dir, "trace.csv")
+    splitting.write_trace_csv(trace, path, lyapunov=V)
+    with open(path, "rb") as fh:
+        h.update(fh.read())
+
+
+def main(argv=None):
+    p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    p.add_argument("--seeds", type=seed_range, default=seed_range("0-7"),
+                   help="benchmark seeds: a range such as 0-7 (the default), or one seed")
+    args = p.parse_args(argv)
+    h = hashlib.sha256()
+    runs = 0
+    with tempfile.TemporaryDirectory() as out_dir:
+        for seed in args.seeds:
+            wl = workloads.CertifiedRun(seed, out_dir)
+            wl.setup()
+            for triple in wl.problems:
+                for f, g, fc in triple:
+                    h.update(f"seed={seed};".encode())
+                    digest_problem(h, f, g, fc, out_dir)
+                    runs += 1
+    print(f"{h.hexdigest()}  {runs} problems, seeds {','.join(map(str, args.seeds))}")
+
+
+if __name__ == "__main__":
+    main()
