@@ -186,19 +186,27 @@ class _Rows:
             end += n
         return cols[0][start + (self.limit - k) % p].copy()
 
-    def trace(self, k: int, alpha: float, objective, stop: bool, x_final) -> Trace:
-        """Read-only Trace of the first k rows; ``objective(X, Z)`` gives its
-        objective column, evaluated once the oversized buffers are freed."""
-        cols, self.cols = self.cols, None
-        for i, c in enumerate(cols):
-            cols[i] = c if len(c) == k else c[:k].copy()
-        X, Y, Z, FP = cols
-        trace = Trace(X, Y, Z, FP, FP / alpha, objective(X, Z),
-                      "converged" if stop else "iteration-limit", x_final)
-        for c in (X, Y, Z, FP, trace.subgrad_residual, trace.objective):
-            if c is not None:
-                c.flags.writeable = False
-        return trace
+
+def _trace(cols: list, k: int, alpha: float, objective, stop: bool, x_final) -> Trace:
+    """Read-only Trace of the first k rows of the list [X, Y, Z, FP], trimmed in
+    place; ``objective(X, Z)`` runs once the oversized buffers are freed."""
+    for i, c in enumerate(cols):
+        cols[i] = c if len(c) == k else c[:k].copy()
+    X, Y, Z, FP = cols
+    trace = Trace(X, Y, Z, FP, FP / alpha, objective(X, Z),
+                  "converged" if stop else "iteration-limit", x_final)
+    for c in (X, Y, Z, FP, trace.subgrad_residual, trace.objective):
+        if c is not None:
+            c.flags.writeable = False
+    return trace
+
+
+class _NonFinite(RuntimeError):
+    """A non-finite ``name`` iterate at iteration ``k`` of a run."""
+
+    def __init__(self, name: str, k: int):
+        super().__init__(f"non-finite {name} iterate at iteration {k}")
+        self.name, self.k = name, k
 
 
 def _drs(f: ProxOperator, g: ProxOperator, params: DrsParams, x0: np.ndarray,
@@ -247,8 +255,8 @@ def _drs(f: ProxOperator, g: ProxOperator, params: DrsParams, x0: np.ndarray,
         X, Y, Z, FP = rows.cols
         X[0] = x
         x = X[0]
-    bound = math.sqrt(x @ x)
     with np.errstate(over="ignore", invalid="ignore"):
+        bound = math.sqrt(x @ x)
         for k, lam in enumerate(_relaxations(params)):
             if periodic:
                 key = x.tobytes()
@@ -275,7 +283,7 @@ def _drs(f: ProxOperator, g: ProxOperator, params: DrsParams, x0: np.ndarray,
             if not math.isfinite(fp):
                 for name, w in (("y", y), ("z", z)):
                     if not np.isfinite(w).all():
-                        raise RuntimeError(f"non-finite {name} iterate at iteration {k}")
+                        raise _NonFinite(name, k)
             if rows is not None:
                 Y[k] = y
                 Z[k] = z
@@ -294,7 +302,7 @@ def _drs(f: ProxOperator, g: ProxOperator, params: DrsParams, x0: np.ndarray,
             bound += lam * fp
             if (not bound < 1e300 and not math.isfinite(x @ x)
                     and not np.isfinite(x).all()):
-                raise RuntimeError(f"non-finite x iterate at iteration {k}")
+                raise _NonFinite("x", k)
     return k + 1, x.copy(), y, z, False, 0
 
 
@@ -320,58 +328,59 @@ def drs_run(f: ProxOperator, g: ProxOperator, params: DrsParams, x0: np.ndarray)
     k, x_final, _, _, stop, period = _drs(f, g, params, x0, rows)
     if period:
         k, x_final = params.max_iters, rows.repeat(k, period)
-    return rows.trace(k, params.alpha, lambda X, Z: _objective(f, g, Z, Z), stop, x_final)
+    return _trace(rows.cols, k, params.alpha, lambda X, Z: _objective(f, g, Z, Z), stop, x_final)
 
 
 def admm_run(f_prox: ProxOperator, g_prox: ProxOperator, params: DrsParams, u0: np.ndarray) -> Trace:
-    """Relaxed ADMM on the consensus problem min f(x) + g(z), x - z = 0.
-
-    Updates (scaled dual u, relaxation applied to the x block):
+    """Relaxed ADMM on min f(x) + g(z), x - z = 0, from z = 0 with scaled dual u:
 
         x+ = prox_{af}(z - u);  v = lam x+ + (1 - lam) z;
         z+ = prox_{ag}(v + u);  u+ = u + v - z+.
 
     The trace stores x = x+, y = u (dual), z = z+, with the primal residual
     ||x+ - z+|| in fp_residual and f(x+) + g(z+) in objective.  The run
-    stops once the primal residual and the dual residual ||z+ - z|| / alpha
-    are both <= stop_tol (Boyd, Parikh, Chu, Peleato & Eckstein 2011, sec.
-    3.3).  This is standard relaxed ADMM, equivalent to DRS applied to the
-    dual problem.
+    stops at the first row whose primal residual and dual residual
+    ||z+ - z|| / alpha are both <= stop_tol (Boyd et al. 2011, sec. 3.3).
+    With t = v + u this is ``drs_run(g, f)`` (Eckstein & Bertsekas 1992)
+    from t_0 = lam_0 x_0 + u_0, x_0 = prox_{af}(-u_0), DRS lam_k being ADMM
+    lam_{k+1}: row k is x = DRS z[k-1], u = DRS x[k-1] - DRS y[k-1], z = DRS
+    y[k].  As prox_{ag} is nonexpansive, DRS fp_k bounds row k+1's primal
+    residual by (1 + lam) fp_k and its dual one by lam fp_k / alpha, so DRS
+    runs to stop_tol / max(1 + lam, lam / alpha), lam the largest.  If it
+    stops and no row meets the rule, the row that bound covers is added as
+    converged.  At a stop_tol at rounding level (0 included) rounding decides
+    the stop row, and an added row meets the rule only up to rounding.
     """
-    a = params.alpha
-    tol = params.stop_tol
-    u = np.array(u0, dtype=float)
-    z = np.zeros_like(u)
-    rows = _Rows(params, u.shape)
-    X, Y, Z, FP = rows.cols
-    stop = False
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k, lam in enumerate(_relaxations(params)):
-            xn = f_prox.evaluate(z - u, a)
-            v = lam * xn + (1.0 - lam) * z
-            zn = g_prox.evaluate(v + u, a)
-            d = xn - zn
-            fp = math.sqrt(d @ d)
-            dz = zn - z
-            dual = math.sqrt(dz @ dz) / a
-            un = u + v - zn
-            if not math.isfinite(fp):
-                for name, w in (("x", xn), ("z", zn)):
-                    if not np.isfinite(w).all():
-                        raise RuntimeError(f"non-finite {name} iterate at iteration {k}")
-            if not math.isfinite(un @ un) and not np.isfinite(un).all():
-                raise RuntimeError(f"non-finite u iterate at iteration {k}")
-            if k == len(FP):
-                X, Y, Z, FP = rows.grow(k, min(2 * k, rows.limit))
-            X[k] = xn
-            Y[k] = u
-            Z[k] = zn
-            FP[k] = fp
-            if fp <= tol and dual <= tol:
-                stop = True
-                break
-            z, u = zn, un
-    return rows.trace(k + 1, a, lambda X, Z: _objective(f_prox, g_prox, X, Z), stop, zn)
+    a, tol, limit = params.alpha, params.stop_tol, params.max_iters
+    u0 = np.array(u0, dtype=float)
+    x0 = f_prox.evaluate(-u0, a)
+    if not np.isfinite(x0).all():
+        raise _NonFinite("x", 0)
+    lam = params.lam if np.ndim(params.lam) == 0 else np.asarray(params.lam, dtype=float)[:limit]
+    lams = lam if np.ndim(lam) == 0 else np.append(lam[1:], lam[-1])  # shifted; the pad is unused
+    drs_params = DrsParams(a, lams, limit, tol / max(1.0 + np.max(lam), np.max(lam) / a))
+    try:
+        drs = drs_run(g_prox, f_prox, drs_params, np.ravel(lam)[0] * x0 + u0)
+    except _NonFinite as e:
+        name, k = {"y": ("z", e.k), "z": ("x", e.k + 1), "x": ("u", e.k + 1)}[e.name]
+        raise _NonFinite(name, k) from None
+    n = len(drs)
+    extra = drs.status == "converged" and n < limit  # the row the stop bound covers
+    X, U, Z = np.empty((n + extra,) + u0.shape), np.empty((n + extra,) + u0.shape), drs.y
+    X[0], U[0], X[1:] = x0, u0, drs.z[:n + extra - 1]
+    np.subtract(drs.x[:n + extra - 1], drs.y[:n + extra - 1], out=U[1:])
+    if extra:  # z_n = prox_{ag}(x_n), x_n as _drs computes it (1.0 * d is d, bit for bit)
+        x_n = drs.x[-1] + (drs.z[-1] - drs.y[-1]) * (lam if np.ndim(lam) == 0 else lam[n])
+        Z = np.concatenate((Z, [g_prox.evaluate(x_n, a)]))
+    del drs  # the DRS columns go before the residual passes
+    d = X - Z
+    fp = np.sqrt(np.einsum("ij,ij->i", d, d))
+    d[0] = Z[0]
+    np.subtract(Z[1:], Z[:-1], out=d[1:])
+    met = (fp <= tol) & (np.sqrt(np.einsum("ij,ij->i", d, d)) / a <= tol)
+    k = int(met.argmax()) + 1 if met.any() else len(met)
+    return _trace([X, U, Z, fp], k, a, lambda X, Z: _objective(f_prox, g_prox, X, Z),
+                  bool(met.any()) or extra, Z[k - 1].copy())
 
 
 def lyapunov_series(trace: Trace, case, theta, x_star: np.ndarray,

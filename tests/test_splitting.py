@@ -4,6 +4,7 @@ import csv
 import io
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -357,6 +358,55 @@ def _plain_drs(f, g, params, x0):
                 objective=f.objective(Z) + g.objective(Z), x_final=x), status
 
 
+def _plain_admm(f_prox, g_prox, params, u0):
+    """The relaxed ADMM loop with every iteration computed, as admm_run ran
+    it before it became a change of variables on drs_run: columns x, y = u,
+    z, fp and the objective, x_final and the status."""
+    a = params.alpha
+    tol = params.stop_tol
+    n = params.max_iters
+    lams = [float(params.lam)] * n if np.ndim(params.lam) == 0 else list(params.lam)[:n]
+    u = np.array(u0, dtype=float)
+    z = np.zeros_like(u)
+    X, Y, Z, FP = [], [], [], []
+    status = "iteration-limit"
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, lam in enumerate(lams):
+            xn = f_prox.evaluate(z - u, a)
+            v = lam * xn + (1.0 - lam) * z
+            zn = g_prox.evaluate(v + u, a)
+            d = xn - zn
+            fp = math.sqrt(d @ d)
+            dz = zn - z
+            dual = math.sqrt(dz @ dz) / a
+            un = u + v - zn
+            if not math.isfinite(fp):
+                for name, w in (("x", xn), ("z", zn)):
+                    if not np.isfinite(w).all():
+                        raise RuntimeError(f"non-finite {name} iterate at iteration {k}")
+            if not math.isfinite(un @ un) and not np.isfinite(un).all():
+                raise RuntimeError(f"non-finite u iterate at iteration {k}")
+            X.append(xn), Y.append(u), Z.append(zn), FP.append(fp)
+            if fp <= tol and dual <= tol:
+                status = "converged"
+                break
+            z, u = zn, un
+    X, Z = np.array(X), np.array(Z)
+    return dict(x=X, y=np.array(Y), z=Z, fp_residual=np.array(FP),
+                objective=f_prox.objective(X) + g_prox.objective(Z), x_final=zn), status
+
+
+def _assert_admm_parity(tr, ref, status, alpha):
+    """Same length, status and terminal row as the plain ADMM loop; every
+    column, x_final included, within 1e-12 of the loop's largest entry."""
+    assert (tr.status, len(tr)) == (status, len(ref["x"]))
+    for name, col in ref.items():
+        mine = getattr(tr, name)
+        assert np.abs(mine - col).max() <= 1e-12 * np.abs(col).max(), name
+    assert tr.x_final.tobytes() == tr.z[-1].tobytes()
+    assert tr.subgrad_residual.tobytes() == (tr.fp_residual / alpha).tobytes()
+
+
 def _first_repeat(X):
     """The first k whose row X[k] equals an earlier row byte for byte."""
     seen = set()
@@ -600,6 +650,93 @@ class TestAdmmRun:
         assert tr.x_final[0] == pytest.approx(1.0, abs=1e-9)
         assert abs(tr.z[-1, 0] - tr.z[-2, 0]) <= 1e-10
 
+    ITERS = 1000
+    SCHEDULE = np.random.default_rng(0).uniform(0.5, 1.8, ITERS).tolist()
+
+    @staticmethod
+    def _problems():
+        # LASSO at rank 20 (Case 2) and full rank (Case 3), and basis pursuit
+        yield gen_lasso(ProblemSpec("lasso", 60, 40, rank=20, seed=7))[:2] + (40,)
+        yield gen_lasso(ProblemSpec("lasso", 60, 40, rank=40, seed=7))[:2] + (40,)
+        yield gen_basis_pursuit(ProblemSpec("basis_pursuit", 30, 100, seed=42))[:2] + (100,)
+
+    @pytest.mark.parametrize("lam", [0.6, 1.0, 1.5, 1.7, "schedule"])
+    def test_matches_the_plain_loop(self, lam):
+        lam = self.SCHEDULE if lam == "schedule" else lam
+        statuses = set()
+        for f, g, n in self._problems():
+            for alpha in (0.3, 1.0, 3.0):
+                for tol in (0.0, 1e-8, 1e-12):
+                    params = DrsParams(alpha=alpha, lam=lam, max_iters=self.ITERS, stop_tol=tol)
+                    ref, status = _plain_admm(f, g, params, np.zeros(n))
+                    _assert_admm_parity(admm_run(f, g, params, np.zeros(n)), ref, status, alpha)
+                    statuses.add(status)
+        assert statuses == {"converged", "iteration-limit"}
+
+    def test_cycle_is_replayed(self):
+        # the DRS form of a constant-lambda run cycles at rounding level, as
+        # TestCycleReplay's Case-3 run does, and is replayed from there
+        f, g, fc = gen_lasso(ProblemSpec("lasso", 60, 40, rank=40, seed=7))
+        f, g = Counting(f), Counting(g)
+        params = DrsParams(alpha=1.0, lam=tune(fc, 1.0).lam, max_iters=10_000)
+        tr = admm_run(f, g, params, np.zeros(40))
+        assert f.calls < 10_000 and g.calls < 10_000
+        ref, status = _plain_admm(f.inner, g.inner, params, np.zeros(40))
+        _assert_admm_parity(tr, ref, status, 1.0)
+
+    @pytest.mark.parametrize("case", ["added", "added, schedule", "mapped"])
+    def test_stop_row_mapped_or_added_from_the_bound(self, case):
+        # DRS on (g, f) stops once its fixed-point residual bounds the next
+        # ADMM row's residuals.  On the LASSO runs no mapped row meets the
+        # rule then, and the row the bound covers is added with one more prox
+        # of g, at the relaxation of that row; on basis pursuit an earlier
+        # mapped row meets it, and the trace ends there
+        lasso = gen_lasso(ProblemSpec("lasso", 60, 40, rank=40, seed=7))[:2] + (40,)
+        f, g, n, alpha, lam = {
+            "added": lasso + (0.3, 1.5),
+            "added, schedule": lasso + (1.0, [1.2, 1.7] * 500),
+            "mapped": gen_basis_pursuit(ProblemSpec("basis_pursuit", 30, 100, seed=42))[:2]
+            + (100, 1.0, 1.5),
+        }[case]
+        params = DrsParams(alpha=alpha, lam=lam, max_iters=1000, stop_tol=1e-8)
+        ref, status = _plain_admm(f, g, params, np.zeros(n))
+        g = Counting(g)
+        tr = admm_run(f, g, params, np.zeros(n))
+        _assert_admm_parity(tr, ref, status, alpha)
+        assert status == "converged" and len(tr) < 1000
+        assert (g.calls == len(tr)) == case.startswith("added")
+
+    def test_nonfinite_z_reported_with_admm_iteration(self):
+        # x = -1, z = -0.9e200 at k = 0; at k = 1 the prox of g overflows
+        for run in (_plain_admm, admm_run):
+            with pytest.raises(RuntimeError, match="^non-finite z iterate at iteration 1$"):
+                run(prox_zero(), Exploding(), DrsParams(alpha=1.0, lam=1.9, max_iters=10),
+                    np.array([1.0]))
+
+    def test_nonfinite_first_x_reported_at_iteration_0(self):
+        # x = prox_f(-u0) = -1e400 overflows before the first DRS step
+        for run in (_plain_admm, admm_run):
+            with pytest.raises(RuntimeError, match="^non-finite x iterate at iteration 0$"):
+                run(Exploding(), prox_zero(), DrsParams(alpha=1.0, max_iters=10),
+                    np.array([1e200]))
+
+    def test_memory_above_the_trace_is_two_columns_and_one_matrix_product(self):
+        # basis pursuit, 10^4 rows of n = 100: the DRS x and z columns are
+        # held while the ADMM columns are built, then released; the affine
+        # objective's product is the only other temporary of the trace's length
+        f, g, _ = gen_basis_pursuit(ProblemSpec("basis_pursuit", 30, 100, seed=42))
+        params = DrsParams(alpha=1.0, max_iters=10_000)
+        u0 = np.zeros(100)
+        tracemalloc.start()
+        try:
+            tr = admm_run(f, g, params, u0)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(tr) == 10_000 and tr.status == "iteration-limit"
+        assert held >= tr.x.nbytes + tr.y.nbytes + tr.z.nbytes
+        assert peak - held <= 2 * 10_000 * 100 * 8 + 10_000 * 30 * 8 + (1 << 20)
+
 
 class TestFloatingPointState:
     """Each run sets numpy's floating-point error handling once, for the
@@ -621,6 +758,18 @@ class TestFloatingPointState:
         monkeypatch.setattr(np, "errstate", counting)
         self.RUNS[name](f, g, DrsParams(alpha=1.0, max_iters=200), np.array([3.0, -2.0, 0.1]))
         assert len(entered) == 1
+
+    @pytest.mark.parametrize("name", RUNS)
+    def test_huge_start_warns_nothing(self, name):
+        # ||x0||^2 overflows: the running bound starts at inf, inside errstate
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = self.RUNS[name](prox_zero(), prox_l1(1.0), DrsParams(alpha=1.0, max_iters=5),
+                                  np.array([1e200]))
+        if name == "solve_reference":
+            assert out[0].tolist() == [1e200] and out[2] == 1e200
+        else:
+            assert out.status == "converged"
 
     @pytest.mark.parametrize("name", RUNS)
     def test_settings_restored(self, name):
