@@ -58,32 +58,27 @@ def psd_tol(W: np.ndarray) -> float:
 
 
 def build_W0(alpha: float, lam: float, theta: float) -> np.ndarray:
-    """Case-1 Lyapunov-decrement factor (V with the residual running sum)."""
+    """Case-1 factor: the decrement ``build_Qk(lam, 1)`` plus theta/alpha^2 ||z - y||^2."""
     if not alpha > 0:
         raise ValueError("alpha must be > 0")
-    w = lam ** 2 + theta / alpha ** 2
-    return np.array([
-        [0.0, -lam, lam],
-        [-lam, w, -w],
-        [lam, -w, w],
-    ])
+    W = build_Qk(lam, 1.0)
+    t = theta / alpha ** 2
+    W[1:, 1:] += [[t, -t], [-t, t]]
+    return W
 
 
 def build_W1(alpha: float, lam: float, theta: float, L_f: float) -> np.ndarray:
-    """Case-2 decrement factor (V with the objective-gap running sum)."""
+    """Case-2 factor: the decrement ``build_Qk(lam, 1)`` plus the theta-weighted gap term."""
     if not (0 < L_f < math.inf):
         raise ValueError("Case 2 requires 0 < L_f < inf")
-    l2 = lam ** 2
-    c = theta / 2.0 * (1.0 / alpha - L_f) - l2
-    return np.array([
-        [0.0, -lam, lam],
-        [-lam, theta * L_f / 2.0 + l2, c],
-        [lam, c, theta * (L_f / 2.0 - 1.0 / alpha) + l2],
-    ])
+    W = build_Qk(lam, 1.0)
+    c = theta / 2.0 * (1.0 / alpha - L_f)
+    W[1:, 1:] += [[theta * L_f / 2.0, c], [c, theta * (L_f / 2.0 - 1.0 / alpha)]]
+    return W
 
 
 def build_Qk(lam: float, rho_sq: float) -> np.ndarray:
-    """Case-3 decrement factor for V_{k+1} - rho^2 V_k."""
+    """DRS decrement factor of V_{k+1} - rho^2 V_k: rho^2 in Case 3, 1 in Cases 1-2."""
     l2 = lam ** 2
     return np.array([
         [1.0 - rho_sq, -lam, lam],
@@ -102,8 +97,7 @@ def build_Q1(alpha: float, fc: FunctionClass) -> np.ndarray:
 def build_Q2(alpha: float) -> np.ndarray:
     """Constraint factor of prox_{ag}: the F(0, inf) prox QC acting on (2y - x, z)."""
     C = np.array([[-1.0, 2.0, 0.0], [0.0, 0.0, 1.0]])
-    M = C.T @ prox_qc_matrix(FunctionClass(0.0, math.inf), alpha) @ C
-    return (M + M.T) / 2
+    return C.T @ prox_qc_matrix(FunctionClass(0.0, math.inf), alpha) @ C
 
 
 @dataclass(frozen=True)
@@ -257,10 +251,14 @@ def rate_bound(cert_sequence: Union[Certificate, Sequence[Certificate]],
     """Certified bound at iteration k given feasible per-step certificates.
 
     Case 1: bound on min_i ||df(y_i) + dg(z_i)||^2 = x0_dist_sq / Theta_k.
-    Case 2: bound on min_i [F(z_i) - F*]           = x0_dist_sq / (Theta_k).
-    Case 3: bound on ||x_k - x*||^2                = rho^(2k) * x0_dist_sq.
+    Case 2: bound on min_i [F(z_i) - F*]           = x0_dist_sq / Theta_k.
+    Case 3: bound on ||x_k - x*||^2                = rho_0^2 ... rho_{k-1}^2 x0_dist_sq.
 
-    A single certificate stands for a constant schedule.
+    Certificate i certifies step i, so the steps compose: Theta_k sums the
+    first k thetas, and the Case-3 bound multiplies the first k rates, as
+    rho^(2k) when they are equal.  The certificates must share one regime
+    and one alpha, as x* depends on alpha.  A single certificate stands for
+    a constant schedule.
     """
     if isinstance(cert_sequence, Certificate):
         certs = [cert_sequence] * k
@@ -270,12 +268,17 @@ def rate_bound(cert_sequence: Union[Certificate, Sequence[Certificate]],
             raise ValueError("certificate sequence shorter than k")
     if k < 1:
         raise ValueError("k must be >= 1")
-    if any(not c.feasible for c in certs[:k]):
+    certs = certs[:k]
+    if any(not c.feasible for c in certs):
         raise ValueError("all certificates must be feasible")
-    case = certs[0].case
-    if case is CertCase.CASE3:
-        return certs[0].rho_sq ** k * x0_dist_sq
-    theta_total = sum(c.theta for c in certs[:k])
+    if len({(c.case, c.alpha) for c in certs}) > 1:
+        raise ValueError("the certificates of one run must share one regime and one alpha")
+    if certs[0].case is CertCase.CASE3:
+        rates = [c.rho_sq for c in certs]
+        if len(set(rates)) == 1:
+            return rates[0] ** k * x0_dist_sq
+        return math.prod(rates) * x0_dist_sq
+    theta_total = sum(c.theta for c in certs)
     if theta_total == 0:
         raise ValueError("Theta_k is zero; no rate is certified")
     return x0_dist_sq / theta_total

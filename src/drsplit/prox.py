@@ -154,17 +154,17 @@ class _QuadraticProx(ProxOperator):
         self.b = b
         self._H = A.T @ A
         self._Atb = A.T @ b
-        self._cho_cache = {}  # alpha -> (inverse, offset)
+        self._inverse_cache = {}  # alpha -> (inverse, offset)
         self.function_class = estimate_class_quadratic(A)
 
     def _factor(self, alpha):
-        cached = self._cho_cache.get(alpha)
+        cached = self._inverse_cache.get(alpha)
         if cached is None:
             n = self._H.shape[0]
             # I + a A^T A is positive definite for every a > 0
             S = np.linalg.solve(np.eye(n) + alpha * self._H,
                                 np.column_stack((np.eye(n), self._Atb)))
-            cached = self._cho_cache[alpha] = (S[:, :n], alpha * S[:, n])
+            cached = self._inverse_cache[alpha] = (S[:, :n], alpha * S[:, n])
         return cached
 
     def evaluate(self, v, alpha):

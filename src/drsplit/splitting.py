@@ -201,6 +201,14 @@ def _trace(cols: list, k: int, alpha: float, objective, stop: bool, x_final) -> 
     return trace
 
 
+def _start(name: str, v) -> np.ndarray:
+    """A run's start as a float vector; any other shape is refused by name."""
+    v = np.asarray(v, dtype=float)
+    if v.ndim != 1:
+        raise ValueError(f"{name} must be a 1-D vector, got shape {v.shape}")
+    return v
+
+
 class _NonFinite(RuntimeError):
     """A non-finite ``name`` iterate at iteration ``k`` of a run."""
 
@@ -239,7 +247,8 @@ def _drs(f: ProxOperator, g: ProxOperator, params: DrsParams, x0: np.ndarray,
     non-finite entries only when ||z_k - y_k|| is not finite.  The x iterate
     is scanned only once the running bound B_0 = ||x_0||,
     B_{k+1} = B_k + lam_k ||z_k - y_k||, which bounds ||x_{k+1}|| up to
-    rounding, is not below 1e300: below it, x_{k+1} is finite.
+    rounding, is not below 1e300: below it, x_{k+1} is finite.  Each run
+    calls it inside its one errstate, so overflow and NaN do not warn.
     """
     a = params.alpha
     tol = params.stop_tol
@@ -255,54 +264,53 @@ def _drs(f: ProxOperator, g: ProxOperator, params: DrsParams, x0: np.ndarray,
         X, Y, Z, FP = rows.cols
         X[0] = x
         x = X[0]
-    with np.errstate(over="ignore", invalid="ignore"):
-        bound = math.sqrt(x @ x)
-        for k, lam in enumerate(_relaxations(params)):
-            if periodic:
-                key = x.tobytes()
-                if rows is None:
-                    if key == mark:
-                        return k, x.copy(), y, z, False, k - marked
-                    if k & (k - 1) == 0:
-                        mark, marked = key, k
-                else:
-                    j = seen.setdefault(hash(key), k)
-                    if j != k and X[j].tobytes() == key:
-                        return k, x.copy(), y, z, False, k - j
-            y = f_eval(x, a)
-            if not k and y.shape != x.shape:
-                raise ValueError("dimension mismatch between prox outputs and x0")
-            np.multiply(y, 2.0, out=v)
-            z = g_eval(np.subtract(v, x, out=v), a)
-            if not k and z.shape != x.shape:
-                raise ValueError("dimension mismatch between prox outputs and x0")
-            np.subtract(z, y, out=d)
-            fp = math.sqrt(np.dot(d, d))
-            # a norm is finite whenever its arrays are, so the arrays are
-            # scanned only when one overflows
-            if not math.isfinite(fp):
-                for name, w in (("y", y), ("z", z)):
-                    if not np.isfinite(w).all():
-                        raise _NonFinite(name, k)
-            if rows is not None:
-                Y[k] = y
-                Z[k] = z
-                FP[k] = fp
-            if fp <= tol:
-                return k + 1, x.copy(), y, z, True, 0
-            if lam != 1.0:  # 1.0 * d is d, bit for bit
-                np.multiply(d, lam, out=d)
-            if rows is None or k + 1 == limit:
-                nxt = spare[(k + 1) & 1]
+    bound = math.sqrt(x @ x)
+    for k, lam in enumerate(_relaxations(params)):
+        if periodic:
+            key = x.tobytes()
+            if rows is None:
+                if key == mark:
+                    return k, x.copy(), y, z, False, k - marked
+                if k & (k - 1) == 0:
+                    mark, marked = key, k
             else:
-                if k + 1 == len(X):
-                    X, Y, Z, FP = rows.grow(k + 1, min(2 * (k + 1), limit))
-                nxt = X[k + 1]
-            x = np.add(x, d, out=nxt)
-            bound += lam * fp
-            if (not bound < 1e300 and not math.isfinite(x @ x)
-                    and not np.isfinite(x).all()):
-                raise _NonFinite("x", k)
+                j = seen.setdefault(hash(key), k)
+                if j != k and X[j].tobytes() == key:
+                    return k, x.copy(), y, z, False, k - j
+        y = f_eval(x, a)
+        if not k and y.shape != x.shape:
+            raise ValueError("dimension mismatch between prox outputs and x0")
+        np.multiply(y, 2.0, out=v)
+        z = g_eval(np.subtract(v, x, out=v), a)
+        if not k and z.shape != x.shape:
+            raise ValueError("dimension mismatch between prox outputs and x0")
+        np.subtract(z, y, out=d)
+        fp = math.sqrt(np.dot(d, d))
+        # a norm is finite whenever its arrays are, so the arrays are
+        # scanned only when one overflows
+        if not math.isfinite(fp):
+            for name, w in (("y", y), ("z", z)):
+                if not np.isfinite(w).all():
+                    raise _NonFinite(name, k)
+        if rows is not None:
+            Y[k] = y
+            Z[k] = z
+            FP[k] = fp
+        if fp <= tol:
+            return k + 1, x.copy(), y, z, True, 0
+        if lam != 1.0:  # 1.0 * d is d, bit for bit
+            np.multiply(d, lam, out=d)
+        if rows is None or k + 1 == limit:
+            nxt = spare[(k + 1) & 1]
+        else:
+            if k + 1 == len(X):
+                X, Y, Z, FP = rows.grow(k + 1, min(2 * (k + 1), limit))
+            nxt = X[k + 1]
+        x = np.add(x, d, out=nxt)
+        bound += lam * fp
+        if (not bound < 1e300 and not math.isfinite(x @ x)
+                and not np.isfinite(x).all()):
+            raise _NonFinite("x", k)
     return k + 1, x.copy(), y, z, False, 0
 
 
@@ -312,9 +320,10 @@ def drs_run(f: ProxOperator, g: ProxOperator, params: DrsParams, x0: np.ndarray)
         y_k = prox_{af}(x_k);  z_k = prox_{ag}(2 y_k - x_k);
         x_{k+1} = x_k + lam_k (z_k - y_k).
 
-    Stops when ||z_k - y_k|| <= stop_tol or the iteration cap is reached.
-    Records every iterate; the objective column is F evaluated at z_k when
-    both function values are evaluable, computed once after the run.
+    ``x0`` must be a 1-D vector.  Stops when ||z_k - y_k|| <= stop_tol or
+    the iteration cap is reached.  Records every iterate; the objective
+    column is F evaluated at z_k when both function values are evaluable,
+    computed once after the run, inside the run's one errstate.
 
     With a constant lambda, a run is not iterated past the first k whose
     iterate x_k repeats an earlier x_{k-p} exactly (as runs at rounding level
@@ -323,12 +332,20 @@ def drs_run(f: ProxOperator, g: ProxOperator, params: DrsParams, x0: np.ndarray)
     "iteration-limit".  Every value is the one the full loop would compute,
     as each prox is a deterministic function of its arguments.
     """
-    x0 = np.asarray(x0, dtype=float)
+    x0 = _start("x0", x0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _drs_trace(f, g, params, x0, lambda X, Z: _objective(f, g, Z, Z))
+
+
+def _drs_trace(f: ProxOperator, g: ProxOperator, params: DrsParams, x0: np.ndarray,
+               objective) -> Trace:
+    """The recorded DRS run behind ``drs_run`` and ``admm_run``, cycles
+    replayed, with ``objective(X, Z)`` as its objective column."""
     rows = _Rows(params, x0.shape)
     k, x_final, _, _, stop, period = _drs(f, g, params, x0, rows)
     if period:
         k, x_final = params.max_iters, rows.repeat(k, period)
-    return _trace(rows.cols, k, params.alpha, lambda X, Z: _objective(f, g, Z, Z), stop, x_final)
+    return _trace(rows.cols, k, params.alpha, objective, stop, x_final)
 
 
 def admm_run(f_prox: ProxOperator, g_prox: ProxOperator, params: DrsParams, u0: np.ndarray) -> Trace:
@@ -350,9 +367,11 @@ def admm_run(f_prox: ProxOperator, g_prox: ProxOperator, params: DrsParams, u0: 
     stops and no row meets the rule, the row that bound covers is added as
     converged.  At a stop_tol at rounding level (0 included) rounding decides
     the stop row, and an added row meets the rule only up to rounding.
+    ``u0`` must be a 1-D vector; t_0 is computed inside the run's one
+    errstate, so an overflowing lam_0 x_0 is reported by DRS, not warned.
     """
     a, tol, limit = params.alpha, params.stop_tol, params.max_iters
-    u0 = np.array(u0, dtype=float)
+    u0 = _start("u0", u0)
     x0 = f_prox.evaluate(-u0, a)
     if not np.isfinite(x0).all():
         raise _NonFinite("x", 0)
@@ -360,7 +379,9 @@ def admm_run(f_prox: ProxOperator, g_prox: ProxOperator, params: DrsParams, u0: 
     lams = lam if np.ndim(lam) == 0 else np.append(lam[1:], lam[-1])  # shifted; the pad is unused
     drs_params = DrsParams(a, lams, limit, tol / max(1.0 + np.max(lam), np.max(lam) / a))
     try:
-        drs = drs_run(g_prox, f_prox, drs_params, np.ravel(lam)[0] * x0 + u0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            drs = _drs_trace(g_prox, f_prox, drs_params, np.ravel(lam)[0] * x0 + u0,
+                             lambda X, Z: None)
     except _NonFinite as e:
         name, k = {"y": ("z", e.k), "z": ("x", e.k + 1), "x": ("u", e.k + 1)}[e.name]
         raise _NonFinite(name, k) from None
@@ -432,18 +453,20 @@ def lyapunov_series(trace: Trace, case, theta, x_star: np.ndarray,
 def solve_reference(f: ProxOperator, g: ProxOperator, params: DrsParams, x0: np.ndarray):
     """High-precision fixed point: (x*, y*, F*) with ||z - y|| <= 1e-12.
 
-    Reruns the iteration with a tight tolerance and a large iteration cap,
-    keeping only the current iterate, so memory is O(n) however many
-    iterations it takes; the terminal y (equal to z within tolerance) is the
-    minimizer and F* is the objective there.  Raises RuntimeError when the
-    cap is reached, or as soon as the iterates repeat exactly (their
-    rounding floor lies above the tolerance, which they can then never
-    reach), naming the period and the iteration it was found from.
+    Reruns the iteration from the 1-D vector x0 with a tight tolerance and a
+    large iteration cap, keeping only the current iterate, so memory is O(n)
+    however many iterations it takes; the terminal y (equal to z within
+    tolerance) is the minimizer and F* is the objective there.  Raises
+    RuntimeError when the cap is reached, or as soon as the iterates repeat
+    exactly (their rounding floor lies above the tolerance, which they can
+    then never reach), naming the period and the iteration it was found from.
     """
     cap = max(params.max_iters, 2_000_000)
     ref = DrsParams(alpha=params.alpha, lam=params.lam if np.ndim(params.lam) == 0 else 1.0,
                     max_iters=cap, stop_tol=1e-12)
-    k, x_final, y, z, stop, period = _drs(f, g, ref, x0, None)
+    x0 = _start("x0", x0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        k, x_final, y, z, stop, period = _drs(f, g, ref, x0, None)
     if period:
         raise RuntimeError(
             "reference solve did not reach ||z - y|| <= 1e-12: the iterates "

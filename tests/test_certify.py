@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -87,6 +88,68 @@ class TestBuilders:
                 lhs = prox_qc_matrix(FunctionClass(m / c, L / c), c * 1.3)
                 rhs = c * prox_qc_matrix(FunctionClass(m, L), 1.3)
                 assert np.allclose(lhs, rhs, rtol=1e-13)
+
+
+def _literal_W0(alpha: float, lam: float, theta: float) -> np.ndarray:
+    """build_W0 with its decrement and residual term written out entrywise."""
+    if not alpha > 0:
+        raise ValueError("alpha must be > 0")
+    w = lam ** 2 + theta / alpha ** 2
+    return np.array([
+        [0.0, -lam, lam],
+        [-lam, w, -w],
+        [lam, -w, w],
+    ])
+
+
+def _literal_W1(alpha: float, lam: float, theta: float, L_f: float) -> np.ndarray:
+    """build_W1 with its decrement and gap term written out entrywise."""
+    if not (0 < L_f < math.inf):
+        raise ValueError("Case 2 requires 0 < L_f < inf")
+    l2 = lam ** 2
+    c = theta / 2.0 * (1.0 / alpha - L_f) - l2
+    return np.array([
+        [0.0, -lam, lam],
+        [-lam, theta * L_f / 2.0 + l2, c],
+        [lam, c, theta * (L_f / 2.0 - 1.0 / alpha) + l2],
+    ])
+
+
+def _literal_Q2(alpha: float) -> np.ndarray:
+    """build_Q2 with the congruence product symmetrized by averaging."""
+    C = np.array([[-1.0, 2.0, 0.0], [0.0, 0.0, 1.0]])
+    M = C.T @ prox_qc_matrix(FunctionClass(0.0, math.inf), alpha) @ C
+    return (M + M.T) / 2
+
+
+def _builder_tuples():
+    """(alpha, lam, theta, L) on a grid with zeros and extreme magnitudes,
+    then 20,000 seeded log-uniform draws over the same ranges."""
+    yield from itertools.product(
+        (1e-6, 0.3, 1.0, 7.0, 1e6),
+        (0.0, 1e-300, 1e-12, 0.3, 1.0, 1.9, 2.0, 3.0, 1e6, 1e150),
+        (0.0, 1e-300, 1e-12, 0.3, 1.0, 1.9, 2.0, 3.0, 1e6, 1e150),
+        (1e-10, 0.5, 4.0, 1e8))
+    lo, hi = np.log10([1e-6, 1e-300, 1e-300, 1e-10]), np.log10([1e6, 1e150, 1e150, 1e8])
+    rng = np.random.default_rng(15)
+    yield from (10.0 ** rng.uniform(lo, hi, size=(20_000, 4))).tolist()
+
+
+class TestBuildersBitwise:
+    """build_W0 and build_W1 are build_Qk(lam, 1) plus their theta-term, and
+    build_Q2 is the bare congruence product, with the bits of the entrywise
+    literals: each entry is the same sum in the other order, or its negation,
+    and C^T P C is exactly symmetric, as each column of C has one nonzero."""
+
+    def test_factors_bitwise_equal_to_literals(self):
+        n = 0
+        for alpha, lam, theta, L in _builder_tuples():
+            assert build_W0(alpha, lam, theta).tobytes() == _literal_W0(alpha, lam, theta).tobytes()
+            assert (build_W1(alpha, lam, theta, L).tobytes()
+                    == _literal_W1(alpha, lam, theta, L).tobytes())
+            assert build_Q2(alpha).tobytes() == _literal_Q2(alpha).tobytes()
+            n += 1
+        assert n == 2_000 + 20_000
 
 
 @pytest.fixture(scope="module")
@@ -522,6 +585,46 @@ class TestRateBound:
         assert not cert.feasible
         with pytest.raises(ValueError):
             rate_bound(cert, 2, 1.0)
+
+    def test_case3_sequence_multiplies_its_rates(self):
+        from drsplit import optimize_rate
+        fc = FunctionClass(1.0, 10.0)
+        a, b = optimize_rate(1.0, fc), optimize_rate(1.0, fc, lam_fixed=1.0)
+        assert a.rho_sq < b.rho_sq
+        assert rate_bound([b, a, a], 2, 3.0) == b.rho_sq * a.rho_sq * 3.0
+        assert rate_bound([a, b], 2, 3.0) == a.rho_sq * b.rho_sq * 3.0
+        assert rate_bound([a, b, b], 3, 1.0) == a.rho_sq * b.rho_sq * b.rho_sq
+
+    def test_constant_schedule_is_rho_to_the_k(self):
+        from drsplit import optimize_rate
+        cert = optimize_rate(1.0, FunctionClass(1.0, 10.0))
+        assert rate_bound(cert, 7, 2.0) == cert.rho_sq ** 7 * 2.0
+        assert rate_bound([cert] * 7, 7, 2.0) == cert.rho_sq ** 7 * 2.0
+        sigma, theta = analytic_params_case1(1.0, 1.5)
+        c1 = make_certificate(CertCase.CASE1, F0INF, 1.0, 1.5,
+                              sigma1=sigma, sigma2=sigma, theta=theta)
+        assert rate_bound(c1, 3, 2.0) == 2.0 / (theta + theta + theta)
+
+    def test_steps_of_different_alphas_refused(self):
+        # x* depends on alpha, so these steps are not one run; the first
+        # step's rate alone gave 0.084 here, below what they certify
+        from drsplit import optimize_rate
+        a = optimize_rate(1.0, FunctionClass(1.0, 10.0))
+        b = optimize_rate(0.3, FunctionClass(1.0, 10.0))
+        with pytest.raises(ValueError, match="one regime and one alpha"):
+            rate_bound([b, a], 2, 1.0)
+        c1, c2 = tune(F0INF, 1.0), tune(F0INF, 2.0)
+        with pytest.raises(ValueError, match="one regime and one alpha"):
+            rate_bound([c1, c2], 2, 1.0)
+        assert rate_bound([c1, c2], 1, 1.0) == 1.0 / c1.theta
+
+    def test_mixed_regimes_refused(self):
+        from drsplit import optimize_rate
+        a = optimize_rate(1.0, FunctionClass(1.0, 10.0))
+        c1 = tune(F0INF, 1.0)
+        for seq in ([a, c1], [c1, a]):
+            with pytest.raises(ValueError, match="one regime and one alpha"):
+                rate_bound(seq, 2, 1.0)
 
 
 class TestKronQuadraticForm:

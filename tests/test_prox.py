@@ -115,9 +115,9 @@ class TestQuadraticProx:
         op = prox_quadratic(rng.standard_normal((5, 4)), rng.standard_normal(5))
         for _ in range(10):
             op.evaluate(rng.standard_normal(4), 0.5)
-        assert len(op._cho_cache) == 1
+        assert len(op._inverse_cache) == 1
         op.evaluate(rng.standard_normal(4), 1.5)
-        assert len(op._cho_cache) == 2
+        assert len(op._inverse_cache) == 2
 
     def test_deterministic(self):
         rng = np.random.default_rng(2)

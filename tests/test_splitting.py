@@ -3,6 +3,7 @@
 import csv
 import io
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -720,6 +721,15 @@ class TestAdmmRun:
                 run(Exploding(), prox_zero(), DrsParams(alpha=1.0, max_iters=10),
                     np.array([1e200]))
 
+    def test_overflowing_start_reported_without_a_warning(self):
+        # x_0 = prox_f(-u0) = 1e308 is finite, but t_0 = 1.9 x_0 + u0 overflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for run in (_plain_admm, admm_run):
+                with pytest.raises(RuntimeError, match="^non-finite z iterate at iteration 0$"):
+                    run(Exploding(), prox_zero(), DrsParams(alpha=1.0, lam=1.9, max_iters=5),
+                        np.array([-1e108]))
+
     def test_memory_above_the_trace_is_two_columns_and_one_matrix_product(self):
         # basis pursuit, 10^4 rows of n = 100: the DRS x and z columns are
         # held while the ADMM columns are built, then released; the affine
@@ -781,6 +791,28 @@ class TestFloatingPointState:
             self.RUNS[name](Exploding(), prox_zero(), DrsParams(alpha=1.0, max_iters=10),
                             np.array([1.0]))
         assert np.geterr() == before
+
+
+class TestStartIsAVector:
+    """Each run refuses a start that is not 1-D, naming it and its shape."""
+
+    RUNS = {"drs_run": ("x0", drs_run), "admm_run": ("u0", admm_run),
+            "solve_reference": ("x0", solve_reference)}
+
+    @pytest.mark.parametrize("name", RUNS)
+    @pytest.mark.parametrize("shape", [(), (2, 2), (3, 1), (1, 3)])
+    def test_non_vector_start_refused(self, name, shape):
+        arg, run = self.RUNS[name]
+        message = re.escape(f"{arg} must be a 1-D vector, got shape {shape}")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            run(prox_zero(), prox_l1(1.0), DrsParams(alpha=1.0, max_iters=5), np.ones(shape))
+
+    @pytest.mark.parametrize("name", RUNS)
+    def test_list_start_accepted(self, name):
+        out = self.RUNS[name][1](prox_zero(), prox_l1(1.0), DrsParams(alpha=1.0, max_iters=50),
+                                 [3.0, -0.5])
+        x = out[0] if name == "solve_reference" else out.x_final
+        assert x.shape == (2,)
 
 
 class TestLyapunovSeries:

@@ -1,13 +1,16 @@
-"""One sha256 over every DRS output the certified_run benchmark depends on.
+"""One sha256 over every DRS, ADMM and certificate output on the benchmark's pools.
 
 For each seed, the benchmark's certified_run problem pools (Cases 1-3, built
 by ``perfbench/workloads.py``, which this script imports and does not change)
 are run through the paper's workflow at the tuned relaxation parameter:
 
-  * ``drs_run`` for 10^4 iterations at stop_tol 0 and at 1e-10: every Trace
-    column, x_final and the status;
+  * the certificate ``certify.tune`` returns: lambda, sigma1, sigma2, theta,
+    rho^2, the witness bytes, max_eig and feasible;
+  * ``drs_run`` and ``admm_run`` (from u0 = 0) for 10^4 iterations at
+    stop_tol 0 and at 1e-10: every Trace column, x_final and the status, or
+    the run's error message;
   * ``solve_reference``: (x*, y*, F*), or its error message;
-  * the trace CSV of the stop_tol 0 run with its Lyapunov values, as bytes.
+  * the trace CSV of the stop_tol 0 DRS run with its Lyapunov values, as bytes.
 
 Two checkouts whose library gives the same bits print the same digest.
 
@@ -57,19 +60,38 @@ def _array(h, name: str, a):
     h.update(a.tobytes())
 
 
+def _certificate(h, cert):
+    """Feed a certificate's parameters, witness and check into ``h``."""
+    h.update(f"cert case={cert.case.value} lam={cert.lam!r} sigma1={cert.sigma1!r} "
+             f"sigma2={cert.sigma2!r} theta={cert.theta!r} rho_sq={cert.rho_sq!r} "
+             f"max_eig={cert.max_eig!r} feasible={cert.feasible};".encode())
+    _array(h, "witness", cert.witness)
+
+
+def _run(h, label: str, run, f, g, params, start):
+    """Feed one run's columns, x_final and status, or its error, into ``h``."""
+    try:
+        tr = run(f, g, params, start)
+    except RuntimeError as exc:
+        h.update(f"{label} tol={params.stop_tol!r} error: {exc};".encode())
+        return None
+    h.update(f"{label} tol={params.stop_tol!r} status={tr.status} len={len(tr)};".encode())
+    for name in COLUMNS:
+        _array(h, name, getattr(tr, name))
+    return tr
+
+
 def digest_problem(h, f, g, fc, out_dir: str):
-    """Feed one problem's runs, reference solve and trace CSV into ``h``."""
+    """Feed one problem's certificate, runs, reference solve and trace CSV into ``h``."""
     cert = certify.tune(fc, ALPHA)
+    _certificate(h, cert)
     x0 = np.zeros(f.A.shape[1])
     traces = []
     for tol in STOP_TOLS:
         params = splitting.DrsParams(alpha=ALPHA, lam=cert.lam,
                                      max_iters=workloads.TRAJECTORY_ITERS, stop_tol=tol)
-        tr = splitting.drs_run(f, g, params, x0)
-        h.update(f"run tol={tol!r} status={tr.status} len={len(tr)};".encode())
-        for name in COLUMNS:
-            _array(h, name, getattr(tr, name))
-        traces.append((params, tr))
+        traces.append((params, _run(h, "run", splitting.drs_run, f, g, params, x0)))
+        _run(h, "admm", splitting.admm_run, f, g, params, x0)
     params, trace = traces[0]
     try:
         x_star, y_star, F_star = splitting.solve_reference(f, g, params, x0)
@@ -79,6 +101,8 @@ def digest_problem(h, f, g, fc, out_dir: str):
     _array(h, "x_star", x_star)
     _array(h, "y_star", y_star)
     h.update(f"F_star={F_star!r};".encode())
+    if trace is None:
+        return
     V = splitting.lyapunov_series(trace, cert.case, cert.theta, x_star, F_star=F_star)
     path = os.path.join(out_dir, "trace.csv")
     splitting.write_trace_csv(trace, path, lyapunov=V)
