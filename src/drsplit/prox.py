@@ -140,9 +140,10 @@ class _AffineProjection(ProxOperator):
 class _QuadraticProx(ProxOperator):
     """Prox of 0.5 * ||Ax - b||^2: y = (I + a A^T A)^-1 (v + a A^T b).
 
-    The inverse and the offset a (I + a A^T A)^-1 A^T b are computed once per
-    distinct alpha and cached, so each call is one matrix-vector product; the
-    solver keeps alpha constant, so one entry is made per run.
+    The inverse and the offset a (I + a A^T A)^-1 A^T b are computed for the
+    last alpha seen and kept, so each call is one matrix-vector product; the
+    solver keeps alpha constant, so each run factors once.  A new alpha
+    replaces them, so one factor is held however many alphas are used.
     """
 
     def __init__(self, A: np.ndarray, b: np.ndarray):
@@ -154,18 +155,18 @@ class _QuadraticProx(ProxOperator):
         self.b = b
         self._H = A.T @ A
         self._Atb = A.T @ b
-        self._inverse_cache = {}  # alpha -> (inverse, offset)
+        self._inverse_cache = None  # (alpha, (inverse, offset)) of the last alpha
         self.function_class = estimate_class_quadratic(A)
 
     def _factor(self, alpha):
-        cached = self._inverse_cache.get(alpha)
-        if cached is None:
+        cached = self._inverse_cache
+        if cached is None or cached[0] != alpha:
             n = self._H.shape[0]
             # I + a A^T A is positive definite for every a > 0
             S = np.linalg.solve(np.eye(n) + alpha * self._H,
                                 np.column_stack((np.eye(n), self._Atb)))
-            cached = self._inverse_cache[alpha] = (S[:, :n], alpha * S[:, n])
-        return cached
+            cached = self._inverse_cache = (alpha, (S[:, :n], alpha * S[:, n]))
+        return cached[1]
 
     def evaluate(self, v, alpha):
         inverse, offset = self._factor(alpha)

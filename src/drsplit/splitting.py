@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Optional, Union
@@ -35,8 +36,8 @@ class DrsParams:
     """Step size, relaxation schedule, iteration cap, and stopping tolerance.
 
     ``lam`` is either a constant relaxation parameter (any value with
-    ``np.ndim(lam) == 0``, a 0-d array included) or an explicit per-iteration
-    sequence covering at least ``max_iters`` entries.
+    ``np.ndim(lam) == 0``, a 0-d array included) or an explicit 1-D
+    per-iteration sequence with at least ``max_iters`` (an integer) entries.
     """
 
     alpha: float
@@ -47,15 +48,17 @@ class DrsParams:
     def __post_init__(self):
         if not self.alpha > 0:
             raise ValueError(f"alpha must be > 0, got {self.alpha}")
-        if self.max_iters < 1:
+        if operator.index(self.max_iters) < 1:
             raise ValueError("max_iters must be >= 1")
-        if self.stop_tol < 0:
-            raise ValueError("stop_tol must be >= 0")
+        if not self.stop_tol >= 0:
+            raise ValueError(f"stop_tol must be >= 0, got {self.stop_tol}")
         if np.ndim(self.lam) == 0:
             if not self.lam > 0:
                 raise ValueError(f"relaxation parameter must be > 0, got {self.lam}")
         else:
             seq = np.asarray(self.lam, dtype=float)
+            if seq.ndim != 1:
+                raise ValueError(f"relaxation sequence must be 1-D, got shape {seq.shape}")
             if len(seq) < self.max_iters:
                 raise ValueError("relaxation sequence shorter than max_iters")
             if not np.all(seq > 0):
@@ -150,24 +153,25 @@ _CSV_ROWS = 4096  # trace CSV rows formatted and written per block
 
 
 class _Rows:
-    """Preallocated rows x_k, y_k, z_k and fp_k of one run.
+    """Rows of one run: x_0 .. x_cap in a (cap + 1, n) column, so that x_{k+1}
+    has a row whenever iteration k runs, and y_k, z_k and fp_k for k < cap.
 
-    Holds max_iters rows when the run cannot stop early (stop_tol == 0), else
-    a capacity that doubles as needed and is trimmed at the end, so memory
-    follows the iterations actually run.
+    cap is max_iters when the run cannot stop early (stop_tol == 0), else
+    _FIRST_ROWS, doubled as needed up to max_iters.  ``resize`` grows and
+    trims the columns in place with ``ndarray.resize``, a realloc that frees
+    the old buffer: no view of a column may outlive a resize.
     """
 
-    def __init__(self, params: DrsParams, shape):
+    def __init__(self, params: DrsParams, n: int):
         self.limit = params.max_iters
         cap = self.limit if params.stop_tol == 0 else min(self.limit, _FIRST_ROWS)
-        self.cols = [np.empty((cap,) + shape) for _ in range(3)] + [np.empty(cap)]
+        self.cols = [np.empty((cap + 1, n)), np.empty((cap, n)), np.empty((cap, n)),
+                     np.empty(cap)]
 
-    def grow(self, k, cap):
-        """Reallocate to ``cap`` rows, keeping the first k; return the columns."""
-        for i, c in enumerate(self.cols):
-            self.cols[i] = np.empty((cap,) + c.shape[1:])
-            self.cols[i][:k] = c[:k]
-        return self.cols
+    def resize(self, cap):
+        """Change cap in place, keeping the rows both sizes hold."""
+        for c, rows in zip(self.cols, (cap + 1, cap, cap, cap)):
+            c.resize((rows,) + c.shape[1:], refcheck=False)
 
     def repeat(self, k: int, p: int) -> np.ndarray:
         """Fill rows k .. limit-1 with rows k-p .. k-1 repeated, for a run
@@ -175,8 +179,7 @@ class _Rows:
 
         Doubling slice copies, so no temporary of the filled size is made.
         """
-        if len(self.cols[3]) < self.limit:
-            self.grow(k, self.limit)
+        self.resize(self.limit)
         cols = self.cols
         start, end = k - p, k
         while end < self.limit:
@@ -187,12 +190,8 @@ class _Rows:
         return cols[0][start + (self.limit - k) % p].copy()
 
 
-def _trace(cols: list, k: int, alpha: float, objective, stop: bool, x_final) -> Trace:
-    """Read-only Trace of the first k rows of the list [X, Y, Z, FP], trimmed in
-    place; ``objective(X, Z)`` runs once the oversized buffers are freed."""
-    for i, c in enumerate(cols):
-        cols[i] = c if len(c) == k else c[:k].copy()
-    X, Y, Z, FP = cols
+def _trace(X, Y, Z, FP, alpha: float, objective, stop: bool, x_final) -> Trace:
+    """Read-only Trace of the columns; ``objective(X, Z)`` runs on them."""
     trace = Trace(X, Y, Z, FP, FP / alpha, objective(X, Z),
                   "converged" if stop else "iteration-limit", x_final)
     for c in (X, Y, Z, FP, trace.subgrad_residual, trace.objective):
@@ -238,9 +237,9 @@ def _drs(f: ProxOperator, g: ProxOperator, params: DrsParams, x0: np.ndarray,
     start and p.
 
     Each iterate is written once: x_{k+1} = x_k + lam_k (z_k - y_k) goes
-    straight into row k + 1, which x_{k+1} then is a view of, or, past the
-    last row or without rows, into one of two vectors used in turn.  2 y_k -
-    x_k and z_k - y_k are computed into two work vectors that every
+    straight into row k + 1, which x_{k+1} then is a view of (re-taken after
+    the rows grow), or, without rows, into one of two vectors used in turn.
+    2 y_k - x_k and z_k - y_k are computed into two work vectors that every
     iteration reuses; rows y_k and z_k are copied from the prox outputs.
 
     Shapes are checked at iteration 0.  The y and z iterates are scanned for
@@ -252,13 +251,12 @@ def _drs(f: ProxOperator, g: ProxOperator, params: DrsParams, x0: np.ndarray,
     """
     a = params.alpha
     tol = params.stop_tol
-    limit = params.max_iters
     f_eval, g_eval = f.evaluate, g.evaluate
     periodic = np.ndim(params.lam) == 0
     mark, marked = None, 0  # Brent's mark, without rows
     seen = {}  # hash of x_j's bytes -> j, with rows
     x = np.array(x0, dtype=float)
-    spare = (x, np.empty_like(x))  # x_{k+1} without a row: spare[(k + 1) % 2]
+    spare = (x, np.empty_like(x))  # x_{k+1} without rows: spare[(k + 1) % 2]
     v, d = np.empty_like(x), np.empty_like(x)  # 2 y_k - x_k; lam_k (z_k - y_k)
     if rows is not None:
         X, Y, Z, FP = rows.cols
@@ -266,6 +264,9 @@ def _drs(f: ProxOperator, g: ProxOperator, params: DrsParams, x0: np.ndarray,
         x = X[0]
     bound = math.sqrt(x @ x)
     for k, lam in enumerate(_relaxations(params)):
+        if rows is not None and k == len(FP):
+            rows.resize(min(2 * k, rows.limit))
+            x = X[k]
         if periodic:
             key = x.tobytes()
             if rows is None:
@@ -300,12 +301,7 @@ def _drs(f: ProxOperator, g: ProxOperator, params: DrsParams, x0: np.ndarray,
             return k + 1, x.copy(), y, z, True, 0
         if lam != 1.0:  # 1.0 * d is d, bit for bit
             np.multiply(d, lam, out=d)
-        if rows is None or k + 1 == limit:
-            nxt = spare[(k + 1) & 1]
-        else:
-            if k + 1 == len(X):
-                X, Y, Z, FP = rows.grow(k + 1, min(2 * (k + 1), limit))
-            nxt = X[k + 1]
+        nxt = spare[(k + 1) & 1] if rows is None else X[k + 1]
         x = np.add(x, d, out=nxt)
         bound += lam * fp
         if (not bound < 1e300 and not math.isfinite(x @ x)
@@ -341,11 +337,14 @@ def _drs_trace(f: ProxOperator, g: ProxOperator, params: DrsParams, x0: np.ndarr
                objective) -> Trace:
     """The recorded DRS run behind ``drs_run`` and ``admm_run``, cycles
     replayed, with ``objective(X, Z)`` as its objective column."""
-    rows = _Rows(params, x0.shape)
+    rows = _Rows(params, len(x0))
     k, x_final, _, _, stop, period = _drs(f, g, params, x0, rows)
     if period:
         k, x_final = params.max_iters, rows.repeat(k, period)
-    return _trace(rows.cols, k, params.alpha, objective, stop, x_final)
+    rows.resize(k)
+    X, Y, Z, FP = rows.cols
+    # x keeps its extra row behind a view: a one-row trim fragments the heap
+    return _trace(X[:k], Y, Z, FP, params.alpha, objective, stop, x_final)
 
 
 def admm_run(f_prox: ProxOperator, g_prox: ProxOperator, params: DrsParams, u0: np.ndarray) -> Trace:
@@ -387,7 +386,7 @@ def admm_run(f_prox: ProxOperator, g_prox: ProxOperator, params: DrsParams, u0: 
         raise _NonFinite(name, k) from None
     n = len(drs)
     extra = drs.status == "converged" and n < limit  # the row the stop bound covers
-    X, U, Z = np.empty((n + extra,) + u0.shape), np.empty((n + extra,) + u0.shape), drs.y
+    X, U, Z = np.empty((n + extra, len(u0))), np.empty((n + extra, len(u0))), drs.y
     X[0], U[0], X[1:] = x0, u0, drs.z[:n + extra - 1]
     np.subtract(drs.x[:n + extra - 1], drs.y[:n + extra - 1], out=U[1:])
     if extra:  # z_n = prox_{ag}(x_n), x_n as _drs computes it (1.0 * d is d, bit for bit)
@@ -400,7 +399,9 @@ def admm_run(f_prox: ProxOperator, g_prox: ProxOperator, params: DrsParams, u0: 
     np.subtract(Z[1:], Z[:-1], out=d[1:])
     met = (fp <= tol) & (np.sqrt(np.einsum("ij,ij->i", d, d)) / a <= tol)
     k = int(met.argmax()) + 1 if met.any() else len(met)
-    return _trace([X, U, Z, fp], k, a, lambda X, Z: _objective(f_prox, g_prox, X, Z),
+    for c in (X, U, Z, fp):
+        c.resize((k,) + c.shape[1:], refcheck=False)
+    return _trace(X, U, Z, fp, a, lambda X, Z: _objective(f_prox, g_prox, X, Z),
                   bool(met.any()) or extra, Z[k - 1].copy())
 
 
@@ -420,16 +421,15 @@ def lyapunov_series(trace: Trace, case, theta, x_star: np.ndarray,
 
     case = CertCase(case)
     n = len(trace)
-    X = trace.x.reshape(n, -1)
     xs = np.asarray(x_star, dtype=float).reshape(-1)
-    if xs.size != X.shape[1]:
-        raise ValueError(f"x_star has {xs.size} entries but the iterates have {X.shape[1]}")
+    if xs.size != trace.x.shape[1]:
+        raise ValueError(f"x_star has {xs.size} entries but the iterates have {trace.x.shape[1]}")
 
     def fill(rows, out):
         np.subtract(rows, xs, out=out)
         np.square(out, out=out)
 
-    dist = _row_sums(X, fill)
+    dist = _row_sums(trace.x, fill)
     if case is CertCase.CASE3:
         return dist
     if np.ndim(theta) == 0:

@@ -292,6 +292,14 @@ class TestCliErrors:
                    "--out", str(tmp_path / "x.csv")])
         assert rc == 2
 
+    def test_nan_tolerance_is_input_error(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        rc = main(["--mode", "solve", "--problem", "basis_pursuit",
+                   "--rows", "4", "--cols", "9", "--tol", "nan", "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: stop_tol must be >= 0, got nan\n"
+        assert not out.exists()
+
     def test_unwritable_output(self):
         rc = main(["--mode", "solve", "--problem", "basis_pursuit",
                    "--rows", "4", "--cols", "9", "--max-iters", "10",

@@ -1,6 +1,7 @@
 """Closed-form proximal operators and the subgradients they imply."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -113,11 +114,32 @@ class TestQuadraticProx:
     def test_factorization_cached_per_alpha(self):
         rng = np.random.default_rng(1)
         op = prox_quadratic(rng.standard_normal((5, 4)), rng.standard_normal(5))
+        v = rng.standard_normal(4)
+        first = op.evaluate(v, 0.5)
+        cached = op._inverse_cache
         for _ in range(10):
             op.evaluate(rng.standard_normal(4), 0.5)
-        assert len(op._inverse_cache) == 1
+        assert op._inverse_cache is cached
         op.evaluate(rng.standard_normal(4), 1.5)
-        assert len(op._inverse_cache) == 2
+        assert op._inverse_cache[0] == 1.5  # the second alpha replaces the first
+        assert op.evaluate(v, 0.5).tobytes() == first.tobytes()
+        assert op._inverse_cache[0] == 0.5
+
+    def test_many_alphas_hold_one_factor(self):
+        # one 300 x 300 factor is 0.69 MiB; a factor per alpha held 40 of them
+        n = 300
+        rng = np.random.default_rng(3)
+        op = prox_quadratic(rng.standard_normal((n, n)), rng.standard_normal(n))
+        v = rng.standard_normal(n)
+        tracemalloc.start()
+        try:
+            for alpha in np.linspace(0.1, 4.0, 40):
+                op.evaluate(v, alpha)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        factor = n * (n + 1) * 8
+        assert factor <= held < 2 * factor
 
     def test_deterministic(self):
         rng = np.random.default_rng(2)

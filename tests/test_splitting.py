@@ -50,6 +50,19 @@ class BoxClip(ProxOperator):
         return np.clip(v, -1.0, 1.0)
 
 
+class Aliasing(ProxOperator):
+    """Prox of f = 0 that returns its argument itself, not a copy."""
+
+    def __init__(self):
+        self.function_class = FunctionClass(0.0, math.inf)
+
+    def evaluate(self, v, alpha):
+        return v
+
+    def objective(self, x):
+        return np.zeros(np.shape(x)[:-1])[()]
+
+
 class TestDrsParams:
     def test_valid(self):
         p = DrsParams(alpha=0.5, lam=1.2, max_iters=10, stop_tol=1e-8)
@@ -78,6 +91,20 @@ class TestDrsParams:
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):
             DrsParams(**kwargs)
+
+    def test_max_iters_must_be_an_integer(self):
+        assert DrsParams(alpha=1.0, max_iters=np.int64(10)).max_iters == 10
+        with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
+            DrsParams(alpha=1.0, max_iters=10.0)
+
+    def test_nan_stop_tol_refused(self):
+        with pytest.raises(ValueError, match="^stop_tol must be >= 0, got nan$"):
+            DrsParams(alpha=1.0, stop_tol=math.nan)
+
+    def test_schedule_must_be_a_vector(self):
+        with pytest.raises(ValueError,
+                           match=r"^relaxation sequence must be 1-D, got shape \(5, 3\)$"):
+            DrsParams(alpha=1.0, lam=np.ones((5, 3)), max_iters=5)
 
 
 class TestDrsRun:
@@ -287,21 +314,50 @@ class TestTraceStorage:
         s = math.sqrt(1e-3)
         return prox_quadratic(s * np.eye(n), s * np.ones(n)), prox_zero(), np.zeros(n)
 
-    def test_early_stop_holds_only_the_rows_run(self):
+    @pytest.mark.parametrize("max_iters", [24_000, 200_000])
+    def test_early_stop_holds_only_the_rows_run(self, max_iters):
+        # the columns grow and are trimmed in place: the peak is the last
+        # capacity, or the rows and the objective's one (k, n) product
         f, g, x0 = self._slow_problem()
         n = x0.size
         tracemalloc.start()
         try:
-            tr = drs_run(f, g, DrsParams(alpha=1.0, max_iters=200_000, stop_tol=1e-12), x0)
+            tr = drs_run(f, g, DrsParams(alpha=1.0, max_iters=max_iters, stop_tol=1e-12), x0)
             held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         k = len(tr)
-        assert tr.status == "converged" and 20_000 <= k < 200_000
+        assert tr.status == "converged" and 20_000 <= k < max_iters
         assert tr.x.shape == tr.y.shape == tr.z.shape == (k, n)
         rows = 3 * k * n * 8
         assert rows <= held <= 1.05 * rows + (1 << 20)
-        assert peak <= 3 * held
+        assert peak <= 1.6 * held + (1 << 20)
+
+    def test_full_run_writes_x_max_iters_into_a_row_it_keeps(self):
+        # trimming that row off every stop_tol-0 run by realloc fragmented
+        # the heap, so the trace's x is a view of all rows but the last
+        tr = drs_run(prox_quadratic(np.eye(3), np.ones(3)), prox_l1(0.5),
+                     DrsParams(alpha=1.0, max_iters=50), np.array([3.0, -2.0, 0.1]))
+        assert tr.x.shape == (50, 3) and tr.x.base.shape == (51, 3)
+        assert tr.x.base[50].tobytes() == tr.x_final.tobytes()
+        assert tr.y.base is None and tr.z.base is None and tr.fp_residual.base is None
+
+    @pytest.mark.parametrize("run", [drs_run, admm_run])
+    @pytest.mark.parametrize("aliased", ["f", "g"])
+    def test_prox_returning_its_argument_across_growth(self, run, aliased):
+        # the run stops past 4,096 rows, so the columns grow three times while
+        # a prox output may be the row view x_k itself or a work vector
+        n = 20
+        s = math.sqrt(3.7e-3)
+        q = prox_quadratic(s * np.eye(n), s * np.ones(n))
+        pairs = {"f": ((Aliasing(), q), (prox_zero(), q)),
+                 "g": ((q, Aliasing()), (q, prox_zero()))}
+        (f, g), (f_copy, g_copy) = pairs[aliased]
+        params = DrsParams(alpha=1.0, max_iters=5000, stop_tol=1e-9)
+        tr, ref = run(f, g, params, np.zeros(n)), run(f_copy, g_copy, params, np.zeros(n))
+        assert tr.status == ref.status == "converged" and 4096 < len(tr) < 5000
+        for name in ("x", "y", "z", "fp_residual", "subgrad_residual", "objective", "x_final"):
+            assert getattr(tr, name).tobytes() == getattr(ref, name).tobytes(), name
 
     def test_reference_solve_memory_is_o_n(self):
         f, g, x0 = self._slow_problem()

@@ -12,6 +12,17 @@ are run through the paper's workflow at the tuned relaxation parameter:
   * ``solve_reference``: (x*, y*, F*), or its error message;
   * the trace CSV of the stop_tol 0 DRS run with its Lyapunov values, as bytes.
 
+Once per invocation it also digests, through ``drs_run`` and ``admm_run``,
+the early-stopping runs that grow their rows far past the first 1,024 (few
+pool runs do, and none of them replays a cycle):
+
+  * f = 0.5e-3 ||x - 1||^2, g = 0, n = 100 from x0 = 0 at stop_tol 1e-12,
+    which DRS reaches after 23,038 iterations, at max_iters 24,000 and
+    200,000;
+  * the LASSO 60 x 40 of rank 40, seed 7, at its tuned lambda and stop_tol
+    1e-17, below its rounding floor: the run cycles, and the replay grows
+    the rows to max_iters 10,000.
+
 Two checkouts whose library gives the same bits print the same digest.
 
 Run from the root of a checkout (the library is imported from its ``src``):
@@ -38,7 +49,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 import numpy as np  # noqa: E402
 
 import workloads  # noqa: E402
-from drsplit import certify, splitting  # noqa: E402
+from drsplit import certify, cli, prox, splitting  # noqa: E402
 
 ALPHA = 1.0
 STOP_TOLS = (0.0, 1e-10)
@@ -110,6 +121,22 @@ def digest_problem(h, f, g, fc, out_dir: str):
         h.update(fh.read())
 
 
+def digest_growth(h):
+    """Feed the runs whose rows grow far past the first capacity into ``h``."""
+    n = 100
+    s = np.sqrt(1e-3)
+    f, g = prox.prox_quadratic(s * np.eye(n), s * np.ones(n)), prox.prox_zero()
+    for iters in (24_000, 200_000):
+        params = splitting.DrsParams(alpha=ALPHA, max_iters=iters, stop_tol=1e-12)
+        _run(h, f"slow run max_iters={iters}", splitting.drs_run, f, g, params, np.zeros(n))
+        _run(h, f"slow admm max_iters={iters}", splitting.admm_run, f, g, params, np.zeros(n))
+    f, g, fc = cli.gen_lasso(cli.ProblemSpec("lasso", 60, 40, rank=40, seed=7))
+    params = splitting.DrsParams(alpha=ALPHA, lam=certify.tune(fc, ALPHA).lam,
+                                 max_iters=workloads.TRAJECTORY_ITERS, stop_tol=1e-17)
+    _run(h, "cycle run", splitting.drs_run, f, g, params, np.zeros(40))
+    _run(h, "cycle admm", splitting.admm_run, f, g, params, np.zeros(40))
+
+
 def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     p.add_argument("--seeds", type=seed_range, default=seed_range("0-7"),
@@ -126,7 +153,9 @@ def main(argv=None):
                     h.update(f"seed={seed};".encode())
                     digest_problem(h, f, g, fc, out_dir)
                     runs += 1
-    print(f"{h.hexdigest()}  {runs} problems, seeds {','.join(map(str, args.seeds))}")
+    digest_growth(h)
+    print(f"{h.hexdigest()}  {runs} problems, seeds {','.join(map(str, args.seeds))}, "
+          "and the growth runs")
 
 
 if __name__ == "__main__":
