@@ -18,7 +18,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .funclass import FunctionClass, prox_qc_matrix
+from .funclass import FunctionClass, _positive, prox_qc_matrix
 from . import sdplite
 
 __all__ = [
@@ -59,8 +59,7 @@ def psd_tol(W: np.ndarray) -> float:
 
 def build_W0(alpha: float, lam: float, theta: float) -> np.ndarray:
     """Case-1 factor: the decrement ``build_Qk(lam, 1)`` plus theta/alpha^2 ||z - y||^2."""
-    if not alpha > 0:
-        raise ValueError("alpha must be > 0")
+    _positive("alpha", alpha)
     W = build_Qk(lam, 1.0)
     t = theta / alpha ** 2
     W[1:, 1:] += [[t, -t], [-t, t]]
@@ -69,8 +68,7 @@ def build_W0(alpha: float, lam: float, theta: float) -> np.ndarray:
 
 def build_W1(alpha: float, lam: float, theta: float, L_f: float) -> np.ndarray:
     """Case-2 factor: the decrement ``build_Qk(lam, 1)`` plus the theta-weighted gap term."""
-    if not (0 < L_f < math.inf):
-        raise ValueError("Case 2 requires 0 < L_f < inf")
+    _positive("L_f", L_f)
     W = build_Qk(lam, 1.0)
     c = theta / 2.0 * (1.0 / alpha - L_f)
     W[1:, 1:] += [[theta * L_f / 2.0, c], [c, theta * (L_f / 2.0 - 1.0 / alpha)]]
@@ -130,8 +128,10 @@ class Certificate:
         a, lam = self.alpha, self.lam
         if self.sigma1 < 0 or self.sigma2 < 0:
             raise ValueError("multipliers sigma1, sigma2 must be >= 0")
-        if self.case is not CertCase.CASE3 and (self.theta is None or not self.theta > 0):
-            raise ValueError("Cases 1-2 require theta > 0")
+        _positive("alpha", a)
+        _positive("lambda", lam)
+        if self.case is not CertCase.CASE3:
+            _positive("theta", self.theta)
         if self.case is CertCase.CASE1:
             W, q1_class = build_W0(a, lam, self.theta), FunctionClass(0.0, math.inf)
         elif self.case is CertCase.CASE2:
@@ -163,21 +163,18 @@ def make_certificate(case: CertCase, fc: FunctionClass, alpha: float, lam: float
 
 def analytic_params_case1(alpha: float, lam: float):
     """Closed-form (sigma, theta) making the Case-1 factor identically zero."""
-    if not alpha > 0:
-        raise ValueError("alpha must be > 0")
-    if not 0 < lam < 2:
-        raise ValueError("analytic Case-1 parameters require 0 < lambda < 2")
+    _positive("alpha", alpha)
+    if not _positive("lambda", lam) < 2:
+        raise ValueError("analytic Case-1 parameters require lambda < 2")
     return 2.0 * lam / alpha, alpha ** 2 * lam * (2.0 - lam)
 
 
 def analytic_params_case2(alpha: float, lam: float, L_f: float):
     """Closed-form (sigma, theta) certifying Case 2 for any alpha, lambda in (0,2)."""
-    if not alpha > 0:
-        raise ValueError("alpha must be > 0")
-    if not 0 < lam < 2:
-        raise ValueError("analytic Case-2 parameters require 0 < lambda < 2")
-    if not (0 < L_f < math.inf):
-        raise ValueError("Case 2 requires 0 < L_f < inf")
+    _positive("alpha", alpha)
+    _positive("L_f", L_f)
+    if not _positive("lambda", lam) < 2:
+        raise ValueError("analytic Case-2 parameters require lambda < 2")
     t = (2.0 - lam) / (alpha * L_f)
     s = math.hypot(t, 1.0)
     # r = s - t and 1 - r = 2 t / (1 + t + s), both without cancellation
@@ -211,9 +208,7 @@ def suggest_lambda_case2(alpha: float, L_f: float) -> float:
     2 - 1e-5 (reached for a below about 1e-10), past which the certificate's
     eigen-check could no longer tell a feasible witness from an infeasible one.
     """
-    if not (alpha > 0 and L_f > 0):
-        raise ValueError("alpha and L_f must be > 0")
-    a = alpha * L_f
+    a = _positive("alpha", alpha) * _positive("L_f", L_f)
     lo, hi, lam = 0.0, 2.0, 1.0
     while lo < lam < hi:
         t = (2.0 - lam) / a
@@ -278,10 +273,7 @@ def rate_bound(cert_sequence: Union[Certificate, Sequence[Certificate]],
         if len(set(rates)) == 1:
             return rates[0] ** k * x0_dist_sq
         return math.prod(rates) * x0_dist_sq
-    theta_total = sum(c.theta for c in certs)
-    if theta_total == 0:
-        raise ValueError("Theta_k is zero; no rate is certified")
-    return x0_dist_sq / theta_total
+    return x0_dist_sq / sum(c.theta for c in certs)
 
 
 def kron_quadratic_form(M: np.ndarray, blocks: Sequence[np.ndarray]) -> float:

@@ -16,6 +16,7 @@ from typing import Optional
 
 import numpy as np
 
+from .funclass import _positive
 from .prox import prox_affine_indicator, prox_l1, prox_quadratic
 from .splitting import DrsParams, drs_run, write_trace_csv
 from . import certify
@@ -49,8 +50,7 @@ class ProblemSpec:
         if self.kind == "basis_pursuit" and self.rows >= self.cols:
             raise ValueError("basis pursuit requires rows < cols (underdetermined)")
         if self.kind == "lasso":
-            if not self.gamma > 0:
-                raise ValueError("gamma must be > 0")
+            _positive("gamma", self.gamma)
             r = self.rank if self.rank is not None else min(self.rows, self.cols)
             if not 1 <= r <= min(self.rows, self.cols):
                 raise ValueError("rank must be in [1, min(rows, cols)]")
@@ -132,14 +132,18 @@ def cmd_solve(args) -> int:
     spec = _spec_from_args(args)
     f, g, _ = build_problem(spec)
     lams = args.lambda_list if args.lambda_list else [args.lam]
-    multi = len(lams) > 1
-    for lam in lams:
-        params = DrsParams(alpha=args.alpha, lam=lam,
-                           max_iters=args.max_iters, stop_tol=args.tol)
+    outs = ([_out_with_suffix(args.out, f"_lam{lam:g}") for lam in lams]
+            if len(lams) > 1 else [args.out])
+    for j, out in enumerate(outs):
+        if out in outs[:j]:
+            i = outs.index(out)
+            raise ValueError(f"--lambda-list values {lams[i]!r} and {lams[j]!r} both write {out}")
+    runs = [DrsParams(alpha=args.alpha, lam=lam, max_iters=args.max_iters, stop_tol=args.tol)
+            for lam in lams]
+    for params, out in zip(runs, outs):
         trace = drs_run(f, g, params, _x0(args, spec.cols))
-        out = _out_with_suffix(args.out, f"_lam{lam:g}") if multi else args.out
         write_trace_csv(trace, out)
-        print(f"lambda={lam:g}: {len(trace)} iterations, status={trace.status}, "
+        print(f"lambda={params.lam:g}: {len(trace)} iterations, status={trace.status}, "
               f"final residual={trace.fp_residual[-1]:.3e} -> {out}")
     return 0
 
@@ -180,8 +184,8 @@ def _parse_alpha_grid(text: str) -> np.ndarray:
         lo, hi, steps = float(lo), float(hi), int(steps)
     except ValueError as exc:
         raise ValueError("--alpha-grid expects lo:hi:steps") from exc
-    if not (0 < lo < hi and steps >= 1):
-        raise ValueError("--alpha-grid expects 0 < lo < hi and steps >= 1")
+    if not (_positive("--alpha-grid lo", lo) < _positive("--alpha-grid hi", hi) and steps >= 1):
+        raise ValueError("--alpha-grid expects lo < hi and steps >= 1")
     return np.logspace(math.log10(lo), math.log10(hi), steps)
 
 

@@ -21,6 +21,14 @@ __all__ = [
 ]
 
 
+def _positive(name: str, value):
+    """``value`` if 0 < value < inf, else a ValueError naming ``name``: the one
+    rule for every step size, relaxation, weight and scale."""
+    if value is None or not 0 < value < math.inf:
+        raise ValueError(f"{name} must be > 0 and finite, got {value}")
+    return value
+
+
 @dataclass(frozen=True)
 class FunctionClass:
     """An (m, L) pair describing m-strongly convex, L-smooth functions.
@@ -75,8 +83,7 @@ def prox_qc_matrix(fc: FunctionClass, alpha: float) -> np.ndarray:
     Product of the two congruence factors with the gradient QC matrix,
     symmetrized defensively with (M + M^T)/2.
     """
-    if not alpha > 0:
-        raise ValueError(f"alpha must be > 0, got {alpha}")
+    _positive("alpha", alpha)
     left = np.array([[0.0, 1.0], [alpha, -1.0]])
     right = np.array([[0.0, alpha], [1.0, -1.0]])
     M = left @ qc_matrix(fc) @ right

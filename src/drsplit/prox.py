@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .funclass import FunctionClass, estimate_class_quadratic
+from .funclass import FunctionClass, _positive, estimate_class_quadratic
 
 __all__ = [
     "ProxOperator",
@@ -75,9 +75,7 @@ class _SoftThreshold(ProxOperator):
     """Prox of gamma * ||x||_1: componentwise soft threshold at alpha*gamma."""
 
     def __init__(self, gamma: float):
-        if not gamma > 0:
-            raise ValueError(f"gamma must be > 0, got {gamma}")
-        self.gamma = gamma
+        self.gamma = _positive("gamma", gamma)
         self.function_class = FunctionClass(0.0, math.inf)
 
     def evaluate(self, v, alpha):

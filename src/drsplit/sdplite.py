@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .funclass import FunctionClass
+from .funclass import FunctionClass, _positive
 from . import certify
 
 __all__ = [
@@ -159,31 +159,49 @@ def optimize_rate(alpha: float, fc: FunctionClass,
     sigma1 stays below _SIGMA1_RANGE times its start value.  For f in F(m, m)
     the prox constraint is an equality, F grows without bound along sigma1
     and the barrier has no centre; for m < L the bound only binds when
-    alpha (L - m) is below about 1e-6 |1 - alpha m|.  The result is
-    revalidated once on the same factor by ``certify.make_certificate``.
-    Raises RuntimeError when no rate below 1 is certified or the
-    revalidation fails.
+    alpha (L - m) is below about 1e-6 |1 - alpha m|.  The 1e-10 gap holds
+    only while it does not bind: at kappa = 1 the result was 2.8e-7 to
+    4.2e-7 above delta^2 for alpha in {0.01, 0.3, 0.5, 2, 10}, at kappa =
+    1.0001 up to 9.0e-9, and from kappa = 1.01 on at most 4.2e-11.  At
+    lambda = 2 a rate below 1 exists for every finite alpha > 0, yet with
+    m = 1 none was found at alpha = 1e-8 and 1e8 (kappa 1 and 2), and 1e-7
+    and 1e7 (kappa 1), where 1 - delta^2 is 2e-8 to 4e-7.
+
+    The result is revalidated once on the same factor by
+    ``certify.make_certificate``.  Raises ValueError for a pinned lambda
+    outside (0, inf), and RuntimeError when no rate below 1 is found (the
+    message gives (|1 - lambda/2| + lambda delta/2)^2, the best rate) or
+    the revalidation fails.  The solve runs under ``np.errstate``: overflow,
+    a singular matrix or a non-finite iterate at an extreme alpha ends it as
+    a solve that found no rate, without a warning.
     """
     if not (fc.strongly_convex and fc.smooth):
         raise ValueError("the linear-rate certificate requires 0 < m <= L < inf")
-    lam = 2.0 if lam_fixed is None else float(lam_fixed)
+    lam = 2.0 if lam_fixed is None else _positive("lambda", float(lam_fixed))
     m, L = fc.m, fc.L
-    F0 = -certify.build_Qk(lam, 0.0)
-    Fs = np.array([np.diag([1.0, 0.0, 0.0]), -certify.build_Q1(alpha, fc),
-                   -certify.build_Q2(alpha)])
-    sigma1 = 8.0 * lam ** 2 * (m + L) / ((1.0 + alpha * m) * (1.0 + alpha * L))
-    x = np.array([0.0, sigma1, 4.0 * lam ** 2 / alpha])
-    F = F0 + np.tensordot(x, Fs, 1)
-    c = F[1:, 0]
-    x[0] = max(c @ np.linalg.solve(F[1:, 1:], c) - F[0, 0], 0.0) + 1.0
-    hi = np.array([math.inf, _SIGMA1_RANGE * sigma1, math.inf])
-    x, gap, steps, stages = _barrier(F0, Fs, x, hi)
-    logger.debug("alpha=%g m=%g L=%g lam=%g: rho_sq=%.12g after %d Newton "
-                 "steps in %d barrier stages, gap bound %.2e",
-                 alpha, m, L, lam, x[0], steps, stages, gap)
-    if not x[0] < 1:
-        pinned = "" if lam_fixed is None else f" and lambda={lam_fixed:g}"
-        raise RuntimeError(f"no certificate with rho^2 < 1 exists at alpha={alpha:g}{pinned}")
+    with np.errstate(all="ignore"):
+        try:
+            F0 = -certify.build_Qk(lam, 0.0)
+            Fs = np.array([np.diag([1.0, 0.0, 0.0]), -certify.build_Q1(alpha, fc),
+                           -certify.build_Q2(alpha)])
+            sigma1 = 8.0 * lam ** 2 * (m + L) / ((1.0 + alpha * m) * (1.0 + alpha * L))
+            x = np.array([0.0, sigma1, 4.0 * lam ** 2 / alpha])
+            F = F0 + np.tensordot(x, Fs, 1)
+            c = F[1:, 0]
+            x[0] = max(c @ np.linalg.solve(F[1:, 1:], c) - F[0, 0], 0.0) + 1.0
+            hi = np.array([math.inf, _SIGMA1_RANGE * sigma1, math.inf])
+            x, gap, steps, stages = _barrier(F0, Fs, x, hi)
+        except np.linalg.LinAlgError:
+            x, gap, steps, stages = np.full(3, math.nan), math.nan, 0, 0
+        logger.debug("alpha=%g m=%g L=%g lam=%g: rho_sq=%.12g after %d Newton "
+                     "steps in %d barrier stages, gap bound %.2e",
+                     alpha, m, L, lam, x[0], steps, stages, gap)
+        if not (x[0] < 1 and np.isfinite(x).all()):
+            delta = max(abs(1 - alpha * m) / (1 + alpha * m), abs(1 - alpha * L) / (1 + alpha * L))
+            pinned = "" if lam_fixed is None else f" and lambda={lam_fixed:g}"
+            raise RuntimeError(f"no certificate with rho^2 < 1 found at alpha={alpha:g}{pinned}; "
+                               f"the best rate (|1 - lambda/2| + lambda delta/2)^2 is "
+                               f"{(abs(1 - lam / 2) + lam * delta / 2) ** 2!r}")
     rho_sq, sigma1, sigma2 = (float(v) for v in x)
     cert = certify.make_certificate(certify.CertCase.CASE3, fc, alpha, lam=lam,
                                     sigma1=sigma1, sigma2=sigma2, rho_sq=rho_sq)
@@ -206,8 +224,7 @@ def sweep_heatmap(alpha_grid: Sequence[float], kappa_grid: Sequence[float],
     """
     if len(alpha_grid) == 0 or len(kappa_grid) == 0:
         raise ValueError("grids must be nonempty")
-    if not m_base > 0:
-        raise ValueError("m_base must be > 0")
+    _positive("m_base", m_base)
     cells = []
     for kappa in kappa_grid:
         fc = FunctionClass(m_base, kappa * m_base)

@@ -17,6 +17,7 @@ from typing import Optional, Union
 
 import numpy as np
 
+from .funclass import _positive
 from .prox import ProxOperator, _row_sums
 
 __all__ = [
@@ -46,23 +47,21 @@ class DrsParams:
     stop_tol: float = 0.0
 
     def __post_init__(self):
-        if not self.alpha > 0:
-            raise ValueError(f"alpha must be > 0, got {self.alpha}")
+        _positive("alpha", self.alpha)
         if operator.index(self.max_iters) < 1:
             raise ValueError("max_iters must be >= 1")
         if not self.stop_tol >= 0:
             raise ValueError(f"stop_tol must be >= 0, got {self.stop_tol}")
         if np.ndim(self.lam) == 0:
-            if not self.lam > 0:
-                raise ValueError(f"relaxation parameter must be > 0, got {self.lam}")
+            _positive("lambda", self.lam)
         else:
             seq = np.asarray(self.lam, dtype=float)
             if seq.ndim != 1:
                 raise ValueError(f"relaxation sequence must be 1-D, got shape {seq.shape}")
             if len(seq) < self.max_iters:
                 raise ValueError("relaxation sequence shorter than max_iters")
-            if not np.all(seq > 0):
-                raise ValueError("every relaxation parameter must be > 0")
+            for extreme in (seq.min(), seq.max()):
+                _positive("every lambda of the sequence", extreme)
 
 
 @dataclass

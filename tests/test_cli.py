@@ -2,6 +2,7 @@
 
 import csv
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -124,6 +125,18 @@ class TestCliSolve:
         assert rc == 0
         for lam in ("0.5", "1", "1.5", "1.9"):
             assert (tmp_path / f"sweep_lam{lam}.csv").exists()
+
+    @pytest.mark.parametrize("values,pair", [("1.0000001,1.0000002", "1.0000001 and 1.0000002"),
+                                             ("1,0.5,1.0", "1.0 and 1.0")])
+    def test_lambda_list_refuses_two_values_with_one_file(self, tmp_path, capsys, values, pair):
+        # both names are s_lam1.csv under :g; the second run would overwrite the first
+        rc = main(["--mode", "solve", "--problem", "basis_pursuit", "--rows", "6",
+                   "--cols", "15", "--max-iters", "20", "--lambda-list", values,
+                   "--out", str(tmp_path / "s.csv")])
+        assert rc == 2
+        assert capsys.readouterr().err == (f"error: --lambda-list values {pair} both write "
+                                           f"{tmp_path / 's_lam1.csv'}\n")
+        assert list(tmp_path.iterdir()) == []
 
     def test_lasso_wider_than_64_columns(self, tmp_path):
         out = tmp_path / "wide.csv"
@@ -298,6 +311,44 @@ class TestCliErrors:
                    "--rows", "4", "--cols", "9", "--tol", "nan", "--out", str(out)])
         assert rc == 2
         assert capsys.readouterr().err == "error: stop_tol must be >= 0, got nan\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags,message", [
+        ("--mode solve --alpha inf", "alpha must be > 0 and finite, got inf"),
+        ("--mode solve --lambda inf", "lambda must be > 0 and finite, got inf"),
+        ("--mode solve --lambda-list 1,inf", "lambda must be > 0 and finite, got inf"),
+        ("--mode solve --problem lasso --gamma inf", "gamma must be > 0 and finite, got inf"),
+        ("--mode certify --problem lasso --rank 40 --lambda 0",
+         "lambda must be > 0 and finite, got 0.0"),
+        ("--mode certify --problem lasso --rank 40 --lambda inf",
+         "lambda must be > 0 and finite, got inf"),
+        ("--mode certify --alpha inf", "alpha must be > 0 and finite, got inf"),
+        ("--mode certify --theta inf", "theta must be > 0 and finite, got inf"),
+        ("--mode sweep --alpha-grid 0.01:inf:3", "--alpha-grid hi must be > 0 and finite, got inf"),
+        ("--mode sweep --m-base inf", "m_base must be > 0 and finite, got inf"),
+    ])
+    def test_parameter_outside_the_rule_is_input_error(self, tmp_path, capsys, flags, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(flags.split() + ["--max-iters", "20", "--out", str(tmp_path / "x.csv")])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("alpha", ["1e-8", "1e-300"])
+    def test_unresolved_case3_rate_is_a_reported_failure(self, tmp_path, capsys, alpha):
+        # delta^2 < 1 at every finite alpha, but 1 - delta^2 is about 1e-8 at
+        # 1e-8 and rounds to 0 at 1e-300
+        out = tmp_path / "tuned.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["--mode", "tune", "--problem", "lasso", "--rank", "40",
+                       "--alpha", alpha, "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"error: no certificate with rho^2 < 1 found at "
+                                 f"alpha={float(alpha):g}; ")
         assert not out.exists()
 
     def test_unwritable_output(self):

@@ -1,18 +1,82 @@
 """Function classes and their quadratic-constraint factor matrices."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
 from drsplit import (
+    CertCase,
+    Certificate,
+    DrsParams,
     FunctionClass,
+    analytic_params_case1,
+    analytic_params_case2,
+    build_W0,
+    build_W1,
     estimate_class_quadratic,
+    optimize_rate,
     prox_l1,
     prox_qc_matrix,
     prox_quadratic,
     qc_matrix,
+    suggest_lambda_case2,
+    sweep_heatmap,
+    tune,
 )
+from drsplit.cli import ProblemSpec, _parse_alpha_grid
+from drsplit.funclass import _positive
+
+F0INF = FunctionClass(0.0, math.inf)
+
+# every parameter that must be finite and positive, at each entry point that
+# takes it: (the name its error gives, a call with the value v in its place)
+POSITIVE_ENTRIES = [
+    ("alpha", lambda v: prox_qc_matrix(FunctionClass(1.0, 2.0), v)),
+    ("alpha", lambda v: DrsParams(alpha=v)),
+    ("lambda", lambda v: DrsParams(alpha=1.0, lam=v)),
+    ("every lambda of the sequence",
+     lambda v: DrsParams(alpha=1.0, lam=[1.0, v, 1.0], max_iters=3)),
+    ("alpha", lambda v: build_W0(v, 1.0, 1.0)),
+    ("L_f", lambda v: build_W1(1.0, 1.0, 1.0, v)),
+    ("alpha", lambda v: Certificate(CertCase.CASE1, F0INF, v, 1.0, 2.0, 2.0, theta=1.0)),
+    ("lambda", lambda v: Certificate(CertCase.CASE1, F0INF, 1.0, v, 2.0, 2.0, theta=1.0)),
+    ("theta", lambda v: Certificate(CertCase.CASE1, F0INF, 1.0, 1.0, 2.0, 2.0, theta=v)),
+    ("lambda", lambda v: Certificate(CertCase.CASE3, FunctionClass(1.0, 10.0), 1.0, v,
+                                     1.0, 1.0, rho_sq=0.5)),
+    ("alpha", lambda v: analytic_params_case1(v, 1.0)),
+    ("alpha", lambda v: analytic_params_case2(v, 1.0, 1.0)),
+    ("L_f", lambda v: analytic_params_case2(1.0, 1.0, v)),
+    ("alpha", lambda v: suggest_lambda_case2(v, 1.0)),
+    ("L_f", lambda v: suggest_lambda_case2(1.0, v)),
+    ("lambda", lambda v: optimize_rate(1.0, FunctionClass(1.0, 10.0), lam_fixed=v)),
+    ("lambda", lambda v: tune(FunctionClass(1.0, 10.0), 1.0, lam=v)),
+    ("gamma", lambda v: prox_l1(v)),
+    ("gamma", lambda v: ProblemSpec("lasso", 6, 4, gamma=v)),
+    ("--alpha-grid lo", lambda v: _parse_alpha_grid(f"{v}:10:3")),
+    ("--alpha-grid hi", lambda v: _parse_alpha_grid(f"0.01:{v}:3")),
+    ("m_base", lambda v: sweep_heatmap([1.0], [2.0], m_base=v)),
+]
+
+
+class TestPositiveFinite:
+    """One rule, 0 < value < inf, for every step size, relaxation, weight and scale."""
+
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("name,call", POSITIVE_ENTRIES)
+    def test_every_entry_point_refuses_and_names_the_parameter(self, name, call, value):
+        with pytest.raises(ValueError, match=f"^{re.escape(name)} must be > 0 and finite, got "):
+            call(value)
+
+    @pytest.mark.parametrize("value", [1e-300, 0.5, 7, np.float64(2.0), np.array(1.5), 1e300])
+    def test_returns_a_valid_value_unchanged(self, value):
+        assert _positive("x", value) is value
+
+    @pytest.mark.parametrize("value", [None, -0.0, -math.inf])
+    def test_refuses_none_and_signed_edges(self, value):
+        with pytest.raises(ValueError, match=f"^x must be > 0 and finite, got {value}$"):
+            _positive("x", value)
 
 
 class TestFunctionClass:

@@ -3,6 +3,7 @@
 import csv
 import logging
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -207,6 +208,24 @@ class TestOptimizeRate:
     def test_infeasible_relaxation_raises_runtime_error(self):
         with pytest.raises(RuntimeError, match="no certificate"):
             optimize_rate(1.0, FC, lam_fixed=2.5)
+
+    def test_false_failure_says_found_and_gives_the_rate(self):
+        # at lambda = 2 the rate delta^2 is below 1 for every finite alpha > 0,
+        # but 1 - delta^2 = 4e-8 here is below what the barrier resolves
+        fc = FunctionClass(1.0, 2.0)
+        rate = _contraction_sq(1e-8, fc)
+        assert rate < 1
+        with pytest.raises(RuntimeError) as exc:
+            optimize_rate(1e-8, fc)
+        assert str(exc.value) == ("no certificate with rho^2 < 1 found at alpha=1e-08; the best "
+                                  f"rate (|1 - lambda/2| + lambda delta/2)^2 is {rate!r}")
+
+    @pytest.mark.parametrize("alpha", [1e-300, 1e100])
+    def test_extreme_step_is_a_failed_solve_without_warnings(self, alpha):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RuntimeError, match=r"^no certificate with rho\^2 < 1 found "):
+                optimize_rate(alpha, FC)
 
     def test_logs_one_debug_line_per_call(self, caplog):
         with caplog.at_level(logging.DEBUG, logger="drsplit.sdplite"):

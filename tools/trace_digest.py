@@ -23,7 +23,11 @@ pool runs do, and none of them replays a cycle):
     1e-17, below its rounding floor: the run cycles, and the replay grows
     the rows to max_iters 10,000.
 
-Two checkouts whose library gives the same bits print the same digest.
+Two checkouts whose library gives the same bits print the same digest.  A
+line per part follows it, each the sha256 of that part's share of the same
+bytes: the certificate, the ``drs_run`` runs, the ``admm_run`` runs, the
+reference solves, the trace CSVs and the growth runs.  Where the digests
+differ, those lines name the part that moved.
 
 Run from the root of a checkout (the library is imported from its ``src``):
 
@@ -54,12 +58,24 @@ from drsplit import certify, cli, prox, splitting  # noqa: E402
 ALPHA = 1.0
 STOP_TOLS = (0.0, 1e-10)
 COLUMNS = ("x", "y", "z", "fp_residual", "subgrad_residual", "objective", "x_final")
+PARTS = ("certificate", "drs_run", "admm_run", "reference", "trace CSV", "growth runs")
 
 
 def seed_range(text: str):
     """'0-7' -> [0, ..., 7]; '3' -> [3]."""
     lo, _, hi = text.partition("-")
     return list(range(int(lo), int(hi or lo) + 1))
+
+
+class _Part:
+    """One part's sha256, which also feeds its bytes, in order, to the overall one."""
+
+    def __init__(self, total):
+        self.total, self.own = total, hashlib.sha256()
+
+    def update(self, data: bytes):
+        self.total.update(data)
+        self.own.update(data)
 
 
 def _array(h, name: str, a):
@@ -92,33 +108,36 @@ def _run(h, label: str, run, f, g, params, start):
     return tr
 
 
-def digest_problem(h, f, g, fc, out_dir: str):
-    """Feed one problem's certificate, runs, reference solve and trace CSV into ``h``."""
+def digest_problem(parts, f, g, fc, out_dir: str):
+    """Feed one problem's certificate, runs, reference solve and trace CSV into
+    their ``parts``."""
     cert = certify.tune(fc, ALPHA)
-    _certificate(h, cert)
+    _certificate(parts["certificate"], cert)
     x0 = np.zeros(f.A.shape[1])
     traces = []
     for tol in STOP_TOLS:
         params = splitting.DrsParams(alpha=ALPHA, lam=cert.lam,
                                      max_iters=workloads.TRAJECTORY_ITERS, stop_tol=tol)
-        traces.append((params, _run(h, "run", splitting.drs_run, f, g, params, x0)))
-        _run(h, "admm", splitting.admm_run, f, g, params, x0)
+        traces.append((params, _run(parts["drs_run"], "run", splitting.drs_run,
+                                    f, g, params, x0)))
+        _run(parts["admm_run"], "admm", splitting.admm_run, f, g, params, x0)
     params, trace = traces[0]
+    ref = parts["reference"]
     try:
         x_star, y_star, F_star = splitting.solve_reference(f, g, params, x0)
     except RuntimeError as exc:
-        h.update(f"reference error: {exc};".encode())
+        ref.update(f"reference error: {exc};".encode())
         return
-    _array(h, "x_star", x_star)
-    _array(h, "y_star", y_star)
-    h.update(f"F_star={F_star!r};".encode())
+    _array(ref, "x_star", x_star)
+    _array(ref, "y_star", y_star)
+    ref.update(f"F_star={F_star!r};".encode())
     if trace is None:
         return
     V = splitting.lyapunov_series(trace, cert.case, cert.theta, x_star, F_star=F_star)
     path = os.path.join(out_dir, "trace.csv")
     splitting.write_trace_csv(trace, path, lyapunov=V)
     with open(path, "rb") as fh:
-        h.update(fh.read())
+        parts["trace CSV"].update(fh.read())
 
 
 def digest_growth(h):
@@ -143,6 +162,7 @@ def main(argv=None):
                    help="benchmark seeds: a range such as 0-7 (the default), or one seed")
     args = p.parse_args(argv)
     h = hashlib.sha256()
+    parts = {name: _Part(h) for name in PARTS}
     runs = 0
     with tempfile.TemporaryDirectory() as out_dir:
         for seed in args.seeds:
@@ -151,11 +171,13 @@ def main(argv=None):
             for triple in wl.problems:
                 for f, g, fc in triple:
                     h.update(f"seed={seed};".encode())
-                    digest_problem(h, f, g, fc, out_dir)
+                    digest_problem(parts, f, g, fc, out_dir)
                     runs += 1
-    digest_growth(h)
+    digest_growth(parts["growth runs"])
     print(f"{h.hexdigest()}  {runs} problems, seeds {','.join(map(str, args.seeds))}, "
           "and the growth runs")
+    for name, part in parts.items():
+        print(f"{part.own.hexdigest()}  {name}")
 
 
 if __name__ == "__main__":
