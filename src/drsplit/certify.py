@@ -162,11 +162,22 @@ def make_certificate(case: CertCase, fc: FunctionClass, alpha: float, lam: float
 
 
 def analytic_params_case1(alpha: float, lam: float):
-    """Closed-form (sigma, theta) making the Case-1 factor identically zero."""
+    """Closed-form (sigma, theta) making the Case-1 factor identically zero.
+
+    An alpha whose weight theta = alpha^2 lambda (2 - lambda) overflows or
+    underflows to 0 is refused, naming alpha and the weight.
+    """
     _positive("alpha", alpha)
     if not _positive("lambda", lam) < 2:
         raise ValueError("analytic Case-1 parameters require lambda < 2")
-    return 2.0 * lam / alpha, alpha ** 2 * lam * (2.0 - lam)
+    try:
+        theta = alpha ** 2 * lam * (2.0 - lam)
+    except OverflowError:
+        theta = math.inf
+    if not 0 < theta < math.inf:
+        raise ValueError(f"alpha = {alpha!r} puts the Case-1 weight alpha^2 lambda (2 - lambda) "
+                         f"at {theta}, outside the positive floats")
+    return 2.0 * lam / alpha, theta
 
 
 def analytic_params_case2(alpha: float, lam: float, L_f: float):

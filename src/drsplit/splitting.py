@@ -190,8 +190,8 @@ class _Rows:
 
 
 def _trace(X, Y, Z, FP, alpha: float, objective, stop: bool, x_final) -> Trace:
-    """Read-only Trace of the columns; ``objective(X, Z)`` runs on them."""
-    trace = Trace(X, Y, Z, FP, FP / alpha, objective(X, Z),
+    """Read-only Trace of the columns, with ``objective`` as its objective column."""
+    trace = Trace(X, Y, Z, FP, FP / alpha, objective,
                   "converged" if stop else "iteration-limit", x_final)
     for c in (X, Y, Z, FP, trace.subgrad_residual, trace.objective):
         if c is not None:
@@ -216,21 +216,24 @@ class _NonFinite(RuntimeError):
 
 
 def _drs(f: ProxOperator, g: ProxOperator, params: DrsParams, x0: np.ndarray,
-         rows: Optional[_Rows]):
+         rows: Optional[_Rows], stop=None):
     """The DRS recursion from x0, storing its rows in ``rows`` unless None.
 
-    Stops after the first iteration with ||z_k - y_k|| <= stop_tol, whose
-    x_final is x_k, or after max_iters iterations, whose x_final is x_{k+1}.
-    Returns (iterations, x_final, y, z, stop, period) with y, z those of the
-    last iteration run; x_final is a copy of its own.
+    Stops after the first iteration k that meets the stop rule, whose x_final
+    is x_k, or after max_iters iterations, whose x_final is x_{k+1}.  The
+    rule is ||z_k - y_k|| <= stop_tol, or, given a stop test (which needs
+    rows), ``stop(k, Y, Z)`` once row k of the y and z columns Y and Z is
+    stored.  Returns (iterations, x_final, y, z, stopped, period) with y, z
+    those of the last iteration run; x_final is a copy of its own.
 
     With a constant lambda one step is a function of x alone, so once x_k
     equals an earlier x_{k-p} byte for byte every later iterate repeats with
-    period p, and none of them stops the run.  The loop then returns at the
-    top of iteration k with period p > 0 and x_final = x_k; period is 0
-    otherwise.  With rows, a cycle is found at its first repeat: a dict maps
-    the hash of each x_j's bytes to j, and a hit is confirmed against the
-    stored row.  Without rows, x_k is compared with the iterate marked at
+    period p, and none of them meets ||z - y|| <= stop_tol.  The loop then
+    returns at the top of iteration k with period p > 0 and x_final = x_k;
+    period is 0 otherwise.  A stop test has then not seen row k, which
+    ``_drs_rows`` tests after the replay.  With rows, a cycle is found at its
+    first repeat: a dict maps the hash of each x_j's bytes to j, and a hit is
+    confirmed against the stored row.  Without rows, x_k is compared with the iterate marked at
     iteration 0 or at the last power of two (Brent 1980), which needs O(n)
     memory but finds a period p only at the first mark after both the cycle's
     start and p.
@@ -296,7 +299,7 @@ def _drs(f: ProxOperator, g: ProxOperator, params: DrsParams, x0: np.ndarray,
             Y[k] = y
             Z[k] = z
             FP[k] = fp
-        if fp <= tol:
+        if (fp <= tol) if stop is None else stop(k, Y, Z):
             return k + 1, x.copy(), y, z, True, 0
         if lam != 1.0:  # 1.0 * d is d, bit for bit
             np.multiply(d, lam, out=d)
@@ -329,21 +332,24 @@ def drs_run(f: ProxOperator, g: ProxOperator, params: DrsParams, x0: np.ndarray)
     """
     x0 = _start("x0", x0)
     with np.errstate(over="ignore", invalid="ignore"):
-        return _drs_trace(f, g, params, x0, lambda X, Z: _objective(f, g, Z, Z))
+        X, Y, Z, FP, stop, x_final = _drs_rows(f, g, params, x0)
+        return _trace(X, Y, Z, FP, params.alpha, _objective(f, g, Z, Z), stop, x_final)
 
 
-def _drs_trace(f: ProxOperator, g: ProxOperator, params: DrsParams, x0: np.ndarray,
-               objective) -> Trace:
-    """The recorded DRS run behind ``drs_run`` and ``admm_run``, cycles
-    replayed, with ``objective(X, Z)`` as its objective column."""
+def _drs_rows(f: ProxOperator, g: ProxOperator, params: DrsParams, x0: np.ndarray,
+              stop=None):
+    """DRS columns x, y, z and fp trimmed to the rows run, the stop flag and
+    x_final; cycles are replayed, and a stop test also sees the first replayed row."""
     rows = _Rows(params, len(x0))
-    k, x_final, _, _, stop, period = _drs(f, g, params, x0, rows)
-    if period:
-        k, x_final = params.max_iters, rows.repeat(k, period)
-    rows.resize(k)
+    k, x_final, _, _, stopped, period = _drs(f, g, params, x0, rows, stop)
     X, Y, Z, FP = rows.cols
+    if period:
+        x_final = rows.repeat(k, period)
+        stopped = stop is not None and stop(k, Y, Z)  # the first replayed row
+        k, x_final = (k + 1, X[k].copy()) if stopped else (params.max_iters, x_final)
+    rows.resize(k)
     # x keeps its extra row behind a view: a one-row trim fragments the heap
-    return _trace(X[:k], Y, Z, FP, params.alpha, objective, stop, x_final)
+    return X[:k], Y, Z, FP, stopped, x_final
 
 
 def admm_run(f_prox: ProxOperator, g_prox: ProxOperator, params: DrsParams, u0: np.ndarray) -> Trace:
@@ -359,14 +365,12 @@ def admm_run(f_prox: ProxOperator, g_prox: ProxOperator, params: DrsParams, u0: 
     With t = v + u this is ``drs_run(g, f)`` (Eckstein & Bertsekas 1992)
     from t_0 = lam_0 x_0 + u_0, x_0 = prox_{af}(-u_0), DRS lam_k being ADMM
     lam_{k+1}: row k is x = DRS z[k-1], u = DRS x[k-1] - DRS y[k-1], z = DRS
-    y[k].  As prox_{ag} is nonexpansive, DRS fp_k bounds row k+1's primal
-    residual by (1 + lam) fp_k and its dual one by lam fp_k / alpha, so DRS
-    runs to stop_tol / max(1 + lam, lam / alpha), lam the largest.  If it
-    stops and no row meets the rule, the row that bound covers is added as
-    converged.  At a stop_tol at rounding level (0 included) rounding decides
-    the stop row, and an added row meets the rule only up to rounding.
-    ``u0`` must be a 1-D vector; t_0 is computed inside the run's one
-    errstate, so an overflowing lam_0 x_0 is reported by DRS, not warned.
+    y[k], with x_0, u_0 and z = 0 before row 0.  DRS tests the rule on row k
+    once it has DRS y[k], in the arithmetic of the fp_residual column, so a
+    converged trace ends at the first row that meets it by the residuals it
+    stores; a cycle's first replayed row is tested after the replay.  ``u0``
+    must be a 1-D vector; t_0 and the objective are computed inside the
+    run's one errstate, so an overflow there is not warned.
     """
     a, tol, limit = params.alpha, params.stop_tol, params.max_iters
     u0 = _start("u0", u0)
@@ -375,33 +379,28 @@ def admm_run(f_prox: ProxOperator, g_prox: ProxOperator, params: DrsParams, u0: 
         raise _NonFinite("x", 0)
     lam = params.lam if np.ndim(params.lam) == 0 else np.asarray(params.lam, dtype=float)[:limit]
     lams = lam if np.ndim(lam) == 0 else np.append(lam[1:], lam[-1])  # shifted; the pad is unused
-    drs_params = DrsParams(a, lams, limit, tol / max(1.0 + np.max(lam), np.max(lam) / a))
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            drs = _drs_trace(g_prox, f_prox, drs_params, np.ravel(lam)[0] * x0 + u0,
-                             lambda X, Z: None)
-    except _NonFinite as e:
-        name, k = {"y": ("z", e.k), "z": ("x", e.k + 1), "x": ("u", e.k + 1)}[e.name]
-        raise _NonFinite(name, k) from None
-    n = len(drs)
-    extra = drs.status == "converged" and n < limit  # the row the stop bound covers
-    X, U, Z = np.empty((n + extra, len(u0))), np.empty((n + extra, len(u0))), drs.y
-    X[0], U[0], X[1:] = x0, u0, drs.z[:n + extra - 1]
-    np.subtract(drs.x[:n + extra - 1], drs.y[:n + extra - 1], out=U[1:])
-    if extra:  # z_n = prox_{ag}(x_n), x_n as _drs computes it (1.0 * d is d, bit for bit)
-        x_n = drs.x[-1] + (drs.z[-1] - drs.y[-1]) * (lam if np.ndim(lam) == 0 else lam[n])
-        Z = np.concatenate((Z, [g_prox.evaluate(x_n, a)]))
-    del drs  # the DRS columns go before the residual passes
-    d = X - Z
-    fp = np.sqrt(np.einsum("ij,ij->i", d, d))
-    d[0] = Z[0]
-    np.subtract(Z[1:], Z[:-1], out=d[1:])
-    met = (fp <= tol) & (np.sqrt(np.einsum("ij,ij->i", d, d)) / a <= tol)
-    k = int(met.argmax()) + 1 if met.any() else len(met)
-    for c in (X, U, Z, fp):
-        c.resize((k,) + c.shape[1:], refcheck=False)
-    return _trace(X, U, Z, fp, a, lambda X, Z: _objective(f_prox, g_prox, X, Z),
-                  bool(met.any()) or extra, Z[k - 1].copy())
+
+    def met(k, y, z):  # ADMM's rule on row k, from the DRS y and z columns
+        p = (z[k - 1] if k else x0) - y[k]
+        if not math.sqrt(np.einsum("j,j->", p, p)) <= tol:
+            return False
+        d = y[k] - y[k - 1] if k else y[0]
+        return math.sqrt(np.einsum("j,j->", d, d)) / a <= tol
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            T, Y, Z, _, stop, _ = _drs_rows(g_prox, f_prox, DrsParams(a, lams, limit, tol),
+                                            np.ravel(lam)[0] * x0 + u0, met)
+        except _NonFinite as e:
+            name, k = {"y": ("z", e.k), "z": ("x", e.k + 1), "x": ("u", e.k + 1)}[e.name]
+            raise _NonFinite(name, k) from None
+        X, U = np.empty((2,) + Y.shape)
+        X[0], U[0], X[1:] = x0, u0, Z[:-1]
+        np.subtract(T[:-1], Y[:-1], out=U[1:])
+        del T, Z  # the DRS x and z columns go before the residual pass
+        d = X - Y
+        fp = np.sqrt(np.einsum("ij,ij->i", d, d))
+        return _trace(X, U, Y, fp, a, _objective(f_prox, g_prox, X, Y), stop, Y[-1].copy())
 
 
 def lyapunov_series(trace: Trace, case, theta, x_star: np.ndarray,

@@ -4,6 +4,8 @@ import csv
 import dataclasses
 import itertools
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -385,6 +387,25 @@ class TestAnalyticParamsCase1:
     def test_relaxation_out_of_range(self, lam):
         with pytest.raises(ValueError):
             analytic_params_case1(1.0, lam)
+
+    @pytest.mark.parametrize("alpha,weight", [(1e155, "inf"), (1e300, "inf"),
+                                              (1e-162, "0.0"), (1e-300, "0.0")])
+    def test_weight_outside_the_floats_names_alpha(self, alpha, weight):
+        # alpha^2 overflows (Python's float ** raises) or underflows to 0
+        message = (f"alpha = {alpha!r} puts the Case-1 weight alpha^2 lambda (2 - lambda) "
+                   f"at {weight}, outside the positive floats")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in (lambda: analytic_params_case1(alpha, 1.0), lambda: tune(F0INF, alpha)):
+                with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                    call()
+
+    @pytest.mark.parametrize("alpha,weight", [(1e154, 1e308), (1e-160, 1e-320)])
+    def test_weight_at_the_ends_of_the_floats_kept(self, alpha, weight):
+        assert analytic_params_case1(alpha, 1.0) == (2.0 / alpha, weight)
+        cert = tune(F0INF, alpha)
+        assert (cert.sigma1, cert.sigma2, cert.theta) == (2.0 / alpha, 2.0 / alpha, weight)
+        assert cert.feasible and cert.max_eig == 0.0 and not cert.witness.any()
 
 
 class TestAnalyticParamsCase2:

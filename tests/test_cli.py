@@ -335,6 +335,20 @@ class TestCliErrors:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("mode", ["certify", "tune"])
+    @pytest.mark.parametrize("alpha,weight", [("1e155", "inf"), ("1e300", "inf"),
+                                              ("1e-162", "0.0"), ("1e-300", "0.0")])
+    def test_case1_weight_outside_the_floats_is_input_error(self, tmp_path, capsys, mode,
+                                                             alpha, weight):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["--mode", mode, "--alpha", alpha, "--out", str(tmp_path / "x.csv")])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: alpha = {float(alpha)!r} puts the Case-1 weight alpha^2 lambda (2 - lambda) "
+            f"at {weight}, outside the positive floats\n")
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("alpha", ["1e-8", "1e-300"])
     def test_unresolved_case3_rate_is_a_reported_failure(self, tmp_path, capsys, alpha):
         # delta^2 < 1 at every finite alpha, but 1 - delta^2 is about 1e-8 at

@@ -27,6 +27,7 @@ from drsplit import (
 )
 from drsplit.cli import ProblemSpec, gen_basis_pursuit, gen_lasso
 from drsplit.prox import ProxOperator
+from drsplit.splitting import _drs_rows
 
 
 class Exploding(ProxOperator):
@@ -530,6 +531,26 @@ class TestCycleReplay:
         assert f.calls == g.calls == 2000
         self._assert_bitwise(tr, f, g, params)
 
+    def test_stop_test_met_on_the_first_replayed_row_ends_the_run_there(self):
+        # the loop tests rows 0 .. 77 and returns at the top of iteration 78,
+        # the first repeat; the run tests row 78 once after the replay
+        f, g, lam = self._lasso(40)
+        tested = []
+
+        def stop(k, Y, Z):
+            tested.append(k)
+            return k == 78
+
+        X, Y, Z, FP, stopped, x_final = _drs_rows(
+            f, g, DrsParams(alpha=1.0, lam=lam, max_iters=self.ITERS), np.zeros(40), stop)
+        assert stopped and tested == list(range(79))
+        assert f.calls == g.calls == 78 == _first_repeat(X)
+        ref, _ = _plain_drs(f.inner, g.inner, DrsParams(alpha=1.0, lam=lam, max_iters=79),
+                            np.zeros(40))
+        for name, col in zip(("x", "y", "z", "fp_residual"), (X, Y, Z, FP)):
+            assert col.tobytes() == ref[name].tobytes(), name
+        assert x_final.tobytes() == X[78].tobytes()
+
     def test_reference_solve_fails_once_the_iterates_cycle(self):
         # b and gamma scaled by 2^20 scale every iterate of the Case-3 run by
         # exactly 2^20, so it cycles as that run does, with ||z - y|| at
@@ -730,6 +751,41 @@ class TestAdmmRun:
                     statuses.add(status)
         assert statuses == {"converged", "iteration-limit"}
 
+    @staticmethod
+    def _rows_meeting_the_rule(tr, tol, alpha):
+        """The rows whose stored primal residual and whose dual residual from
+        the stored z column (z = 0 before row 0) are both <= tol."""
+        d = np.vstack((tr.z[:1], tr.z[1:] - tr.z[:-1]))
+        dual = np.sqrt(np.einsum("ij,ij->i", d, d)) / alpha
+        return np.flatnonzero((tr.fp_residual <= tol) & (dual <= tol)).tolist()
+
+    @pytest.mark.parametrize("lam", [0.6, 1.0, 1.5, 1.7, "schedule"])
+    def test_converged_trace_ends_at_the_first_row_meeting_the_rule(self, lam):
+        # down to rounding level, where the stored residuals decide: the
+        # full-rank LASSO at alpha = 0.3, lam = 0.6 and 1e-14 has a dual
+        # residual of 1.0285e-14 at row 543 and stops at row 544 (9.10e-15)
+        lam = self.SCHEDULE if lam == "schedule" else lam
+        statuses = set()
+        for f, g, n in self._problems():
+            for alpha in (0.03, 0.3, 1.0, 3.0):
+                for tol in (1e-8, 1e-12, 1e-14, 1e-15):
+                    params = DrsParams(alpha=alpha, lam=lam, max_iters=self.ITERS, stop_tol=tol)
+                    tr = admm_run(f, g, params, np.zeros(n))
+                    met = self._rows_meeting_the_rule(tr, tol, alpha)
+                    assert met == ([len(tr) - 1] if tr.status == "converged" else []), \
+                        (n, alpha, tol)
+                    statuses.add(tr.status)
+        assert statuses == {"converged", "iteration-limit"}
+
+    def test_overflowing_objective_is_inf_without_a_warning(self):
+        # f(x) = 0.5 ||x - 1e200||^2 overflows on every row; the objective is
+        # evaluated inside the run's errstate
+        f = prox_quadratic(np.eye(2), np.array([1e200, 1e200]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tr = admm_run(f, prox_zero(), DrsParams(alpha=1.0, lam=1.0, max_iters=5), np.zeros(2))
+        assert len(tr) == 5 and tr.objective.tolist() == [math.inf] * 5
+
     def test_cycle_is_replayed(self):
         # the DRS form of a constant-lambda run cycles at rounding level, as
         # TestCycleReplay's Case-3 run does, and is replayed from there
@@ -741,27 +797,25 @@ class TestAdmmRun:
         ref, status = _plain_admm(f.inner, g.inner, params, np.zeros(40))
         _assert_admm_parity(tr, ref, status, 1.0)
 
-    @pytest.mark.parametrize("case", ["added", "added, schedule", "mapped"])
-    def test_stop_row_mapped_or_added_from_the_bound(self, case):
-        # DRS on (g, f) stops once its fixed-point residual bounds the next
-        # ADMM row's residuals.  On the LASSO runs no mapped row meets the
-        # rule then, and the row the bound covers is added with one more prox
-        # of g, at the relaxation of that row; on basis pursuit an earlier
-        # mapped row meets it, and the trace ends there
+    @pytest.mark.parametrize("case", ["lasso", "lasso, schedule", "basis pursuit"])
+    def test_stop_costs_one_prox_of_g_per_row_and_one_more_of_f(self, case):
+        # DRS on (g, f) tests the ADMM rule on each row as it computes it and
+        # stops at the first row that meets it: one prox of g per row, and
+        # one prox of f per row plus x_0's
         lasso = gen_lasso(ProblemSpec("lasso", 60, 40, rank=40, seed=7))[:2] + (40,)
         f, g, n, alpha, lam = {
-            "added": lasso + (0.3, 1.5),
-            "added, schedule": lasso + (1.0, [1.2, 1.7] * 500),
-            "mapped": gen_basis_pursuit(ProblemSpec("basis_pursuit", 30, 100, seed=42))[:2]
+            "lasso": lasso + (0.3, 1.5),
+            "lasso, schedule": lasso + (1.0, [1.2, 1.7] * 500),
+            "basis pursuit": gen_basis_pursuit(ProblemSpec("basis_pursuit", 30, 100, seed=42))[:2]
             + (100, 1.0, 1.5),
         }[case]
         params = DrsParams(alpha=alpha, lam=lam, max_iters=1000, stop_tol=1e-8)
         ref, status = _plain_admm(f, g, params, np.zeros(n))
-        g = Counting(g)
+        f, g = Counting(f), Counting(g)
         tr = admm_run(f, g, params, np.zeros(n))
         _assert_admm_parity(tr, ref, status, alpha)
         assert status == "converged" and len(tr) < 1000
-        assert (g.calls == len(tr)) == case.startswith("added")
+        assert (g.calls, f.calls) == (len(tr), len(tr) + 1)
 
     def test_nonfinite_z_reported_with_admm_iteration(self):
         # x = -1, z = -0.9e200 at k = 0; at k = 1 the prox of g overflows

@@ -23,6 +23,12 @@ pool runs do, and none of them replays a cycle):
     1e-17, below its rounding floor: the run cycles, and the replay grows
     the rows to max_iters 10,000.
 
+With them, in the same part, go two early-stopping ``admm_run`` runs at
+stop_tol 1e-8 and lambda 1.5: basis pursuit 30 x 100, seed 42, at alpha 1,
+and the LASSO above at alpha 0.3.  A DRS tolerance derived from a
+nonexpansiveness bound would stop the first late and miss the second's
+stop row.
+
 Two checkouts whose library gives the same bits print the same digest.  A
 line per part follows it, each the sha256 of that part's share of the same
 bytes: the certificate, the ``drs_run`` runs, the ``admm_run`` runs, the
@@ -141,7 +147,8 @@ def digest_problem(parts, f, g, fc, out_dir: str):
 
 
 def digest_growth(h):
-    """Feed the runs whose rows grow far past the first capacity into ``h``."""
+    """Feed the runs whose rows grow far past the first capacity, and the two
+    ADMM stop runs, into ``h``."""
     n = 100
     s = np.sqrt(1e-3)
     f, g = prox.prox_quadratic(s * np.eye(n), s * np.ones(n)), prox.prox_zero()
@@ -154,6 +161,11 @@ def digest_growth(h):
                                  max_iters=workloads.TRAJECTORY_ITERS, stop_tol=1e-17)
     _run(h, "cycle run", splitting.drs_run, f, g, params, np.zeros(40))
     _run(h, "cycle admm", splitting.admm_run, f, g, params, np.zeros(40))
+    for spec, alpha in ((cli.ProblemSpec("basis_pursuit", 30, 100, seed=42), 1.0),
+                        (cli.ProblemSpec("lasso", 60, 40, rank=40, seed=7), 0.3)):
+        f, g, _ = cli.build_problem(spec)
+        params = splitting.DrsParams(alpha=alpha, lam=1.5, max_iters=1000, stop_tol=1e-8)
+        _run(h, f"stop admm {spec.kind}", splitting.admm_run, f, g, params, np.zeros(spec.cols))
 
 
 def main(argv=None):
