@@ -58,7 +58,10 @@ class ProxOperator:
 
         Must be a deterministic function of (v, alpha): equal arguments give
         bitwise-equal results.  ``splitting.drs_run`` relies on this to replay
-        a run whose iterates repeat instead of recomputing them.
+        a run whose iterates repeat instead of recomputing them, and its
+        ``Trace`` to recompute the y and z rows from x each time they are
+        read.  An operator must therefore not be changed while a trace of
+        it is read: the rows recomputed would no longer be the run's.
         """
         raise NotImplementedError
 

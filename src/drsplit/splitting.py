@@ -1,9 +1,11 @@
 """The Douglas-Rachford iteration, its relaxed-ADMM form, and trace tooling.
 
-The solver records every iterate together with the fixed-point residual
+The solver records every state x_k together with the fixed-point residual
 ||z_k - y_k|| and the optimality residual ||df(y_k) + dg(z_k)||, which are
 tied by the exact identity  z_k - y_k = -alpha (df(y_k) + dg(z_k)).  A Trace
-keeps them as arrays with one row per iteration.
+keeps them as arrays with one row per iteration.  DRS is a system in x
+alone: y_k and z_k are outputs of x_k, which a DRS trace recomputes when
+they are read instead of holding them.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import itertools
 import math
 import operator
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Union
 
 import numpy as np
@@ -86,19 +88,51 @@ class Trace:
     iterations; ``objective`` is None when F is not evaluable) describe
     iteration k.  The columns are read-only; ``records`` presents the same
     rows as TraceRecord objects.
+
+    A trace of ``drs_run`` holds x and the scalar columns only.  Each read
+    of ``y`` or ``z`` recomputes the column from x with the run's operators
+    and alpha, y_k = prox_{af}(x_k) and z_k = prox_{ag}(2 y_k - x_k) in the
+    run's arithmetic, so every row is bitwise the run's (see
+    ``ProxOperator.evaluate``); ``records[k]`` recomputes row k alone.  A
+    trace built from y and z columns, as ``admm_run``'s, holds them.
     """
 
     x: np.ndarray
-    y: np.ndarray
-    z: np.ndarray
+    _y: Optional[np.ndarray] = field(repr=False)
+    _z: Optional[np.ndarray] = field(repr=False)
     fp_residual: np.ndarray
     subgrad_residual: np.ndarray
     objective: Optional[np.ndarray] = None
     status: str = "iteration-limit"
     x_final: Optional[np.ndarray] = None
+    _ops: Optional[tuple] = field(default=None, repr=False)  # (f, g, alpha) of a drs_run
 
     def __len__(self):
         return len(self.fp_residual)
+
+    @property
+    def y(self) -> np.ndarray:
+        return self._y if self._ops is None else self._recomputed(0)
+
+    @property
+    def z(self) -> np.ndarray:
+        return self._z if self._ops is None else self._recomputed(1)
+
+    def _recomputed(self, j: int) -> np.ndarray:
+        """Column y (j = 0) or z (j = 1) of a DRS trace, row by row from x."""
+        col = np.empty(self.x.shape)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k, x in enumerate(self.x):
+                col[k] = _outputs(*self._ops, x)[j]
+        col.flags.writeable = False
+        return col
+
+    def _row(self, k: int):
+        """(y_k, z_k): the stored rows, or those recomputed from x_k."""
+        if self._ops is None:
+            return self._y[k], self._z[k]
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _outputs(*self._ops, self.x[k])
 
     @property
     def records(self) -> "_Records":
@@ -126,8 +160,15 @@ class _Records(Sequence):
         t = self._trace
         k = range(len(t))[i]
         obj = None if t.objective is None else float(t.objective[k])
-        return TraceRecord(k, t.x[k], t.y[k], t.z[k], float(t.fp_residual[k]),
+        return TraceRecord(k, t.x[k], *t._row(k), float(t.fp_residual[k]),
                            float(t.subgrad_residual[k]), obj)
+
+
+def _outputs(f: ProxOperator, g: ProxOperator, alpha: float, x: np.ndarray):
+    """(y, z) of the DRS state x, y = prox_{af}(x) and z = prox_{ag}(2 y - x),
+    in ``_drs``'s arithmetic."""
+    y = f.evaluate(x, alpha)
+    return y, g.evaluate(np.subtract(np.multiply(y, 2.0), x), alpha)
 
 
 def _objective(f: ProxOperator, g: ProxOperator, at_f, at_g):
@@ -153,7 +194,8 @@ _CSV_ROWS = 4096  # trace CSV rows formatted and written per block
 
 class _Rows:
     """Rows of one run: x_0 .. x_cap in a (cap + 1, n) column, so that x_{k+1}
-    has a row whenever iteration k runs, and y_k, z_k and fp_k for k < cap.
+    has a row whenever iteration k runs, and z_k and fp_k for k < cap, with
+    y_k too when ``with_y`` (else that column is None).
 
     cap is max_iters when the run cannot stop early (stop_tol == 0), else
     _FIRST_ROWS, doubled as needed up to max_iters.  ``resize`` grows and
@@ -161,16 +203,17 @@ class _Rows:
     the old buffer: no view of a column may outlive a resize.
     """
 
-    def __init__(self, params: DrsParams, n: int):
+    def __init__(self, params: DrsParams, n: int, with_y: bool):
         self.limit = params.max_iters
         cap = self.limit if params.stop_tol == 0 else min(self.limit, _FIRST_ROWS)
-        self.cols = [np.empty((cap + 1, n)), np.empty((cap, n)), np.empty((cap, n)),
-                     np.empty(cap)]
+        self.cols = [np.empty((cap + 1, n)), np.empty((cap, n)) if with_y else None,
+                     np.empty((cap, n)), np.empty(cap)]
 
     def resize(self, cap):
         """Change cap in place, keeping the rows both sizes hold."""
         for c, rows in zip(self.cols, (cap + 1, cap, cap, cap)):
-            c.resize((rows,) + c.shape[1:], refcheck=False)
+            if c is not None:
+                c.resize((rows,) + c.shape[1:], refcheck=False)
 
     def repeat(self, k: int, p: int) -> np.ndarray:
         """Fill rows k .. limit-1 with rows k-p .. k-1 repeated, for a run
@@ -184,15 +227,17 @@ class _Rows:
         while end < self.limit:
             n = min(end - start, self.limit - end)
             for c in cols:
-                c[end:end + n] = c[start:start + n]
+                if c is not None:
+                    c[end:end + n] = c[start:start + n]
             end += n
         return cols[0][start + (self.limit - k) % p].copy()
 
 
-def _trace(X, Y, Z, FP, alpha: float, objective, stop: bool, x_final) -> Trace:
-    """Read-only Trace of the columns, with ``objective`` as its objective column."""
+def _trace(X, Y, Z, FP, alpha: float, objective, stop: bool, x_final, ops=None) -> Trace:
+    """Read-only Trace of the columns, with ``objective`` as its objective column;
+    ``ops`` = (f, g, alpha) gives a DRS trace, whose Y and Z are None."""
     trace = Trace(X, Y, Z, FP, FP / alpha, objective,
-                  "converged" if stop else "iteration-limit", x_final)
+                  "converged" if stop else "iteration-limit", x_final, ops)
     for c in (X, Y, Z, FP, trace.subgrad_residual, trace.objective):
         if c is not None:
             c.flags.writeable = False
@@ -222,9 +267,10 @@ def _drs(f: ProxOperator, g: ProxOperator, params: DrsParams, x0: np.ndarray,
     Stops after the first iteration k that meets the stop rule, whose x_final
     is x_k, or after max_iters iterations, whose x_final is x_{k+1}.  The
     rule is ||z_k - y_k|| <= stop_tol, or, given a stop test (which needs
-    rows), ``stop(k, Y, Z)`` once row k of the y and z columns Y and Z is
-    stored.  Returns (iterations, x_final, y, z, stopped, period) with y, z
-    those of the last iteration run; x_final is a copy of its own.
+    rows with a y column), ``stop(k, Y, Z)`` once row k of the y and z
+    columns Y and Z is stored.  Returns (iterations, x_final, y, z, stopped,
+    period) with y, z those of the last iteration run; x_final is a copy of
+    its own.
 
     With a constant lambda one step is a function of x alone, so once x_k
     equals an earlier x_{k-p} byte for byte every later iterate repeats with
@@ -242,7 +288,8 @@ def _drs(f: ProxOperator, g: ProxOperator, params: DrsParams, x0: np.ndarray,
     straight into row k + 1, which x_{k+1} then is a view of (re-taken after
     the rows grow), or, without rows, into one of two vectors used in turn.
     2 y_k - x_k and z_k - y_k are computed into two work vectors that every
-    iteration reuses; rows y_k and z_k are copied from the prox outputs.
+    iteration reuses; row z_k, and y_k when rows has a y column, are copied
+    from the prox outputs.
 
     Shapes are checked at iteration 0.  The y and z iterates are scanned for
     non-finite entries only when ||z_k - y_k|| is not finite.  The x iterate
@@ -296,7 +343,8 @@ def _drs(f: ProxOperator, g: ProxOperator, params: DrsParams, x0: np.ndarray,
                 if not np.isfinite(w).all():
                     raise _NonFinite(name, k)
         if rows is not None:
-            Y[k] = y
+            if Y is not None:
+                Y[k] = y
             Z[k] = z
             FP[k] = fp
         if (fp <= tol) if stop is None else stop(k, Y, Z):
@@ -319,9 +367,11 @@ def drs_run(f: ProxOperator, g: ProxOperator, params: DrsParams, x0: np.ndarray)
         x_{k+1} = x_k + lam_k (z_k - y_k).
 
     ``x0`` must be a 1-D vector.  Stops when ||z_k - y_k|| <= stop_tol or
-    the iteration cap is reached.  Records every iterate; the objective
-    column is F evaluated at z_k when both function values are evaluable,
-    computed once after the run, inside the run's one errstate.
+    the iteration cap is reached.  Records every state x_k and the scalar
+    columns; the trace recomputes y_k and z_k from x_k when they are read.
+    The objective column is F evaluated at z_k when both function values
+    are evaluable, computed once after the run, inside the run's one
+    errstate, from a z column that is then freed.
 
     With a constant lambda, a run is not iterated past the first k whose
     iterate x_k repeats an earlier x_{k-p} exactly (as runs at rounding level
@@ -331,16 +381,19 @@ def drs_run(f: ProxOperator, g: ProxOperator, params: DrsParams, x0: np.ndarray)
     as each prox is a deterministic function of its arguments.
     """
     x0 = _start("x0", x0)
+    a = params.alpha
     with np.errstate(over="ignore", invalid="ignore"):
-        X, Y, Z, FP, stop, x_final = _drs_rows(f, g, params, x0)
-        return _trace(X, Y, Z, FP, params.alpha, _objective(f, g, Z, Z), stop, x_final)
+        X, _, Z, FP, stop, x_final = _drs_rows(f, g, params, x0)
+        return _trace(X, None, None, FP, a, _objective(f, g, Z, Z), stop, x_final, (f, g, a))
 
 
 def _drs_rows(f: ProxOperator, g: ProxOperator, params: DrsParams, x0: np.ndarray,
               stop=None):
     """DRS columns x, y, z and fp trimmed to the rows run, the stop flag and
-    x_final; cycles are replayed, and a stop test also sees the first replayed row."""
-    rows = _Rows(params, len(x0))
+    x_final; y is held only for a stop test, which reads it, and is None
+    otherwise.  Cycles are replayed, and a stop test also sees the first
+    replayed row."""
+    rows = _Rows(params, len(x0), stop is not None)
     k, x_final, _, _, stopped, period = _drs(f, g, params, x0, rows, stop)
     X, Y, Z, FP = rows.cols
     if period:

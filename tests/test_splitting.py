@@ -305,6 +305,8 @@ class TestTraceStorage:
             tr.records[1].x[0] = 5.0
         with pytest.raises(ValueError):
             tr.fp_residual[0] = 5.0
+        with pytest.raises(ValueError):
+            tr.z[0, 0] = 5.0
         assert tr.records[-1].k == 3
         assert [r.k for r in tr.records[1:3]] == [1, 2]
 
@@ -317,8 +319,9 @@ class TestTraceStorage:
 
     @pytest.mark.parametrize("max_iters", [24_000, 200_000])
     def test_early_stop_holds_only_the_rows_run(self, max_iters):
-        # the columns grow and are trimmed in place: the peak is the last
-        # capacity, or the rows and the objective's one (k, n) product
+        # the x and z columns grow and are trimmed in place, and z is freed
+        # once the objective is filled: the trace holds its x column, and
+        # the peak is x, z and the quadratic objective's one (k, n) product
         f, g, x0 = self._slow_problem()
         n = x0.size
         tracemalloc.start()
@@ -330,9 +333,9 @@ class TestTraceStorage:
         k = len(tr)
         assert tr.status == "converged" and 20_000 <= k < max_iters
         assert tr.x.shape == tr.y.shape == tr.z.shape == (k, n)
-        rows = 3 * k * n * 8
-        assert rows <= held <= 1.05 * rows + (1 << 20)
-        assert peak <= 1.6 * held + (1 << 20)
+        x = tr.x.base.nbytes
+        assert x <= held <= 1.05 * x + (1 << 20)
+        assert peak <= x + 2 * k * n * 8 + (1 << 20)
 
     def test_full_run_writes_x_max_iters_into_a_row_it_keeps(self):
         # trimming that row off every stop_tol-0 run by realloc fragmented
@@ -465,6 +468,21 @@ def _assert_admm_parity(tr, ref, status, alpha):
     assert tr.subgrad_residual.tobytes() == (tr.fp_residual / alpha).tobytes()
 
 
+def _assert_plain(tr, f, g, params, x0):
+    """Bitwise the plain loop: status, length, every column (y and z
+    recomputed whole), x_final, and every record (y and z recomputed from
+    its own row)."""
+    ref, status = _plain_drs(f, g, params, x0)
+    assert (tr.status, len(tr)) == (status, len(ref["x"]))
+    for name, col in ref.items():
+        assert getattr(tr, name).tobytes() == col.tobytes(), name
+    assert tr.subgrad_residual.tobytes() == (ref["fp_residual"] / params.alpha).tobytes()
+    for r in tr.records:
+        for name in ("x", "y", "z"):
+            assert getattr(r, name).tobytes() == ref[name][r.k].tobytes(), (name, r.k)
+        assert (r.fp_residual, r.objective) == (ref["fp_residual"][r.k], ref["objective"][r.k])
+
+
 def _first_repeat(X):
     """The first k whose row X[k] equals an earlier row byte for byte."""
     seen = set()
@@ -488,13 +506,6 @@ class TestCycleReplay:
         f, g, fc = gen_lasso(ProblemSpec("lasso", 60, 40, rank=rank, seed=7))
         return Counting(f), Counting(g), tune(fc, 1.0).lam
 
-    def _assert_bitwise(self, tr, f, g, params):
-        ref, status = _plain_drs(f.inner, g.inner, params, np.zeros(40))
-        assert (tr.status, len(tr)) == (status, len(ref["x"]))
-        for name, col in ref.items():
-            assert getattr(tr, name).tobytes() == col.tobytes(), name
-        assert tr.subgrad_residual.tobytes() == (ref["fp_residual"] / params.alpha).tobytes()
-
     @pytest.mark.parametrize("rank", [40, 20])  # Cases 3 and 2
     def test_cycling_run_matches_the_full_loop(self, rank):
         first_repeat = {40: 78, 20: 570}[rank]
@@ -503,7 +514,7 @@ class TestCycleReplay:
         tr = drs_run(f, g, params, np.zeros(40))
         # x_k of the first repeat is not evaluated: calls are iterations 0 .. k-1
         assert f.calls == g.calls == first_repeat == _first_repeat(tr.x)
-        self._assert_bitwise(tr, f, g, params)
+        _assert_plain(tr, f.inner, g.inner, params, np.zeros(40))
 
     def test_long_period_found_at_its_first_repeat(self):
         # period 4,932 from iteration 711: Brent's power-of-two marks would
@@ -514,7 +525,7 @@ class TestCycleReplay:
         tr = drs_run(f, g, params, np.zeros(40))
         assert f.calls == g.calls == 711 + 4932 == _first_repeat(tr.x)
         assert tr.x[711].tobytes() == tr.x[711 + 4932].tobytes()
-        self._assert_bitwise(tr, f, g, params)
+        _assert_plain(tr, f.inner, g.inner, params, np.zeros(40))
 
     def test_tolerance_below_rounding_grows_to_the_cap(self):
         f, g, lam = self._lasso(40)
@@ -522,14 +533,14 @@ class TestCycleReplay:
         tr = drs_run(f, g, params, np.zeros(40))
         assert tr.status == "iteration-limit" and len(tr) == self.ITERS
         assert f.calls < self.ITERS
-        self._assert_bitwise(tr, f, g, params)
+        _assert_plain(tr, f.inner, g.inner, params, np.zeros(40))
 
     def test_schedule_is_iterated_in_full(self):
         f, g, lam = self._lasso(40)
         params = DrsParams(alpha=1.0, lam=[lam] * 2000, max_iters=2000)
         tr = drs_run(f, g, params, np.zeros(40))
         assert f.calls == g.calls == 2000
-        self._assert_bitwise(tr, f, g, params)
+        _assert_plain(tr, f.inner, g.inner, params, np.zeros(40))
 
     def test_stop_test_met_on_the_first_replayed_row_ends_the_run_there(self):
         # the loop tests rows 0 .. 77 and returns at the top of iteration 78,
@@ -571,19 +582,12 @@ class TestIterateWrittenOnce:
     reused vectors, and lam * d is skipped at lam = 1: every column, x_final
     and the status stay bitwise those of the plain loop."""
 
-    @staticmethod
-    def _assert_plain(tr, f, g, params, x0):
-        ref, status = _plain_drs(f, g, params, x0)
-        assert (tr.status, len(tr)) == (status, len(ref["x"]))
-        for name, col in ref.items():
-            assert getattr(tr, name).tobytes() == col.tobytes(), name
-
     @pytest.mark.parametrize("lam", [1.0, 1.5])
     def test_full_run(self, lam):
         # basis pursuit does not cycle within these iterations
         f, g, _ = gen_basis_pursuit(ProblemSpec("basis_pursuit", 30, 100, seed=42))
         params = DrsParams(alpha=1.0, lam=lam, max_iters=3000)
-        self._assert_plain(drs_run(f, g, params, np.zeros(100)), f, g, params, np.zeros(100))
+        _assert_plain(drs_run(f, g, params, np.zeros(100)), f, g, params, np.zeros(100))
 
     @pytest.mark.parametrize("lam", [1.0, 1.5])
     @pytest.mark.parametrize("stop", [1023, 1024, 1025, 3000])
@@ -597,7 +601,7 @@ class TestIterateWrittenOnce:
         params = DrsParams(alpha=1.0, lam=lam, max_iters=10_000, stop_tol=fp[stop])
         tr = drs_run(f, g, params, x0)
         assert tr.status == "converged" and len(tr) == stop + 1
-        self._assert_plain(tr, f, g, params, x0)
+        _assert_plain(tr, f, g, params, x0)
 
     @pytest.mark.parametrize("how", ["limit", "stop", "cycle"])
     def test_x_final_is_a_writable_copy(self, how):
@@ -610,7 +614,7 @@ class TestIterateWrittenOnce:
         assert tr.status == ("converged" if how == "stop" else "iteration-limit")
         assert tr.x_final.flags.writeable
         assert not np.shares_memory(tr.x_final, tr.x)
-        self._assert_plain(tr, f, g, params, np.zeros(40))
+        _assert_plain(tr, f, g, params, np.zeros(40))
 
     def test_zero_dimensional_lambda(self):
         f, g, fc = gen_lasso(ProblemSpec("lasso", 60, 40, rank=40, seed=7))
@@ -618,17 +622,16 @@ class TestIterateWrittenOnce:
         x0 = np.zeros(40)
         tr = drs_run(f, g, DrsParams(alpha=1.0, lam=np.array(1.5), max_iters=10_000), x0)
         assert f.calls < 10_000  # a constant: the cycle is replayed
-        ref = drs_run(f.inner, g.inner, DrsParams(alpha=1.0, lam=1.5, max_iters=10_000), x0)
-        for name in ("x", "y", "z", "fp_residual", "subgrad_residual", "objective", "x_final"):
-            assert getattr(tr, name).tobytes() == getattr(ref, name).tobytes(), name
-        assert tr.status == ref.status
+        _assert_plain(tr, f.inner, g.inner, DrsParams(alpha=1.0, lam=1.5, max_iters=10_000), x0)
         mine = solve_reference(f.inner, g.inner, DrsParams(alpha=1.0, lam=np.array(1.5)), x0)
         theirs = solve_reference(f.inner, g.inner, DrsParams(alpha=1.0, lam=1.5), x0)
         assert mine[0].tobytes() == theirs[0].tobytes() and mine[2] == theirs[2]
 
     def test_memory_above_the_trace_is_one_matrix_product(self):
-        # Case 1 of the benchmark's size: 10^4 rows of n = 100; the only
-        # temporary of the trace's length is the affine objective's product
+        # Case 1 of the benchmark's size: 10^4 rows of n = 100.  The trace
+        # holds its x column and the scalar columns; above them the run
+        # holds the z column until the objective is filled, and the affine
+        # objective's product is the only other temporary of the trace's length
         f, g, _ = gen_basis_pursuit(ProblemSpec("basis_pursuit", 30, 100, seed=42))
         params = DrsParams(alpha=1.0, max_iters=10_000)
         x0 = np.zeros(100)
@@ -638,8 +641,27 @@ class TestIterateWrittenOnce:
             held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert held >= tr.x.nbytes + tr.y.nbytes + tr.z.nbytes
-        assert peak - held <= 10_000 * 30 * 8 + (1 << 19)
+        x = tr.x.base.nbytes
+        assert x <= held <= x + (1 << 19)
+        assert peak <= x + 10_000 * 100 * 8 + 10_000 * 30 * 8 + (1 << 19)
+
+    def test_walking_the_records_makes_no_column(self):
+        # each record recomputes y_k and z_k from its own row, with one prox
+        # of f and one of g: a walk over 10^4 rows of n = 100 holds no
+        # (k, n) array, which would take 8 MB
+        f, g, _ = gen_basis_pursuit(ProblemSpec("basis_pursuit", 30, 100, seed=42))
+        f, g = Counting(f), Counting(g)
+        tr = drs_run(f, g, DrsParams(alpha=1.0, max_iters=10_000), np.zeros(100))
+        ran = f.calls, g.calls
+        tracemalloc.start()
+        try:
+            for r in tr.records:
+                assert r.y.shape == r.z.shape == (100,)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16
+        assert (f.calls - ran[0], g.calls - ran[1]) == (10_000, 10_000)
 
 
 class TestAdmmRun:
@@ -854,6 +876,8 @@ class TestAdmmRun:
         finally:
             tracemalloc.stop()
         assert len(tr) == 10_000 and tr.status == "iteration-limit"
+        # ADMM's u and z columns are stored, not recomputed from x
+        assert tr.y is tr.y and tr.z is tr.z
         assert held >= tr.x.nbytes + tr.y.nbytes + tr.z.nbytes
         assert peak - held <= 2 * 10_000 * 100 * 8 + 10_000 * 30 * 8 + (1 << 20)
 
