@@ -59,7 +59,7 @@ class ProxOperator:
         Must be a deterministic function of (v, alpha): equal arguments give
         bitwise-equal results.  ``splitting.drs_run`` relies on this to replay
         a run whose iterates repeat instead of recomputing them, and its
-        ``Trace`` to recompute the y and z rows from x each time they are
+        ``Trace`` to recompute the y or z column from x each time it is
         read.  An operator must therefore not be changed while a trace of
         it is read: the rows recomputed would no longer be the run's.
         """

@@ -3,9 +3,10 @@
 The solver records every state x_k together with the fixed-point residual
 ||z_k - y_k|| and the optimality residual ||df(y_k) + dg(z_k)||, which are
 tied by the exact identity  z_k - y_k = -alpha (df(y_k) + dg(z_k)).  A Trace
-keeps them as arrays with one row per iteration.  DRS is a system in x
-alone: y_k and z_k are outputs of x_k, which a DRS trace recomputes when
-they are read instead of holding them.
+keeps them as arrays with one row per iteration, each computed once, by the
+run's loop.  DRS is a system in x alone: y_k and z_k are outputs of x_k,
+which a DRS trace recomputes when its y or z column is read instead of
+holding them.
 """
 
 from __future__ import annotations
@@ -68,12 +69,11 @@ class DrsParams:
 
 @dataclass
 class TraceRecord:
-    """One iteration: state triple, residuals, and objective when evaluable."""
+    """One iteration as the trace holds it: state, residuals, and objective
+    when evaluable."""
 
     k: int
     x: np.ndarray
-    y: np.ndarray
-    z: np.ndarray
     fp_residual: float
     subgrad_residual: float
     objective: Optional[float] = None
@@ -86,15 +86,15 @@ class Trace:
     Row k of ``x``, ``y`` and ``z`` (shape iterations x n) and entry k of
     ``fp_residual``, ``subgrad_residual`` and ``objective`` (length
     iterations; ``objective`` is None when F is not evaluable) describe
-    iteration k.  The columns are read-only; ``records`` presents the same
-    rows as TraceRecord objects.
+    iteration k.  The columns are read-only; ``records`` presents the held
+    rows (x and the scalar columns) as TraceRecord objects.
 
     A trace of ``drs_run`` holds x and the scalar columns only.  Each read
-    of ``y`` or ``z`` recomputes the column from x with the run's operators
-    and alpha, y_k = prox_{af}(x_k) and z_k = prox_{ag}(2 y_k - x_k) in the
-    run's arithmetic, so every row is bitwise the run's (see
-    ``ProxOperator.evaluate``); ``records[k]`` recomputes row k alone.  A
-    trace built from y and z columns, as ``admm_run``'s, holds them.
+    of ``y`` recomputes the column from x with the run's f and alpha,
+    y_k = prox_{af}(x_k), and each read of ``z`` with both operators,
+    z_k = prox_{ag}(2 y_k - x_k), in the run's arithmetic, so every row is
+    bitwise the run's (see ``ProxOperator.evaluate``).  A trace built from
+    y and z columns, as ``admm_run``'s, holds them.
     """
 
     x: np.ndarray
@@ -112,27 +112,23 @@ class Trace:
 
     @property
     def y(self) -> np.ndarray:
-        return self._y if self._ops is None else self._recomputed(0)
+        return self._y if self._ops is None else self._recomputed(z=False)
 
     @property
     def z(self) -> np.ndarray:
-        return self._z if self._ops is None else self._recomputed(1)
+        return self._z if self._ops is None else self._recomputed(z=True)
 
-    def _recomputed(self, j: int) -> np.ndarray:
-        """Column y (j = 0) or z (j = 1) of a DRS trace, row by row from x."""
+    def _recomputed(self, z: bool) -> np.ndarray:
+        """Column y, or z when ``z``, of a DRS trace, row by row from x in
+        ``_drs``'s arithmetic; y takes the prox of f alone."""
+        f, g, a = self._ops
         col = np.empty(self.x.shape)
         with np.errstate(over="ignore", invalid="ignore"):
             for k, x in enumerate(self.x):
-                col[k] = _outputs(*self._ops, x)[j]
+                y = f.evaluate(x, a)
+                col[k] = g.evaluate(np.subtract(np.multiply(y, 2.0), x), a) if z else y
         col.flags.writeable = False
         return col
-
-    def _row(self, k: int):
-        """(y_k, z_k): the stored rows, or those recomputed from x_k."""
-        if self._ops is None:
-            return self._y[k], self._z[k]
-        with np.errstate(over="ignore", invalid="ignore"):
-            return _outputs(*self._ops, self.x[k])
 
     @property
     def records(self) -> "_Records":
@@ -146,7 +142,7 @@ class Trace:
 
 
 class _Records(Sequence):
-    """Read-only sequence view of a Trace's rows as TraceRecord objects."""
+    """Read-only sequence view of a Trace's held rows as TraceRecord objects."""
 
     def __init__(self, trace: Trace):
         self._trace = trace
@@ -160,15 +156,7 @@ class _Records(Sequence):
         t = self._trace
         k = range(len(t))[i]
         obj = None if t.objective is None else float(t.objective[k])
-        return TraceRecord(k, t.x[k], *t._row(k), float(t.fp_residual[k]),
-                           float(t.subgrad_residual[k]), obj)
-
-
-def _outputs(f: ProxOperator, g: ProxOperator, alpha: float, x: np.ndarray):
-    """(y, z) of the DRS state x, y = prox_{af}(x) and z = prox_{ag}(2 y - x),
-    in ``_drs``'s arithmetic."""
-    y = f.evaluate(x, alpha)
-    return y, g.evaluate(np.subtract(np.multiply(y, 2.0), x), alpha)
+        return TraceRecord(k, t.x[k], float(t.fp_residual[k]), float(t.subgrad_residual[k]), obj)
 
 
 def _objective(f: ProxOperator, g: ProxOperator, at_f, at_g):
@@ -217,7 +205,8 @@ class _Rows:
 
     def repeat(self, k: int, p: int) -> np.ndarray:
         """Fill rows k .. limit-1 with rows k-p .. k-1 repeated, for a run
-        whose x_k equals x_{k-p}; return (a copy of) x_limit, the terminal x.
+        whose x_k equals x_{k-p} and whose rows before k are stored; return
+        (a copy of) x_limit, the terminal x.
 
         Doubling slice copies, so no temporary of the filled size is made.
         """
@@ -267,22 +256,24 @@ def _drs(f: ProxOperator, g: ProxOperator, params: DrsParams, x0: np.ndarray,
     Stops after the first iteration k that meets the stop rule, whose x_final
     is x_k, or after max_iters iterations, whose x_final is x_{k+1}.  The
     rule is ||z_k - y_k|| <= stop_tol, or, given a stop test (which needs
-    rows with a y column), ``stop(k, Y, Z)`` once row k of the y and z
-    columns Y and Z is stored.  Returns (iterations, x_final, y, z, stopped,
-    period) with y, z those of the last iteration run; x_final is a copy of
-    its own.
+    rows with a y column), ``stop(k, Y, Z, FP)`` once row k of the y, z and
+    fp columns is stored; the test may overwrite FP[k] with its own residual.
+    Returns (iterations, x_final, y, z, stopped, period) with y, z those of
+    the last iteration run; x_final is a copy of its own.
 
     With a constant lambda one step is a function of x alone, so once x_k
     equals an earlier x_{k-p} byte for byte every later iterate repeats with
-    period p, and none of them meets ||z - y|| <= stop_tol.  The loop then
-    returns at the top of iteration k with period p > 0 and x_final = x_k;
-    period is 0 otherwise.  A stop test has then not seen row k, which
-    ``_drs_rows`` tests after the replay.  With rows, a cycle is found at its
-    first repeat: a dict maps the hash of each x_j's bytes to j, and a hit is
-    confirmed against the stored row.  Without rows, x_k is compared with the iterate marked at
-    iteration 0 or at the last power of two (Brent 1980), which needs O(n)
-    memory but finds a period p only at the first mark after both the cycle's
-    start and p.
+    period p, and none of them meets ||z - y|| <= stop_tol.  Without rows,
+    the loop then returns at the top of iteration k with period p > 0 and
+    x_final = x_k, and x_k is compared with the iterate marked at iteration
+    0 or at the last power of two (Brent 1980), which needs O(n) memory but
+    finds a period p only at the first mark after both the cycle's start
+    and p.  With rows, a cycle is found at its first repeat: a dict maps the
+    hash of each x_j's bytes to j, and a hit is confirmed against the stored
+    row.  Iteration k is then computed, stored and tested like any other,
+    and the loop returns after it (k + 1 iterations) with period p and
+    x_final = x_{k+1}; the rows from k + 1 on are copies of stored ones.
+    period is 0 otherwise.
 
     Each iterate is written once: x_{k+1} = x_k + lam_k (z_k - y_k) goes
     straight into row k + 1, which x_{k+1} then is a view of (re-taken after
@@ -303,7 +294,7 @@ def _drs(f: ProxOperator, g: ProxOperator, params: DrsParams, x0: np.ndarray,
     f_eval, g_eval = f.evaluate, g.evaluate
     periodic = np.ndim(params.lam) == 0
     mark, marked = None, 0  # Brent's mark, without rows
-    seen = {}  # hash of x_j's bytes -> j, with rows
+    seen, period = {}, 0  # hash of x_j's bytes -> j, and the period found, with rows
     x = np.array(x0, dtype=float)
     spare = (x, np.empty_like(x))  # x_{k+1} without rows: spare[(k + 1) % 2]
     v, d = np.empty_like(x), np.empty_like(x)  # 2 y_k - x_k; lam_k (z_k - y_k)
@@ -326,7 +317,7 @@ def _drs(f: ProxOperator, g: ProxOperator, params: DrsParams, x0: np.ndarray,
             else:
                 j = seen.setdefault(hash(key), k)
                 if j != k and X[j].tobytes() == key:
-                    return k, x.copy(), y, z, False, k - j
+                    period = k - j
         y = f_eval(x, a)
         if not k and y.shape != x.shape:
             raise ValueError("dimension mismatch between prox outputs and x0")
@@ -347,7 +338,7 @@ def _drs(f: ProxOperator, g: ProxOperator, params: DrsParams, x0: np.ndarray,
                 Y[k] = y
             Z[k] = z
             FP[k] = fp
-        if (fp <= tol) if stop is None else stop(k, Y, Z):
+        if (fp <= tol) if stop is None else stop(k, Y, Z, FP):
             return k + 1, x.copy(), y, z, True, 0
         if lam != 1.0:  # 1.0 * d is d, bit for bit
             np.multiply(d, lam, out=d)
@@ -357,7 +348,9 @@ def _drs(f: ProxOperator, g: ProxOperator, params: DrsParams, x0: np.ndarray,
         if (not bound < 1e300 and not math.isfinite(x @ x)
                 and not np.isfinite(x).all()):
             raise _NonFinite("x", k)
-    return k + 1, x.copy(), y, z, False, 0
+        if period:
+            break
+    return k + 1, x.copy(), y, z, False, period
 
 
 def drs_run(f: ProxOperator, g: ProxOperator, params: DrsParams, x0: np.ndarray) -> Trace:
@@ -391,15 +384,13 @@ def _drs_rows(f: ProxOperator, g: ProxOperator, params: DrsParams, x0: np.ndarra
               stop=None):
     """DRS columns x, y, z and fp trimmed to the rows run, the stop flag and
     x_final; y is held only for a stop test, which reads it, and is None
-    otherwise.  Cycles are replayed, and a stop test also sees the first
-    replayed row."""
+    otherwise.  The rows of a cycle past its first repeat, which the loop
+    has computed and tested, are copies of tested rows."""
     rows = _Rows(params, len(x0), stop is not None)
     k, x_final, _, _, stopped, period = _drs(f, g, params, x0, rows, stop)
     X, Y, Z, FP = rows.cols
     if period:
-        x_final = rows.repeat(k, period)
-        stopped = stop is not None and stop(k, Y, Z)  # the first replayed row
-        k, x_final = (k + 1, X[k].copy()) if stopped else (params.max_iters, x_final)
+        k, x_final = params.max_iters, rows.repeat(k, period)
     rows.resize(k)
     # x keeps its extra row behind a view: a one-row trim fragments the heap
     return X[:k], Y, Z, FP, stopped, x_final
@@ -419,11 +410,11 @@ def admm_run(f_prox: ProxOperator, g_prox: ProxOperator, params: DrsParams, u0: 
     from t_0 = lam_0 x_0 + u_0, x_0 = prox_{af}(-u_0), DRS lam_k being ADMM
     lam_{k+1}: row k is x = DRS z[k-1], u = DRS x[k-1] - DRS y[k-1], z = DRS
     y[k], with x_0, u_0 and z = 0 before row 0.  DRS tests the rule on row k
-    once it has DRS y[k], in the arithmetic of the fp_residual column, so a
-    converged trace ends at the first row that meets it by the residuals it
-    stores; a cycle's first replayed row is tested after the replay.  ``u0``
-    must be a 1-D vector; t_0 and the objective are computed inside the
-    run's one errstate, so an overflow there is not warned.
+    once it has DRS y[k], and the primal residual the test computes is the
+    row's fp_residual, so a converged trace ends at the first row that meets
+    it by the residuals it stores.  ``u0`` must be a 1-D vector; t_0 and the
+    objective are computed inside the run's one errstate, so an overflow
+    there is not warned.
     """
     a, tol, limit = params.alpha, params.stop_tol, params.max_iters
     u0 = _start("u0", u0)
@@ -433,26 +424,25 @@ def admm_run(f_prox: ProxOperator, g_prox: ProxOperator, params: DrsParams, u0: 
     lam = params.lam if np.ndim(params.lam) == 0 else np.asarray(params.lam, dtype=float)[:limit]
     lams = lam if np.ndim(lam) == 0 else np.append(lam[1:], lam[-1])  # shifted; the pad is unused
 
-    def met(k, y, z):  # ADMM's rule on row k, from the DRS y and z columns
+    def met(k, y, z, fp):  # ADMM's rule on row k, from the DRS y and z columns
         p = (z[k - 1] if k else x0) - y[k]
-        if not math.sqrt(np.einsum("j,j->", p, p)) <= tol:
+        fp[k] = math.sqrt(np.einsum("j,j->", p, p))  # the primal residual, stored
+        if not fp[k] <= tol:
             return False
         d = y[k] - y[k - 1] if k else y[0]
         return math.sqrt(np.einsum("j,j->", d, d)) / a <= tol
 
     with np.errstate(over="ignore", invalid="ignore"):
         try:
-            T, Y, Z, _, stop, _ = _drs_rows(g_prox, f_prox, DrsParams(a, lams, limit, tol),
-                                            np.ravel(lam)[0] * x0 + u0, met)
+            T, Y, Z, fp, stop, _ = _drs_rows(g_prox, f_prox, DrsParams(a, lams, limit, tol),
+                                             np.ravel(lam)[0] * x0 + u0, met)
         except _NonFinite as e:
             name, k = {"y": ("z", e.k), "z": ("x", e.k + 1), "x": ("u", e.k + 1)}[e.name]
             raise _NonFinite(name, k) from None
         X, U = np.empty((2,) + Y.shape)
         X[0], U[0], X[1:] = x0, u0, Z[:-1]
         np.subtract(T[:-1], Y[:-1], out=U[1:])
-        del T, Z  # the DRS x and z columns go before the residual pass
-        d = X - Y
-        fp = np.sqrt(np.einsum("ij,ij->i", d, d))
+        del T, Z  # the DRS x and z columns go before the objective
         return _trace(X, U, Y, fp, a, _objective(f_prox, g_prox, X, Y), stop, Y[-1].copy())
 
 

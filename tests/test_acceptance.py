@@ -104,7 +104,7 @@ def _lasso_full_rank_run(rows=60, cols=40):
 def _assert_linear_rate(trace, x0, x_star, cert):
     """||x_k - x*||^2 <= 1.01 rho^2k ||x0 - x*||^2 until the iterates reach x*."""
     dist_sq = float(np.sum((x0 - x_star) ** 2))
-    dist = np.array([float(np.sum((r.x - x_star) ** 2)) for r in trace.records])
+    dist = np.sum((trace.x - x_star) ** 2, axis=1)
     k = np.arange(len(trace), dtype=float)
     bound = 1.01 * cert.rho_sq ** k * dist_sq
     below = np.nonzero(dist <= 1e-20)[0]
@@ -254,12 +254,12 @@ def test_criterion_10_residual_identity_and_eigensolver():
         (_lasso_full_rank_run()[0], 1.0),
     ]
     for trace, alpha in runs:
-        for r in trace.records:
+        for r, y, z in zip(trace.records, trace.y, trace.z):
             # z - y = -alpha (df(y) + dg(z)) with subgradients recovered from
             # the two proximal steps
-            sf = (r.x - r.y) / alpha
-            sg = (2.0 * r.y - r.x - r.z) / alpha
-            lhs = r.z - r.y
+            sf = (r.x - y) / alpha
+            sg = (2.0 * y - r.x - z) / alpha
+            lhs = z - y
             rhs = -alpha * (sf + sg)
             assert np.linalg.norm(lhs - rhs) <= 1e-12 * (1.0 + np.linalg.norm(lhs))
             assert abs(r.subgrad_residual * alpha - r.fp_residual) <= \

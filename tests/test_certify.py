@@ -173,15 +173,17 @@ def case1_run():
 class TestTraceReplay:
     """Quadratic-form bridges between the factors and real solver trajectories."""
 
-    def _error_blocks(self, rec, x_star, y_star, z_star):
-        return [rec.x - x_star, rec.y - y_star, rec.z - z_star]
+    @staticmethod
+    def _error_blocks(tr, x_star, y_star, z_star):
+        """[x_k - x*, y_k - y*, z_k - z*] for every row k, with the trace's y
+        and z columns read once."""
+        return list(zip(tr.x - x_star, tr.y - y_star, tr.z - z_star))
 
     def test_constraint_forms_nonnegative_along_trace(self, case1_run):
         tr, xs, ys, zs = case1_run
         Q1 = build_Q1(1.0, F0INF)
         Q2 = build_Q2(1.0)
-        for rec in tr.records[:50]:
-            e = self._error_blocks(rec, xs, ys, zs)
+        for e in self._error_blocks(tr, xs, ys, zs)[:50]:
             assert kron_quadratic_form(Q1, e) >= -1e-10
             assert kron_quadratic_form(Q2, e) >= -1e-10
 
@@ -190,8 +192,9 @@ class TestTraceReplay:
         sigma, theta = analytic_params_case1(1.0, 1.0)
         W0 = build_W0(1.0, 1.0, theta)
         V = lyapunov_series(tr, "case1", theta, xs)
+        blocks = self._error_blocks(tr, xs, ys, zs)
         for k in range(30):
-            e = self._error_blocks(tr.records[k], xs, ys, zs)
+            e = blocks[k]
             form = kron_quadratic_form(W0, e)
             decr = V[k + 1] - V[k]
             assert decr == pytest.approx(form, rel=1e-9, abs=1e-9)
@@ -209,9 +212,9 @@ class TestTraceReplay:
         z = g.evaluate(2 * y - x_star, 1.0)
         W1 = build_W1(1.0, lam, theta, fc.L)
         V = lyapunov_series(tr, "case2", theta, x_star, F_star=F_star)
+        blocks = self._error_blocks(tr, x_star, y, z)
         for k in range(60):
-            e = [tr.records[k].x - x_star, tr.records[k].y - y,
-                 tr.records[k].z - z]
+            e = blocks[k]
             form = kron_quadratic_form(W1, e)
             assert V[k + 1] - V[k] <= form + 1e-9
 
@@ -227,9 +230,9 @@ class TestTraceReplay:
         z = g.evaluate(2 * y - x_star, 1.0)
         Qk = build_Qk(lam, rho_sq)
         V = lyapunov_series(tr, "case3", None, x_star)
+        blocks = self._error_blocks(tr, x_star, y, z)
         for k in range(40):
-            e = [tr.records[k].x - x_star, tr.records[k].y - y,
-                 tr.records[k].z - z]
+            e = blocks[k]
             form = kron_quadratic_form(Qk, e)
             assert V[k + 1] - rho_sq * V[k] == pytest.approx(
                 form, rel=1e-9, abs=1e-9)

@@ -122,10 +122,10 @@ class TestDrsRun:
         f = prox_quadratic(np.eye(1), np.zeros(1))
         tr = drs_run(f, prox_zero(), DrsParams(alpha=1.0, lam=1.0, max_iters=20),
                      np.array([1.0]))
-        for r in tr.records:
-            assert r.x[0] == pytest.approx(2.0 ** -r.k, abs=1e-15)
-            assert r.y[0] == pytest.approx(r.x[0] / 2, abs=1e-15)
-            assert r.z[0] == pytest.approx(0.0, abs=1e-15)
+        for k, (x, y, z) in enumerate(zip(tr.x, tr.y, tr.z)):
+            assert x[0] == pytest.approx(2.0 ** -k, abs=1e-15)
+            assert y[0] == pytest.approx(x[0] / 2, abs=1e-15)
+            assert z[0] == pytest.approx(0.0, abs=1e-15)
 
     def test_scalar_constrained_l1_fixed_point(self):
         # f = indicator {x = 1}, g = |.|: the fixed point has y* = z* = 1
@@ -134,9 +134,8 @@ class TestDrsRun:
         tr = drs_run(f, g, DrsParams(alpha=1.0, lam=1.0, max_iters=200,
                                      stop_tol=1e-14), np.array([0.0]))
         assert tr.status == "converged"
-        last = tr.records[-1]
-        assert last.y[0] == pytest.approx(1.0, abs=1e-12)
-        assert last.z[0] == pytest.approx(1.0, abs=1e-12)
+        assert tr.y[-1, 0] == pytest.approx(1.0, abs=1e-12)
+        assert tr.z[-1, 0] == pytest.approx(1.0, abs=1e-12)
 
     def test_residual_identity(self):
         # z - y = -alpha (df(y) + dg(z)) with the subgradients implied by the
@@ -147,10 +146,10 @@ class TestDrsRun:
         alpha = 0.7
         tr = drs_run(f, g, DrsParams(alpha=alpha, lam=1.4, max_iters=100),
                      rng.standard_normal(4))
-        for r in tr.records:
-            sf = (r.x - r.y) / alpha
-            sg = (2 * r.y - r.x - r.z) / alpha
-            lhs = r.z - r.y
+        for r, y, z in zip(tr.records, tr.y, tr.z):
+            sf = (r.x - y) / alpha
+            sg = (2 * y - r.x - z) / alpha
+            lhs = z - y
             rhs = -alpha * (sf + sg)
             assert np.linalg.norm(lhs - rhs) <= 1e-12 * (1 + np.linalg.norm(lhs))
             assert r.subgrad_residual * alpha == pytest.approx(
@@ -176,9 +175,9 @@ class TestDrsRun:
         p = DrsParams(alpha=0.8, lam=1.3, max_iters=50)
         tr = drs_run(prox_quadratic(A, b), g, p, x0)
         tr_shift = drs_run(prox_quadratic(A, b + A @ shift), g, p, x0 + shift)
-        for r, rs in zip(tr.records, tr_shift.records):
-            assert np.allclose(rs.x, r.x + shift, atol=1e-12)
-            assert np.allclose(rs.y, r.y + shift, atol=1e-12)
+        for x, y, xs, ys in zip(tr.x, tr.y, tr_shift.x, tr_shift.y):
+            assert np.allclose(xs, x + shift, atol=1e-12)
+            assert np.allclose(ys, y + shift, atol=1e-12)
 
     def test_dimension_mismatch(self):
         f = prox_affine_indicator(np.array([[1.0, 0.0]]), np.array([1.0]))
@@ -218,8 +217,8 @@ class TestDrsRun:
         f = prox_quadratic(np.eye(1), np.zeros(1))
         tr = drs_run(f, prox_l1(1.0), DrsParams(alpha=1.0, max_iters=3),
                      np.array([2.0]))
-        for r in tr.records:
-            expected = 0.5 * r.z[0] ** 2 + abs(r.z[0])
+        for r, z in zip(tr.records, tr.z):
+            expected = 0.5 * z[0] ** 2 + abs(z[0])
             assert r.objective == pytest.approx(expected, abs=1e-14)
 
 
@@ -470,17 +469,17 @@ def _assert_admm_parity(tr, ref, status, alpha):
 
 def _assert_plain(tr, f, g, params, x0):
     """Bitwise the plain loop: status, length, every column (y and z
-    recomputed whole), x_final, and every record (y and z recomputed from
-    its own row)."""
+    recomputed whole), x_final, and every record's held fields."""
     ref, status = _plain_drs(f, g, params, x0)
     assert (tr.status, len(tr)) == (status, len(ref["x"]))
     for name, col in ref.items():
         assert getattr(tr, name).tobytes() == col.tobytes(), name
-    assert tr.subgrad_residual.tobytes() == (ref["fp_residual"] / params.alpha).tobytes()
+    subgrad = ref["fp_residual"] / params.alpha
+    assert tr.subgrad_residual.tobytes() == subgrad.tobytes()
     for r in tr.records:
-        for name in ("x", "y", "z"):
-            assert getattr(r, name).tobytes() == ref[name][r.k].tobytes(), (name, r.k)
-        assert (r.fp_residual, r.objective) == (ref["fp_residual"][r.k], ref["objective"][r.k])
+        assert r.x.tobytes() == ref["x"][r.k].tobytes(), r.k
+        assert (r.fp_residual, r.subgrad_residual, r.objective) == \
+            (ref["fp_residual"][r.k], subgrad[r.k], ref["objective"][r.k])
 
 
 def _first_repeat(X):
@@ -512,8 +511,9 @@ class TestCycleReplay:
         f, g, lam = self._lasso(rank)
         params = DrsParams(alpha=1.0, lam=lam, max_iters=self.ITERS)
         tr = drs_run(f, g, params, np.zeros(40))
-        # x_k of the first repeat is not evaluated: calls are iterations 0 .. k-1
-        assert f.calls == g.calls == first_repeat == _first_repeat(tr.x)
+        # x_k of the first repeat is evaluated like any other: calls are
+        # iterations 0 .. k
+        assert f.calls == g.calls == first_repeat + 1 == _first_repeat(tr.x) + 1
         _assert_plain(tr, f.inner, g.inner, params, np.zeros(40))
 
     def test_long_period_found_at_its_first_repeat(self):
@@ -523,7 +523,7 @@ class TestCycleReplay:
         f, g = Counting(f), Counting(g)
         params = DrsParams(alpha=1.0, lam=tune(fc, 1.0).lam, max_iters=self.ITERS)
         tr = drs_run(f, g, params, np.zeros(40))
-        assert f.calls == g.calls == 711 + 4932 == _first_repeat(tr.x)
+        assert f.calls == g.calls == 711 + 4932 + 1 == _first_repeat(tr.x) + 1
         assert tr.x[711].tobytes() == tr.x[711 + 4932].tobytes()
         _assert_plain(tr, f.inner, g.inner, params, np.zeros(40))
 
@@ -543,19 +543,19 @@ class TestCycleReplay:
         _assert_plain(tr, f.inner, g.inner, params, np.zeros(40))
 
     def test_stop_test_met_on_the_first_replayed_row_ends_the_run_there(self):
-        # the loop tests rows 0 .. 77 and returns at the top of iteration 78,
-        # the first repeat; the run tests row 78 once after the replay
+        # the loop computes and tests rows 0 .. 78, row 78 the first repeat,
+        # and stops there; nothing is tested after the loop
         f, g, lam = self._lasso(40)
         tested = []
 
-        def stop(k, Y, Z):
+        def stop(k, Y, Z, FP):
             tested.append(k)
             return k == 78
 
         X, Y, Z, FP, stopped, x_final = _drs_rows(
             f, g, DrsParams(alpha=1.0, lam=lam, max_iters=self.ITERS), np.zeros(40), stop)
         assert stopped and tested == list(range(79))
-        assert f.calls == g.calls == 78 == _first_repeat(X)
+        assert f.calls == g.calls == 79 == _first_repeat(X) + 1
         ref, _ = _plain_drs(f.inner, g.inner, DrsParams(alpha=1.0, lam=lam, max_iters=79),
                             np.zeros(40))
         for name, col in zip(("x", "y", "z", "fp_residual"), (X, Y, Z, FP)):
@@ -646,9 +646,9 @@ class TestIterateWrittenOnce:
         assert peak <= x + 10_000 * 100 * 8 + 10_000 * 30 * 8 + (1 << 19)
 
     def test_walking_the_records_makes_no_column(self):
-        # each record recomputes y_k and z_k from its own row, with one prox
-        # of f and one of g: a walk over 10^4 rows of n = 100 holds no
-        # (k, n) array, which would take 8 MB
+        # a record reads the held x row and scalar columns: a walk over 10^4
+        # rows of n = 100 makes no prox call and holds no (k, n) array,
+        # which would take 8 MB
         f, g, _ = gen_basis_pursuit(ProblemSpec("basis_pursuit", 30, 100, seed=42))
         f, g = Counting(f), Counting(g)
         tr = drs_run(f, g, DrsParams(alpha=1.0, max_iters=10_000), np.zeros(100))
@@ -656,12 +656,23 @@ class TestIterateWrittenOnce:
         tracemalloc.start()
         try:
             for r in tr.records:
-                assert r.y.shape == r.z.shape == (100,)
+                assert r.x.shape == (100,)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        assert len(tr.records) == 10_000
         assert peak < 1 << 16
-        assert (f.calls - ran[0], g.calls - ran[1]) == (10_000, 10_000)
+        assert (f.calls, g.calls) == ran
+
+    def test_reading_y_takes_the_prox_of_f_alone(self):
+        # a read of y makes one prox of f per row, a read of z one of each
+        f, g, _ = gen_basis_pursuit(ProblemSpec("basis_pursuit", 30, 100, seed=42))
+        f, g = Counting(f), Counting(g)
+        tr = drs_run(f, g, DrsParams(alpha=1.0, max_iters=500), np.zeros(100))
+        for name, calls in (("y", (500, 0)), ("z", (500, 500))):
+            ran = f.calls, g.calls
+            assert getattr(tr, name).shape == (500, 100)
+            assert (f.calls - ran[0], g.calls - ran[1]) == calls, name
 
 
 class TestAdmmRun:
@@ -679,12 +690,12 @@ class TestAdmmRun:
         g = prox_l1(1.0)
         tr = admm_run(f, g, DrsParams(alpha=1.0, lam=1.0, max_iters=2),
                       np.zeros(1))
-        r0, r1 = tr.records
-        assert r0.x[0] == pytest.approx(0.5, abs=1e-15)
-        assert r0.z[0] == pytest.approx(0.0, abs=1e-15)
-        assert r1.y[0] == pytest.approx(0.5, abs=1e-15)   # u entering step 1
-        assert r1.x[0] == pytest.approx(0.25, abs=1e-15)
-        assert r1.z[0] == pytest.approx(0.0, abs=1e-15)
+        (x0, x1), (_, u1), (z0, z1) = tr.x, tr.y, tr.z
+        assert x0[0] == pytest.approx(0.5, abs=1e-15)
+        assert z0[0] == pytest.approx(0.0, abs=1e-15)
+        assert u1[0] == pytest.approx(0.5, abs=1e-15)   # u entering step 1
+        assert x1[0] == pytest.approx(0.25, abs=1e-15)
+        assert z1[0] == pytest.approx(0.0, abs=1e-15)
 
     def test_matches_drs_on_dual_of_quadratic_pair(self):
         # For f, g strongly convex quadratics the conjugates are explicit
@@ -701,7 +712,7 @@ class TestAdmmRun:
                            np.array([math.sqrt(a2) * c2]))
         tra = admm_run(f, g, DrsParams(alpha=alpha, lam=lam, max_iters=iters),
                        np.zeros(1))
-        u_seq = np.array([float(r.y[0]) for r in tra.records])
+        u_seq = tra.y[:, 0]
 
         class ScalarQuadratic(ProxOperator):
             """prox of q(v) = a v^2 / 2 + b v."""
@@ -719,7 +730,7 @@ class TestAdmmRun:
         w0 = lam * x1 / alpha                 # (v_0 + u_0)/alpha with z0=u0=0
         trd = drs_run(d1, d2, DrsParams(alpha=1.0 / alpha, lam=lam,
                                         max_iters=iters - 1), w0)
-        dual_y = np.array([float(r.y[0]) for r in trd.records])
+        dual_y = trd.y[:, 0]
         assert np.abs(dual_y - u_seq[1:] / alpha).max() <= 1e-12
 
     def test_primal_residual_converges(self):
@@ -818,6 +829,19 @@ class TestAdmmRun:
         assert f.calls < 10_000 and g.calls < 10_000
         ref, status = _plain_admm(f.inner, g.inner, params, np.zeros(40))
         _assert_admm_parity(tr, ref, status, 1.0)
+
+    def test_cycling_run_stores_its_primal_residual_at_every_row(self):
+        # the seed-0 Case-3 LASSO of the benchmark's certified_run pool: the
+        # DRS form computes rows 0 .. 85, row 85 its first repeat with period
+        # 2, and copies the rest; every row's residual is the one its stop
+        # test computed, copied rows included
+        f, g, _ = gen_lasso(ProblemSpec("lasso", 60, 40, rank=40, seed=1495516104))
+        f, g = Counting(f), Counting(g)
+        tr = admm_run(f, g, DrsParams(alpha=1.0, lam=2.0, max_iters=10_000), np.zeros(40))
+        assert len(tr) == 10_000 and (g.calls, f.calls) == (86, 87)
+        assert tr.z[85:].tobytes() == tr.z[83:-2].tobytes()
+        d = tr.x - tr.z
+        assert tr.fp_residual.tobytes() == np.sqrt(np.einsum("ij,ij->i", d, d)).tobytes()
 
     @pytest.mark.parametrize("case", ["lasso", "lasso, schedule", "basis pursuit"])
     def test_stop_costs_one_prox_of_g_per_row_and_one_more_of_f(self, case):
