@@ -6,7 +6,8 @@ tied by the exact identity  z_k - y_k = -alpha (df(y_k) + dg(z_k)).  A Trace
 keeps them as arrays with one row per iteration, each computed once, by the
 run's loop.  DRS is a system in x alone: y_k and z_k are outputs of x_k,
 which a DRS trace recomputes when its y or z column is read instead of
-holding them.
+holding them.  Nor does the run hold a z column: it evaluates the objective
+F(z_k) in blocks of 512 rows as the loop fills them.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .funclass import _positive
-from .prox import ProxOperator, _row_sums
+from .prox import _BLOCK_ROWS, ProxOperator, _row_sums
 
 __all__ = [
     "DrsParams",
@@ -182,8 +183,17 @@ _CSV_ROWS = 4096  # trace CSV rows formatted and written per block
 
 class _Rows:
     """Rows of one run: x_0 .. x_cap in a (cap + 1, n) column, so that x_{k+1}
-    has a row whenever iteration k runs, and z_k and fp_k for k < cap, with
-    y_k too when ``with_y`` (else that column is None).
+    has a row whenever iteration k runs, and fp_k for k < cap.
+
+    For a stop test, which reads them, y_k and z_k go into (cap, n) columns
+    too (``ops`` None).  Otherwise ``ops`` is (f, g), and the rows hold the
+    objective column F(z_k) = f(z_k) + g(z_k) in place of y and z: z_k goes
+    into row k - start of a buffer of 2B rows, B = _BLOCK_ROWS.  Each time a
+    block of B rows is full, ``block`` evaluates it as one window into its
+    slice of the objective column and keeps it in the front half of the
+    buffer while the next block fills the back half; ``flush`` evaluates the
+    rows left at the end.  A window that gives no value (an f or g not
+    evaluable) drops the objective column, and no later window is evaluated.
 
     cap is max_iters when the run cannot stop early (stop_tol == 0), else
     _FIRST_ROWS, doubled as needed up to max_iters.  ``resize`` grows and
@@ -191,22 +201,58 @@ class _Rows:
     the old buffer: no view of a column may outlive a resize.
     """
 
-    def __init__(self, params: DrsParams, n: int, with_y: bool):
+    def __init__(self, params: DrsParams, n: int, ops: Optional[tuple]):
         self.limit = params.max_iters
         cap = self.limit if params.stop_tol == 0 else min(self.limit, _FIRST_ROWS)
-        self.cols = [np.empty((cap + 1, n)), np.empty((cap, n)) if with_y else None,
-                     np.empty((cap, n)), np.empty(cap)]
+        full = ops is None
+        self.ops = ops
+        self.cols = [np.empty((cap + 1, n)), np.empty((cap, n)) if full else None,
+                     np.empty((cap, n)) if full else None, np.empty(cap),
+                     None if full else np.empty(cap)]  # x, y, z, fp, objective
+        self.z = self.cols[2] if full else np.empty((min(self.limit, 2 * _BLOCK_ROWS), n))
+        self.start = 0  # the row in z[0]
+        self.due = -1 if full else _BLOCK_ROWS - 1  # the row that completes a block
 
     def resize(self, cap):
         """Change cap in place, keeping the rows both sizes hold."""
-        for c, rows in zip(self.cols, (cap + 1, cap, cap, cap)):
+        for c, rows in zip(self.cols, (cap + 1, cap, cap, cap, cap)):
             if c is not None:
                 c.resize((rows,) + c.shape[1:], refcheck=False)
 
+    def block(self):
+        """Evaluate the B rows up to row ``due``, the last B of z, and move
+        them to the front of z."""
+        B, hi = _BLOCK_ROWS, self.due + 1
+        self._evaluate(hi - B, hi, hi - B)
+        if self.start < hi - B:
+            self.z[:B] = self.z[B:]
+            self.start += B
+        self.due += B
+
+    def flush(self, k: int):
+        """Evaluate the objective of rows up to k not yet evaluated, in one
+        window of the last min(k, B) rows, which overlaps the last block."""
+        done = self.due + 1 - _BLOCK_ROWS
+        if done < k:
+            self._evaluate(max(k - _BLOCK_ROWS, 0), k, done)
+
+    def _evaluate(self, lo: int, hi: int, keep: int):
+        """Objective of rows lo .. hi-1 of z as one window, stored for rows
+        keep .. hi-1."""
+        obj = self.cols[4]
+        if obj is None:
+            return
+        window = self.z[lo - self.start:hi - self.start]
+        values = _objective(*self.ops, window, window)
+        if values is None:
+            self.cols[4] = None
+        else:
+            obj[keep:hi] = values[keep - lo:]
+
     def repeat(self, k: int, p: int) -> np.ndarray:
         """Fill rows k .. limit-1 with rows k-p .. k-1 repeated, for a run
-        whose x_k equals x_{k-p} and whose rows before k are stored; return
-        (a copy of) x_limit, the terminal x.
+        whose x_k equals x_{k-p} and whose rows before k are stored, the
+        objective's evaluated; return (a copy of) x_limit, the terminal x.
 
         Doubling slice copies, so no temporary of the filled size is made.
         """
@@ -279,8 +325,10 @@ def _drs(f: ProxOperator, g: ProxOperator, params: DrsParams, x0: np.ndarray,
     straight into row k + 1, which x_{k+1} then is a view of (re-taken after
     the rows grow), or, without rows, into one of two vectors used in turn.
     2 y_k - x_k and z_k - y_k are computed into two work vectors that every
-    iteration reuses; row z_k, and y_k when rows has a y column, are copied
-    from the prox outputs.
+    iteration reuses.  z_k is copied from the prox output into the rows' z
+    column or z buffer, and once row k completes a block of the buffer the
+    rows evaluate its objective (``_Rows.block``); y_k is copied into the y
+    column when rows have one.
 
     Shapes are checked at iteration 0.  The y and z iterates are scanned for
     non-finite entries only when ||z_k - y_k|| is not finite.  The x iterate
@@ -299,7 +347,8 @@ def _drs(f: ProxOperator, g: ProxOperator, params: DrsParams, x0: np.ndarray,
     spare = (x, np.empty_like(x))  # x_{k+1} without rows: spare[(k + 1) % 2]
     v, d = np.empty_like(x), np.empty_like(x)  # 2 y_k - x_k; lam_k (z_k - y_k)
     if rows is not None:
-        X, Y, Z, FP = rows.cols
+        X, Y, _, FP, _ = rows.cols
+        Z = rows.z
         X[0] = x
         x = X[0]
     bound = math.sqrt(x @ x)
@@ -336,8 +385,10 @@ def _drs(f: ProxOperator, g: ProxOperator, params: DrsParams, x0: np.ndarray,
         if rows is not None:
             if Y is not None:
                 Y[k] = y
-            Z[k] = z
+            Z[k - rows.start] = z
             FP[k] = fp
+            if k == rows.due:
+                rows.block()
         if (fp <= tol) if stop is None else stop(k, Y, Z, FP):
             return k + 1, x.copy(), y, z, True, 0
         if lam != 1.0:  # 1.0 * d is d, bit for bit
@@ -363,8 +414,17 @@ def drs_run(f: ProxOperator, g: ProxOperator, params: DrsParams, x0: np.ndarray)
     the iteration cap is reached.  Records every state x_k and the scalar
     columns; the trace recomputes y_k and z_k from x_k when they are read.
     The objective column is F evaluated at z_k when both function values
-    are evaluable, computed once after the run, inside the run's one
-    errstate, from a z column that is then freed.
+    are evaluable.  It is filled as the loop runs, inside the run's one
+    errstate, and the run holds no z column: z_k goes into a buffer of
+    2 x 512 rows, each block of 512 rows is evaluated as one window once it
+    is full, and the rows after the last block in one window of the last
+    min(k, 512) rows, which overlaps that block.  A replayed cycle copies
+    objective values.  Each value is F on its window.  Where the stack
+    evaluation of f or g gives a row bits that do not depend on the rows
+    around it, as the soft threshold's row sums and a gemm matrix product
+    do, that is F on the whole z column bit for bit; numpy's matrix-vector
+    product, which a quadratic f with a one-row A takes, can differ from it
+    in the last bit.
 
     With a constant lambda, a run is not iterated past the first k whose
     iterate x_k repeats an earlier x_{k-p} exactly (as runs at rounding level
@@ -376,24 +436,27 @@ def drs_run(f: ProxOperator, g: ProxOperator, params: DrsParams, x0: np.ndarray)
     x0 = _start("x0", x0)
     a = params.alpha
     with np.errstate(over="ignore", invalid="ignore"):
-        X, _, Z, FP, stop, x_final = _drs_rows(f, g, params, x0)
-        return _trace(X, None, None, FP, a, _objective(f, g, Z, Z), stop, x_final, (f, g, a))
+        X, _, _, FP, objective, stop, x_final = _drs_rows(f, g, params, x0)
+        return _trace(X, None, None, FP, a, objective, stop, x_final, (f, g, a))
 
 
 def _drs_rows(f: ProxOperator, g: ProxOperator, params: DrsParams, x0: np.ndarray,
               stop=None):
-    """DRS columns x, y, z and fp trimmed to the rows run, the stop flag and
-    x_final; y is held only for a stop test, which reads it, and is None
-    otherwise.  The rows of a cycle past its first repeat, which the loop
+    """DRS columns x, y, z, fp and objective trimmed to the rows run, the
+    stop flag and x_final.  y and z are held only for a stop test, which
+    reads them, and are None otherwise; the objective column is filled in
+    blocks during the loop only without one, and is None otherwise (see
+    ``_Rows``).  The rows of a cycle past its first repeat, which the loop
     has computed and tested, are copies of tested rows."""
-    rows = _Rows(params, len(x0), stop is not None)
+    rows = _Rows(params, len(x0), None if stop else (f, g))
     k, x_final, _, _, stopped, period = _drs(f, g, params, x0, rows, stop)
-    X, Y, Z, FP = rows.cols
+    rows.flush(k)
     if period:
         k, x_final = params.max_iters, rows.repeat(k, period)
     rows.resize(k)
+    X, Y, Z, FP, objective = rows.cols
     # x keeps its extra row behind a view: a one-row trim fragments the heap
-    return X[:k], Y, Z, FP, stopped, x_final
+    return X[:k], Y, Z, FP, objective, stopped, x_final
 
 
 def admm_run(f_prox: ProxOperator, g_prox: ProxOperator, params: DrsParams, u0: np.ndarray) -> Trace:
@@ -434,8 +497,8 @@ def admm_run(f_prox: ProxOperator, g_prox: ProxOperator, params: DrsParams, u0: 
 
     with np.errstate(over="ignore", invalid="ignore"):
         try:
-            T, Y, Z, fp, stop, _ = _drs_rows(g_prox, f_prox, DrsParams(a, lams, limit, tol),
-                                             np.ravel(lam)[0] * x0 + u0, met)
+            T, Y, Z, fp, _, stop, _ = _drs_rows(g_prox, f_prox, DrsParams(a, lams, limit, tol),
+                                                np.ravel(lam)[0] * x0 + u0, met)
         except _NonFinite as e:
             name, k = {"y": ("z", e.k), "z": ("x", e.k + 1), "x": ("u", e.k + 1)}[e.name]
             raise _NonFinite(name, k) from None

@@ -27,7 +27,7 @@ from drsplit import (
 )
 from drsplit.cli import ProblemSpec, gen_basis_pursuit, gen_lasso
 from drsplit.prox import ProxOperator
-from drsplit.splitting import _drs_rows
+from drsplit.splitting import _drs_rows, _objective
 
 
 class Exploding(ProxOperator):
@@ -291,11 +291,19 @@ class TestTraceStorage:
                 calls.append(np.shape(x))
                 return self.inner.objective(x)
 
+        # a run shorter than a block: one call of each on its whole stack
         f = Counting(prox_quadratic(np.eye(3), np.ones(3)))
         g = Counting(prox_l1(0.5))
         tr = drs_run(f, g, DrsParams(alpha=1.0, max_iters=50), np.array([3.0, -2.0, 0.1]))
         assert calls == [(50, 3), (50, 3)]
         assert tr.objective.shape == (50,)
+        # 1,300 rows: the blocks of rows 0-511 and 512-1023 as they fill,
+        # then rows 1024-1299 in one window of the last 512 rows
+        calls.clear()
+        f, g, _ = gen_basis_pursuit(ProblemSpec("basis_pursuit", 30, 100, seed=42))
+        tr = drs_run(Counting(f), Counting(g), DrsParams(alpha=1.0, max_iters=1300), np.zeros(100))
+        assert calls == [(512, 100)] * 6
+        assert tr.objective.shape == (1300,)
 
     def test_columns_are_read_only(self):
         tr = drs_run(prox_quadratic(np.eye(2), np.ones(2)), prox_l1(0.5),
@@ -318,9 +326,11 @@ class TestTraceStorage:
 
     @pytest.mark.parametrize("max_iters", [24_000, 200_000])
     def test_early_stop_holds_only_the_rows_run(self, max_iters):
-        # the x and z columns grow and are trimmed in place, and z is freed
-        # once the objective is filled: the trace holds its x column, and
-        # the peak is x, z and the quadratic objective's one (k, n) product
+        # the x, fp and objective columns grow and are trimmed in place, and
+        # z_k goes into a buffer of 2 x 512 rows: the trace holds its x
+        # column, and the peak is the columns at their last capacity, the
+        # buffer, one 512-row product of the quadratic objective and the
+        # cycle check's dict of about 100 bytes per row, with no (k, n) z
         f, g, x0 = self._slow_problem()
         n = x0.size
         tracemalloc.start()
@@ -334,7 +344,9 @@ class TestTraceStorage:
         assert tr.x.shape == tr.y.shape == tr.z.shape == (k, n)
         x = tr.x.base.nbytes
         assert x <= held <= 1.05 * x + (1 << 20)
-        assert peak <= x + 2 * k * n * 8 + (1 << 20)
+        cap = min(max_iters, 1024 << math.ceil(math.log2(k / 1024)))
+        columns = (cap + 1) * n * 8 + 2 * cap * 8
+        assert peak <= columns + 2 * 512 * n * 8 + 512 * n * 8 + 100 * k + (1 << 20)
 
     def test_full_run_writes_x_max_iters_into_a_row_it_keeps(self):
         # trimming that row off every stop_tol-0 run by realloc fragmented
@@ -552,7 +564,7 @@ class TestCycleReplay:
             tested.append(k)
             return k == 78
 
-        X, Y, Z, FP, stopped, x_final = _drs_rows(
+        X, Y, Z, FP, _, stopped, x_final = _drs_rows(
             f, g, DrsParams(alpha=1.0, lam=lam, max_iters=self.ITERS), np.zeros(40), stop)
         assert stopped and tested == list(range(79))
         assert f.calls == g.calls == 79 == _first_repeat(X) + 1
@@ -630,8 +642,10 @@ class TestIterateWrittenOnce:
     def test_memory_above_the_trace_is_one_matrix_product(self):
         # Case 1 of the benchmark's size: 10^4 rows of n = 100.  The trace
         # holds its x column and the scalar columns; above them the run
-        # holds the z column until the objective is filled, and the affine
-        # objective's product is the only other temporary of the trace's length
+        # holds the 2 x 512-row z buffer, one 512-row block of the
+        # objective's temporaries (the l1 row sums' 512 x 100 buffer, above
+        # the affine product's 512 x 30) and the cycle check's dict of about
+        # 100 bytes per row: nothing of the trace's length times n
         f, g, _ = gen_basis_pursuit(ProblemSpec("basis_pursuit", 30, 100, seed=42))
         params = DrsParams(alpha=1.0, max_iters=10_000)
         x0 = np.zeros(100)
@@ -643,7 +657,7 @@ class TestIterateWrittenOnce:
             tracemalloc.stop()
         x = tr.x.base.nbytes
         assert x <= held <= x + (1 << 19)
-        assert peak <= x + 10_000 * 100 * 8 + 10_000 * 30 * 8 + (1 << 19)
+        assert peak <= x + 2 * 512 * 100 * 8 + 512 * 100 * 8 + 100 * 10_000 + (1 << 19)
 
     def test_walking_the_records_makes_no_column(self):
         # a record reads the held x row and scalar columns: a walk over 10^4
@@ -673,6 +687,107 @@ class TestIterateWrittenOnce:
             ran = f.calls, g.calls
             assert getattr(tr, name).shape == (500, 100)
             assert (f.calls - ran[0], g.calls - ran[1]) == calls, name
+
+
+def _assert_objective_oracle(tr, f, g):
+    """The objective column bitwise F evaluated in one call on the whole z
+    column, recomputed from x."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        whole = _objective(f, g, tr.z, tr.z)
+    assert tr.objective.tobytes() == whole.tobytes()
+
+
+def _assert_objective_per_window(tr, f, g):
+    """The objective column of a run without replay bitwise drs_run's window
+    rule on the recomputed z column: F on each block of 512 rows, then on
+    the last min(k, 512) rows for the rows after the last block."""
+    k, z = len(tr), tr.z
+    windows = [(lo, lo + 512, lo) for lo in range(0, k - k % 512, 512)]
+    if k % 512:
+        windows.append((max(k - 512, 0), k, k - k % 512))
+    with np.errstate(over="ignore", invalid="ignore"):
+        parts = [_objective(f, g, z[lo:hi], z[lo:hi])[keep - lo:] for lo, hi, keep in windows]
+    assert tr.objective.tobytes() == np.concatenate(parts).tobytes()
+
+
+class TestBlockedObjective:
+    """drs_run evaluates the objective during the loop, each block of 512
+    rows once it is full and the rows after the last block in one window of
+    the last min(k, 512) rows, at run lengths around the block edges.  With
+    a matrix product computed by gemm (or none) every value is bitwise F on
+    the whole z column; numpy's matrix-vector path (a one-row A) gives a row
+    bits that depend on the stack around it, so there the values are those
+    of the window rule."""
+
+    LENGTHS = [1, 511, 512, 513, 1023, 1024, 1025, 1537, 10_000]
+
+    @pytest.mark.parametrize("k", LENGTHS)
+    def test_affine_indicator(self, k):
+        # basis pursuit: f is the affine indicator, and the run never cycles
+        f, g, _ = gen_basis_pursuit(ProblemSpec("basis_pursuit", 30, 100, seed=42))
+        f, g = Counting(f), Counting(g)
+        tr = drs_run(f, g, DrsParams(alpha=1.0, max_iters=k), np.zeros(100))
+        assert len(tr) == f.calls == k
+        _assert_objective_oracle(tr, f.inner, g.inner)
+        _assert_objective_per_window(tr, f.inner, g.inner)
+
+    @pytest.mark.parametrize("k", LENGTHS)
+    def test_quadratic_with_a_one_row_matrix(self, k):
+        # p = 1 takes numpy's matrix-vector path.  On OpenBLAS 0.3.31
+        # (Haswell) row 1021 of the 1,023-row run differs in the last bit
+        # from one evaluation on the whole column; the values are the window
+        # rule's.  A lambda sequence is never replayed, so every row is
+        # computed
+        rng = np.random.default_rng(2)
+        f = Counting(prox_quadratic(rng.standard_normal((1, 100)), rng.standard_normal(1)))
+        g = Counting(prox_l1(1e-3))
+        lam = np.linspace(1.0, 1.9, k)
+        tr = drs_run(f, g, DrsParams(alpha=1.0, lam=lam, max_iters=k), rng.standard_normal(100))
+        assert len(tr) == f.calls == k
+        _assert_objective_per_window(tr, f.inner, g.inner)
+
+    def test_lambda_sequence(self):
+        # the Case-2 LASSO (a 60-row A, so gemm) under a varying lambda
+        f, g, _ = TestCycleReplay._lasso(20)
+        params = DrsParams(alpha=1.0, lam=np.linspace(0.5, 1.5, 1537), max_iters=1537)
+        tr = drs_run(f, g, params, np.zeros(40))
+        assert len(tr) == f.calls == 1537
+        _assert_objective_oracle(tr, f.inner, g.inner)
+        _assert_objective_per_window(tr, f.inner, g.inner)
+
+    @pytest.mark.parametrize("stop", [1300, 2000])
+    def test_early_stop_mid_block_after_the_rows_grow(self, stop):
+        # rows start at 1,024 and double once; the run stops inside the
+        # block of rows 1024-1535 or 1536-2047
+        f, g, x0 = TestTraceStorage._slow_problem(n=20)
+        fp = _plain_drs(f, g, DrsParams(alpha=1.0, max_iters=stop + 1), x0)[0]["fp_residual"]
+        assert np.all(np.diff(fp) < 0)
+        tr = drs_run(f, g, DrsParams(alpha=1.0, max_iters=10_000, stop_tol=fp[stop]), x0)
+        assert tr.status == "converged" and len(tr) == stop + 1
+        _assert_objective_oracle(tr, f, g)
+
+    def test_cycle_across_a_block_edge(self):
+        # the Case-2 LASSO repeats x_502 at iteration 570: the cycle spans
+        # the edge at row 512, and its replay copies objective values
+        # across every later edge
+        f, g, lam = TestCycleReplay._lasso(20)
+        tr = drs_run(f, g, DrsParams(alpha=1.0, lam=lam, max_iters=3000), np.zeros(40))
+        assert f.calls == 571 and tr.x[502].tobytes() == tr.x[570].tobytes()
+        _assert_objective_oracle(tr, f.inner, g.inner)
+
+    def test_no_objective_stops_the_windows(self):
+        # the first window gives no value: the trace has no objective, and
+        # no later window is evaluated
+        calls = []
+
+        class Opaque(Counting):
+            def objective(self, x):
+                calls.append(np.shape(x))
+                return None
+
+        f, g, _ = gen_basis_pursuit(ProblemSpec("basis_pursuit", 30, 100, seed=42))
+        tr = drs_run(f, Opaque(g), DrsParams(alpha=1.0, max_iters=1300), np.zeros(100))
+        assert tr.objective is None and calls == [(512, 100)]
 
 
 class TestAdmmRun:
