@@ -4,10 +4,10 @@ The solver records every state x_k together with the fixed-point residual
 ||z_k - y_k|| and the optimality residual ||df(y_k) + dg(z_k)||, which are
 tied by the exact identity  z_k - y_k = -alpha (df(y_k) + dg(z_k)).  A Trace
 keeps them as arrays with one row per iteration, each computed once, by the
-run's loop.  DRS is a system in x alone: y_k and z_k are outputs of x_k,
-which a DRS trace recomputes when its y or z column is read instead of
-holding them.  Nor does the run hold a z column: it evaluates the objective
-F(z_k) in blocks of 512 rows as the loop fills them.
+run's loop.  ADMM is DRS after a change of variables, and DRS a system in
+its state alone: DRS's y and z and ADMM's x, u and z are outputs of the
+state, which a trace recomputes when a column is read instead of holding
+it.  Nor does a run hold them: it evaluates the objective in 512-row blocks.
 """
 
 from __future__ import annotations
@@ -87,47 +87,63 @@ class Trace:
     Row k of ``x``, ``y`` and ``z`` (shape iterations x n) and entry k of
     ``fp_residual``, ``subgrad_residual`` and ``objective`` (length
     iterations; ``objective`` is None when F is not evaluable) describe
-    iteration k.  The columns are read-only; ``records`` presents the held
-    rows (x and the scalar columns) as TraceRecord objects.
+    iteration k.  The columns are read-only; ``records`` presents the rows
+    of x and the scalar columns as TraceRecord objects.
 
-    A trace of ``drs_run`` holds x and the scalar columns only.  Each read
-    of ``y`` recomputes the column from x with the run's f and alpha,
-    y_k = prox_{af}(x_k), and each read of ``z`` with both operators,
-    z_k = prox_{ag}(2 y_k - x_k), in the run's arithmetic, so every row is
-    bitwise the run's (see ``ProxOperator.evaluate``).  A trace built from
-    y and z columns, as ``admm_run``'s, holds them.
+    A trace holds the state column t of its DRS loop and the scalar columns
+    only.  Each read of another column recomputes it from t with the loop's
+    f, g and alpha, y_k = prox_{af}(t_k) and z_k = prox_{ag}(2 y_k - t_k),
+    in the loop's arithmetic, so every row is bitwise the run's (see
+    ``ProxOperator.evaluate``).  A ``drs_run`` trace's x is t.  An
+    ``admm_run`` trace is of the loop on (g, f): its x is (x_0, z[:-1]), its
+    y = u is (u_0, (t - y)[:-1]) and its z is y.
     """
 
-    x: np.ndarray
-    _y: Optional[np.ndarray] = field(repr=False)
-    _z: Optional[np.ndarray] = field(repr=False)
+    _t: np.ndarray = field(repr=False)
     fp_residual: np.ndarray
     subgrad_residual: np.ndarray
     objective: Optional[np.ndarray] = None
     status: str = "iteration-limit"
     x_final: Optional[np.ndarray] = None
-    _ops: Optional[tuple] = field(default=None, repr=False)  # (f, g, alpha) of a drs_run
+    _ops: Optional[tuple] = field(default=None, repr=False)  # (f, g, alpha) of the DRS loop
+    _first: Optional[tuple] = field(default=None, repr=False)  # (x_0, u_0) of an admm_run
+
+    def __post_init__(self):
+        for c in (self._t, self.fp_residual, self.subgrad_residual, self.objective):
+            if c is not None:
+                c.flags.writeable = False
 
     def __len__(self):
         return len(self.fp_residual)
 
     @property
+    def x(self) -> np.ndarray:
+        return self._t if self._first is None else self._column("x")
+
+    @property
     def y(self) -> np.ndarray:
-        return self._y if self._ops is None else self._recomputed(z=False)
+        return self._column("y")
 
     @property
     def z(self) -> np.ndarray:
-        return self._z if self._ops is None else self._recomputed(z=True)
+        return self._column("z")
 
-    def _recomputed(self, z: bool) -> np.ndarray:
-        """Column y, or z when ``z``, of a DRS trace, row by row from x in
-        ``_drs``'s arithmetic; y takes the prox of f alone."""
+    def _column(self, name: str) -> np.ndarray:
+        """Column ``name`` from t, row by row in ``_drs``'s arithmetic."""
         f, g, a = self._ops
-        col = np.empty(self.x.shape)
+        t = self._t
+        col = out = np.empty(t.shape)
+        if self._first is not None:  # ADMM's x_k is z_{k-1}, u_k t_{k-1} - y_{k-1}, z_k y_k
+            name = {"x": "z", "y": "u", "z": "y"}[name]
+            if name != "y":
+                col[0] = self._first[name == "u"]
+                t, out = t[:-1], col[1:]
         with np.errstate(over="ignore", invalid="ignore"):
-            for k, x in enumerate(self.x):
+            for k, x in enumerate(t):
                 y = f.evaluate(x, a)
-                col[k] = g.evaluate(np.subtract(np.multiply(y, 2.0), x), a) if z else y
+                if name == "z":
+                    y = g.evaluate(np.subtract(np.multiply(y, 2.0), x), a)
+                out[k] = np.subtract(x, y) if name == "u" else y
         col.flags.writeable = False
         return col
 
@@ -143,10 +159,10 @@ class Trace:
 
 
 class _Records(Sequence):
-    """Read-only sequence view of a Trace's held rows as TraceRecord objects."""
+    """Read-only sequence view of a Trace's rows as TraceRecord objects; reads x once."""
 
     def __init__(self, trace: Trace):
-        self._trace = trace
+        self._trace, self._x = trace, trace.x
 
     def __len__(self):
         return len(self._trace)
@@ -154,10 +170,10 @@ class _Records(Sequence):
     def __getitem__(self, i):
         if isinstance(i, slice):
             return [self[k] for k in range(len(self))[i]]
-        t = self._trace
+        t, x = self._trace, self._x
         k = range(len(t))[i]
         obj = None if t.objective is None else float(t.objective[k])
-        return TraceRecord(k, t.x[k], float(t.fp_residual[k]), float(t.subgrad_residual[k]), obj)
+        return TraceRecord(k, x[k], float(t.fp_residual[k]), float(t.subgrad_residual[k]), obj)
 
 
 def _objective(f: ProxOperator, g: ProxOperator, at_f, at_g):
@@ -179,21 +195,23 @@ def _relaxations(params: DrsParams):
 
 _FIRST_ROWS = 1024  # initial row capacity when a run may stop early
 _CSV_ROWS = 4096  # trace CSV rows formatted and written per block
+_REFERENCE_ITERS = 2_000_000  # the least iteration cap of a reference solve
 
 
 class _Rows:
     """Rows of one run: x_0 .. x_cap in a (cap + 1, n) column, so that x_{k+1}
-    has a row whenever iteration k runs, and fp_k for k < cap.
+    has a row whenever iteration k runs, fp_k for k < cap, and the objective
+    column, which ``ops`` = (f, g) gives as F(z_k) = f(z_k) + g(z_k).
 
-    For a stop test, which reads them, y_k and z_k go into (cap, n) columns
-    too (``ops`` None).  Otherwise ``ops`` is (f, g), and the rows hold the
-    objective column F(z_k) = f(z_k) + g(z_k) in place of y and z: z_k goes
-    into row k - start of a buffer of 2B rows, B = _BLOCK_ROWS.  Each time a
-    block of B rows is full, ``block`` evaluates it as one window into its
-    slice of the objective column and keeps it in the front half of the
-    buffer while the next block fills the back half; ``flush`` evaluates the
-    rows left at the end.  A window that gives no value (an f or g not
-    evaluable) drops the objective column, and no later window is evaluated.
+    ``store(k, y, z, fp)`` keeps row k and returns the stop verdict,
+    fp_k <= stop_tol.  z_k goes into row k - start of a point buffer of 2B
+    rows, B = _BLOCK_ROWS, the last of ``buffers`` (f is evaluated on the
+    first, g on the last).  Each time a block of B rows is full, ``block``
+    evaluates it as one window into its slice of the objective column and
+    keeps it in the front half of the buffers while the next block fills the
+    back half; ``flush`` evaluates the rows left at the end.  A window that
+    gives no value (an f or g not evaluable) drops the objective column, and
+    no later window is evaluated.
 
     cap is max_iters when the run cannot stop early (stop_tol == 0), else
     _FIRST_ROWS, doubled as needed up to max_iters.  ``resize`` grows and
@@ -201,31 +219,35 @@ class _Rows:
     the old buffer: no view of a column may outlive a resize.
     """
 
-    def __init__(self, params: DrsParams, n: int, ops: Optional[tuple]):
-        self.limit = params.max_iters
+    def __init__(self, params: DrsParams, n: int, ops: tuple, buffers: int = 1):
+        self.limit, self.tol, self.ops = params.max_iters, params.stop_tol, ops
         cap = self.limit if params.stop_tol == 0 else min(self.limit, _FIRST_ROWS)
-        full = ops is None
-        self.ops = ops
-        self.cols = [np.empty((cap + 1, n)), np.empty((cap, n)) if full else None,
-                     np.empty((cap, n)) if full else None, np.empty(cap),
-                     None if full else np.empty(cap)]  # x, y, z, fp, objective
-        self.z = self.cols[2] if full else np.empty((min(self.limit, 2 * _BLOCK_ROWS), n))
-        self.start = 0  # the row in z[0]
-        self.due = -1 if full else _BLOCK_ROWS - 1  # the row that completes a block
+        self.cols = [np.empty((cap + 1, n)), np.empty(cap), np.empty(cap)]  # x, fp, objective
+        self.points = np.empty((buffers, min(self.limit, 2 * _BLOCK_ROWS), n))
+        self.z = self.points[-1]
+        self.start = 0  # the row in row 0 of the buffers
+        self.due = _BLOCK_ROWS - 1  # the row that completes a block
+
+    def store(self, k: int, y, z, fp: float) -> bool:
+        self.z[k - self.start] = z
+        self.cols[1][k] = fp
+        if k == self.due:
+            self.block()
+        return fp <= self.tol
 
     def resize(self, cap):
         """Change cap in place, keeping the rows both sizes hold."""
-        for c, rows in zip(self.cols, (cap + 1, cap, cap, cap, cap)):
+        for c, rows in zip(self.cols, (cap + 1, cap, cap)):
             if c is not None:
                 c.resize((rows,) + c.shape[1:], refcheck=False)
 
     def block(self):
-        """Evaluate the B rows up to row ``due``, the last B of z, and move
-        them to the front of z."""
+        """Evaluate the B rows up to row ``due``, the last B of the buffers,
+        and move them to the front of the buffers."""
         B, hi = _BLOCK_ROWS, self.due + 1
         self._evaluate(hi - B, hi, hi - B)
         if self.start < hi - B:
-            self.z[:B] = self.z[B:]
+            self.points[:, :B] = self.points[:, B:]
             self.start += B
         self.due += B
 
@@ -237,15 +259,15 @@ class _Rows:
             self._evaluate(max(k - _BLOCK_ROWS, 0), k, done)
 
     def _evaluate(self, lo: int, hi: int, keep: int):
-        """Objective of rows lo .. hi-1 of z as one window, stored for rows
-        keep .. hi-1."""
-        obj = self.cols[4]
+        """Objective of rows lo .. hi-1 of the buffers as one window, stored
+        for rows keep .. hi-1."""
+        obj = self.cols[2]
         if obj is None:
             return
-        window = self.z[lo - self.start:hi - self.start]
-        values = _objective(*self.ops, window, window)
+        window = self.points[:, lo - self.start:hi - self.start]
+        values = _objective(*self.ops, window[0], window[-1])
         if values is None:
-            self.cols[4] = None
+            self.cols[2] = None
         else:
             obj[keep:hi] = values[keep - lo:]
 
@@ -268,15 +290,24 @@ class _Rows:
         return cols[0][start + (self.limit - k) % p].copy()
 
 
-def _trace(X, Y, Z, FP, alpha: float, objective, stop: bool, x_final, ops=None) -> Trace:
-    """Read-only Trace of the columns, with ``objective`` as its objective column;
-    ``ops`` = (f, g, alpha) gives a DRS trace, whose Y and Z are None."""
-    trace = Trace(X, Y, Z, FP, FP / alpha, objective,
-                  "converged" if stop else "iteration-limit", x_final, ops)
-    for c in (X, Y, Z, FP, trace.subgrad_residual, trace.objective):
-        if c is not None:
-            c.flags.writeable = False
-    return trace
+class _AdmmRows(_Rows):
+    """Rows of ``admm_run``, the DRS loop on (g, f): ADMM's x_k = DRS z_{k-1}
+    (x_0 at k = 0) and z_k = DRS y_k go into two buffers, whose windows give
+    the objective f(x) + g(z); fp_k is the primal residual ||x_k - z_k||, and
+    the stop rule ADMM's.  DRS z_k is copied into ``last`` for row k + 1."""
+
+    def __init__(self, params: DrsParams, x0: np.ndarray, ops: tuple):
+        super().__init__(params, len(x0), ops, buffers=2)
+        self.x, self.last, self.alpha = self.points[0], x0.copy(), params.alpha
+
+    def store(self, k: int, y, z, fp: float) -> bool:
+        self.x[k - self.start] = self.last
+        p = self.last - y
+        self.last[:] = z
+        if not super().store(k, None, y, math.sqrt(np.einsum("j,j->", p, p))):
+            return False
+        d = y - self.z[k - 1 - self.start] if k else y  # after the block, if any, moved
+        return math.sqrt(np.einsum("j,j->", d, d)) / self.alpha <= self.tol
 
 
 def _start(name: str, v) -> np.ndarray:
@@ -296,16 +327,15 @@ class _NonFinite(RuntimeError):
 
 
 def _drs(f: ProxOperator, g: ProxOperator, params: DrsParams, x0: np.ndarray,
-         rows: Optional[_Rows], stop=None):
+         rows: Optional[_Rows]):
     """The DRS recursion from x0, storing its rows in ``rows`` unless None.
 
     Stops after the first iteration k that meets the stop rule, whose x_final
     is x_k, or after max_iters iterations, whose x_final is x_{k+1}.  The
-    rule is ||z_k - y_k|| <= stop_tol, or, given a stop test (which needs
-    rows with a y column), ``stop(k, Y, Z, FP)`` once row k of the y, z and
-    fp columns is stored; the test may overwrite FP[k] with its own residual.
-    Returns (iterations, x_final, y, z, stopped, period) with y, z those of
-    the last iteration run; x_final is a copy of its own.
+    rule is ``rows.store``'s verdict on row k, ||z_k - y_k|| <= stop_tol
+    without rows.  Returns (iterations, x_final, status, period), status
+    "converged" after a stop and "iteration-limit" otherwise; x_final is a
+    copy of its own.
 
     With a constant lambda one step is a function of x alone, so once x_k
     equals an earlier x_{k-p} byte for byte every later iterate repeats with
@@ -325,10 +355,8 @@ def _drs(f: ProxOperator, g: ProxOperator, params: DrsParams, x0: np.ndarray,
     straight into row k + 1, which x_{k+1} then is a view of (re-taken after
     the rows grow), or, without rows, into one of two vectors used in turn.
     2 y_k - x_k and z_k - y_k are computed into two work vectors that every
-    iteration reuses.  z_k is copied from the prox output into the rows' z
-    column or z buffer, and once row k completes a block of the buffer the
-    rows evaluate its objective (``_Rows.block``); y_k is copied into the y
-    column when rows have one.
+    iteration reuses.  ``rows.store`` copies what it keeps of y_k and z_k
+    into its buffers.
 
     Shapes are checked at iteration 0.  The y and z iterates are scanned for
     non-finite entries only when ||z_k - y_k|| is not finite.  The x iterate
@@ -338,7 +366,6 @@ def _drs(f: ProxOperator, g: ProxOperator, params: DrsParams, x0: np.ndarray,
     calls it inside its one errstate, so overflow and NaN do not warn.
     """
     a = params.alpha
-    tol = params.stop_tol
     f_eval, g_eval = f.evaluate, g.evaluate
     periodic = np.ndim(params.lam) == 0
     mark, marked = None, 0  # Brent's mark, without rows
@@ -347,10 +374,10 @@ def _drs(f: ProxOperator, g: ProxOperator, params: DrsParams, x0: np.ndarray,
     spare = (x, np.empty_like(x))  # x_{k+1} without rows: spare[(k + 1) % 2]
     v, d = np.empty_like(x), np.empty_like(x)  # 2 y_k - x_k; lam_k (z_k - y_k)
     if rows is not None:
-        X, Y, _, FP, _ = rows.cols
-        Z = rows.z
+        X, FP = rows.cols[:2]
         X[0] = x
         x = X[0]
+    store = rows.store if rows is not None else lambda k, y, z, fp: fp <= params.stop_tol
     bound = math.sqrt(x @ x)
     for k, lam in enumerate(_relaxations(params)):
         if rows is not None and k == len(FP):
@@ -360,7 +387,7 @@ def _drs(f: ProxOperator, g: ProxOperator, params: DrsParams, x0: np.ndarray,
             key = x.tobytes()
             if rows is None:
                 if key == mark:
-                    return k, x.copy(), y, z, False, k - marked
+                    return k, x.copy(), "iteration-limit", k - marked
                 if k & (k - 1) == 0:
                     mark, marked = key, k
             else:
@@ -382,15 +409,8 @@ def _drs(f: ProxOperator, g: ProxOperator, params: DrsParams, x0: np.ndarray,
             for name, w in (("y", y), ("z", z)):
                 if not np.isfinite(w).all():
                     raise _NonFinite(name, k)
-        if rows is not None:
-            if Y is not None:
-                Y[k] = y
-            Z[k - rows.start] = z
-            FP[k] = fp
-            if k == rows.due:
-                rows.block()
-        if (fp <= tol) if stop is None else stop(k, Y, Z, FP):
-            return k + 1, x.copy(), y, z, True, 0
+        if store(k, y, z, fp):
+            return k + 1, x.copy(), "converged", 0
         if lam != 1.0:  # 1.0 * d is d, bit for bit
             np.multiply(d, lam, out=d)
         nxt = spare[(k + 1) & 1] if rows is None else X[k + 1]
@@ -401,7 +421,7 @@ def _drs(f: ProxOperator, g: ProxOperator, params: DrsParams, x0: np.ndarray,
             raise _NonFinite("x", k)
         if period:
             break
-    return k + 1, x.copy(), y, z, False, period
+    return k + 1, x.copy(), "iteration-limit", period
 
 
 def drs_run(f: ProxOperator, g: ProxOperator, params: DrsParams, x0: np.ndarray) -> Trace:
@@ -434,29 +454,25 @@ def drs_run(f: ProxOperator, g: ProxOperator, params: DrsParams, x0: np.ndarray)
     as each prox is a deterministic function of its arguments.
     """
     x0 = _start("x0", x0)
-    a = params.alpha
     with np.errstate(over="ignore", invalid="ignore"):
-        X, _, _, FP, objective, stop, x_final = _drs_rows(f, g, params, x0)
-        return _trace(X, None, None, FP, a, objective, stop, x_final, (f, g, a))
+        X, FP, objective, status, x_final, _ = _drs_rows(f, g, params, x0,
+                                                       _Rows(params, len(x0), (f, g)))
+        return Trace(X, FP, FP / params.alpha, objective, status, x_final, (f, g, params.alpha))
 
 
-def _drs_rows(f: ProxOperator, g: ProxOperator, params: DrsParams, x0: np.ndarray,
-              stop=None):
-    """DRS columns x, y, z, fp and objective trimmed to the rows run, the
-    stop flag and x_final.  y and z are held only for a stop test, which
-    reads them, and are None otherwise; the objective column is filled in
-    blocks during the loop only without one, and is None otherwise (see
-    ``_Rows``).  The rows of a cycle past its first repeat, which the loop
-    has computed and tested, are copies of tested rows."""
-    rows = _Rows(params, len(x0), None if stop else (f, g))
-    k, x_final, _, _, stopped, period = _drs(f, g, params, x0, rows, stop)
+def _drs_rows(f: ProxOperator, g: ProxOperator, params: DrsParams, x0: np.ndarray, rows: _Rows):
+    """The DRS loop on ``rows``: its x, fp and objective columns trimmed to
+    the rows run, the trace status, x_final and the period of a replayed
+    cycle, 0 without one.  The rows of a cycle past its first repeat, which
+    the loop has computed and tested, are copies of tested rows."""
+    k, x_final, status, period = _drs(f, g, params, x0, rows)
     rows.flush(k)
     if period:
         k, x_final = params.max_iters, rows.repeat(k, period)
     rows.resize(k)
-    X, Y, Z, FP, objective = rows.cols
+    X, FP, objective = rows.cols
     # x keeps its extra row behind a view: a one-row trim fragments the heap
-    return X[:k], Y, Z, FP, objective, stopped, x_final
+    return X[:k], FP, objective, status, x_final, period
 
 
 def admm_run(f_prox: ProxOperator, g_prox: ProxOperator, params: DrsParams, u0: np.ndarray) -> Trace:
@@ -465,17 +481,19 @@ def admm_run(f_prox: ProxOperator, g_prox: ProxOperator, params: DrsParams, u0: 
         x+ = prox_{af}(z - u);  v = lam x+ + (1 - lam) z;
         z+ = prox_{ag}(v + u);  u+ = u + v - z+.
 
-    The trace stores x = x+, y = u (dual), z = z+, with the primal residual
+    The trace gives x = x+, y = u (dual), z = z+, with the primal residual
     ||x+ - z+|| in fp_residual and f(x+) + g(z+) in objective.  The run
     stops at the first row whose primal residual and dual residual
     ||z+ - z|| / alpha are both <= stop_tol (Boyd et al. 2011, sec. 3.3).
     With t = v + u this is ``drs_run(g, f)`` (Eckstein & Bertsekas 1992)
     from t_0 = lam_0 x_0 + u_0, x_0 = prox_{af}(-u_0), DRS lam_k being ADMM
     lam_{k+1}: row k is x = DRS z[k-1], u = DRS x[k-1] - DRS y[k-1], z = DRS
-    y[k], with x_0, u_0 and z = 0 before row 0.  DRS tests the rule on row k
-    once it has DRS y[k], and the primal residual the test computes is the
-    row's fp_residual, so a converged trace ends at the first row that meets
-    it by the residuals it stores.  ``u0`` must be a 1-D vector; t_0 and the
+    y[k], with x_0, u_0 and z = 0 before row 0; the trace holds t, x_0 and
+    u_0 (see ``Trace``).  DRS tests the rule on row k once it has DRS y[k],
+    and the primal residual the test computes is the row's fp_residual, so a
+    converged trace ends at the first row that meets it by the residuals it
+    stores.  x_final is the last DRS y computed, or after a replayed cycle
+    one prox of g at the last t.  ``u0`` must be a 1-D vector; t_0 and the
     objective are computed inside the run's one errstate, so an overflow
     there is not warned.
     """
@@ -486,27 +504,17 @@ def admm_run(f_prox: ProxOperator, g_prox: ProxOperator, params: DrsParams, u0: 
         raise _NonFinite("x", 0)
     lam = params.lam if np.ndim(params.lam) == 0 else np.asarray(params.lam, dtype=float)[:limit]
     lams = lam if np.ndim(lam) == 0 else np.append(lam[1:], lam[-1])  # shifted; the pad is unused
-
-    def met(k, y, z, fp):  # ADMM's rule on row k, from the DRS y and z columns
-        p = (z[k - 1] if k else x0) - y[k]
-        fp[k] = math.sqrt(np.einsum("j,j->", p, p))  # the primal residual, stored
-        if not fp[k] <= tol:
-            return False
-        d = y[k] - y[k - 1] if k else y[0]
-        return math.sqrt(np.einsum("j,j->", d, d)) / a <= tol
-
+    drs = DrsParams(a, lams, limit, tol)
+    rows = _AdmmRows(drs, x0, (f_prox, g_prox))
     with np.errstate(over="ignore", invalid="ignore"):
         try:
-            T, Y, Z, fp, _, stop, _ = _drs_rows(g_prox, f_prox, DrsParams(a, lams, limit, tol),
-                                                np.ravel(lam)[0] * x0 + u0, met)
+            T, fp, objective, status, _, period = _drs_rows(
+                g_prox, f_prox, drs, np.ravel(lam)[0] * x0 + u0, rows)
         except _NonFinite as e:
             name, k = {"y": ("z", e.k), "z": ("x", e.k + 1), "x": ("u", e.k + 1)}[e.name]
             raise _NonFinite(name, k) from None
-        X, U = np.empty((2,) + Y.shape)
-        X[0], U[0], X[1:] = x0, u0, Z[:-1]
-        np.subtract(T[:-1], Y[:-1], out=U[1:])
-        del T, Z  # the DRS x and z columns go before the objective
-        return _trace(X, U, Y, fp, a, _objective(f_prox, g_prox, X, Y), stop, Y[-1].copy())
+        z = g_prox.evaluate(T[-1], a) if period else rows.z[len(T) - 1 - rows.start].copy()
+        return Trace(T, fp, fp / a, objective, status, z, (g_prox, f_prox, a), (x0, u0.copy()))
 
 
 def lyapunov_series(trace: Trace, case, theta, x_star: np.ndarray,
@@ -548,7 +556,7 @@ def lyapunov_series(trace: Trace, case, theta, x_star: np.ndarray,
         if F_star is None:
             raise ValueError("Case 2 Lyapunov values require F_star")
         if trace.objective is None:
-            raise ValueError("missing objective value at iteration 0")
+            raise ValueError("the trace has no objective column: f or g is not evaluable")
         incr = th * (trace.objective - F_star)
     running = np.concatenate(([0.0], np.cumsum(incr)[:-1]))
     return dist + running
@@ -565,19 +573,21 @@ def solve_reference(f: ProxOperator, g: ProxOperator, params: DrsParams, x0: np.
     exactly (their rounding floor lies above the tolerance, which they can
     then never reach), naming the period and the iteration it was found from.
     """
-    cap = max(params.max_iters, 2_000_000)
+    cap = max(params.max_iters, _REFERENCE_ITERS)
     ref = DrsParams(alpha=params.alpha, lam=params.lam if np.ndim(params.lam) == 0 else 1.0,
                     max_iters=cap, stop_tol=1e-12)
     x0 = _start("x0", x0)
     with np.errstate(over="ignore", invalid="ignore"):
-        k, x_final, y, z, stop, period = _drs(f, g, ref, x0, None)
+        k, x_final, status, period = _drs(f, g, ref, x0, None)
+        y = f.evaluate(x_final, ref.alpha)  # the terminal y and z, as the loop computed them
+        z = g.evaluate(np.subtract(np.multiply(y, 2.0), x_final), ref.alpha)
     if period:
         raise RuntimeError(
             "reference solve did not reach ||z - y|| <= 1e-12: the iterates "
             f"repeat with period {period} from iteration {k - period}, so no "
             "iteration cap would suffice"
         )
-    if not stop:
+    if status != "converged":
         raise RuntimeError(
             f"reference solve did not reach ||z - y|| <= 1e-12 in {cap} "
             "iterations; increase the iteration cap"

@@ -312,6 +312,11 @@ class TestCertificateValidation:
             Certificate(case=CertCase.CASE1, fc=F0INF, alpha=1.0, lam=1.0,
                         sigma1=1.0, sigma2=1.0, theta=0.0)
 
+    def test_case2_requires_a_smooth_class(self):
+        with pytest.raises(ValueError, match="^Case 2 requires a finite smoothness constant$"):
+            Certificate(case=CertCase.CASE2, fc=F0INF, alpha=1.0, lam=1.0,
+                        sigma1=1.0, sigma2=1.0, theta=1.0)
+
     def test_case3_requires_rate_in_unit_interval(self):
         fc = FunctionClass(1.0, 2.0)
         for bad in (None, 0.0, 1.0, 1.5):
@@ -589,6 +594,14 @@ class TestRateBound:
         cert = make_certificate(CertCase.CASE1, F0INF, 2.0, 1.0,
                                 sigma1=sigma, sigma2=sigma, theta=theta)
         assert rate_bound(cert, 3, 12.0) == pytest.approx(12.0 / (4.0 * 3))
+
+    def test_k_below_one_refused(self):
+        sigma, theta = analytic_params_case1(1.0, 1.0)
+        cert = make_certificate(CertCase.CASE1, F0INF, 1.0, 1.0,
+                                sigma1=sigma, sigma2=sigma, theta=theta)
+        for k in (0, -1):
+            with pytest.raises(ValueError, match="^k must be >= 1$"):
+                rate_bound(cert, k, 1.0)
 
     def test_case3_geometric(self):
         from drsplit import optimize_rate

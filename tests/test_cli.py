@@ -325,6 +325,8 @@ class TestCliErrors:
         ("--mode certify --alpha inf", "alpha must be > 0 and finite, got inf"),
         ("--mode certify --theta inf", "theta must be > 0 and finite, got inf"),
         ("--mode sweep --alpha-grid 0.01:inf:3", "--alpha-grid hi must be > 0 and finite, got inf"),
+        ("--mode sweep --alpha-grid 2:1:3", "--alpha-grid expects lo < hi and steps >= 1"),
+        ("--mode sweep --alpha-grid 1:1:3", "--alpha-grid expects lo < hi and steps >= 1"),
         ("--mode sweep --m-base inf", "m_base must be > 0 and finite, got inf"),
     ])
     def test_parameter_outside_the_rule_is_input_error(self, tmp_path, capsys, flags, message):

@@ -229,6 +229,11 @@ class TestEstimateClassQuadratic:
         assert fc.L == pytest.approx(ref[-1], rel=1e-10)
         assert fc.m == pytest.approx(ref[0], rel=1e-10)
 
+    def test_zero_matrix_rejected(self):
+        with pytest.raises(ValueError, match="^A\\^T A has no positive eigenvalue; "
+                                             "A is the zero matrix$"):
+            estimate_class_quadratic(np.zeros((2, 3)))
+
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             estimate_class_quadratic(np.zeros((0, 0)))

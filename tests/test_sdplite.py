@@ -253,6 +253,11 @@ class TestSweepHeatmap:
             assert 0 < c.rho_opt < 1
             assert c.lambda_opt == 2.0
 
+    @pytest.mark.parametrize("alphas,kappas", [([], [5.0]), ([1.0], []), ([], [])])
+    def test_empty_grid_refused(self, alphas, kappas):
+        with pytest.raises(ValueError, match="^grids must be nonempty$"):
+            sweep_heatmap(alphas, kappas)
+
     def test_m_base_scaling_changes_class(self):
         cells = sweep_heatmap([1.0], [10.0], m_base=2.0)
         assert cells[0].feasible

@@ -25,9 +25,10 @@ from drsplit import (
     tune,
     write_trace_csv,
 )
+from drsplit import splitting
 from drsplit.cli import ProblemSpec, gen_basis_pursuit, gen_lasso
 from drsplit.prox import ProxOperator
-from drsplit.splitting import _drs_rows, _objective
+from drsplit.splitting import _drs_rows, _objective, _Rows
 
 
 class Exploding(ProxOperator):
@@ -49,6 +50,16 @@ class BoxClip(ProxOperator):
 
     def evaluate(self, v, alpha):
         return np.clip(v, -1.0, 1.0)
+
+
+class Widening(ProxOperator):
+    """Returns its input with one more entry: an output of another shape."""
+
+    def __init__(self):
+        self.function_class = FunctionClass(0.0, math.inf)
+
+    def evaluate(self, v, alpha):
+        return np.append(v, 0.0)
 
 
 class Aliasing(ProxOperator):
@@ -184,6 +195,13 @@ class TestDrsRun:
         with pytest.raises(ValueError):
             drs_run(f, prox_zero(), DrsParams(alpha=1.0, max_iters=3),
                     np.zeros(3))
+
+    @pytest.mark.parametrize("wide", ["f", "g"])
+    def test_prox_output_of_another_shape_refused(self, wide):
+        # the y check when f widens its output, the z check when g does
+        f, g = (Widening(), prox_zero()) if wide == "f" else (prox_zero(), Widening())
+        with pytest.raises(ValueError, match="^dimension mismatch between prox outputs and x0$"):
+            drs_run(f, g, DrsParams(alpha=1.0, max_iters=3), np.zeros(3))
 
     def test_nonfinite_iterate_reported_with_iteration(self):
         with pytest.raises(RuntimeError, match="^non-finite y iterate at iteration 1$"):
@@ -472,10 +490,10 @@ def _assert_admm_parity(tr, ref, status, alpha):
     """Same length, status and terminal row as the plain ADMM loop; every
     column, x_final included, within 1e-12 of the loop's largest entry."""
     assert (tr.status, len(tr)) == (status, len(ref["x"]))
+    mine = {name: getattr(tr, name) for name in ref}  # each recomputed column read once
     for name, col in ref.items():
-        mine = getattr(tr, name)
-        assert np.abs(mine - col).max() <= 1e-12 * np.abs(col).max(), name
-    assert tr.x_final.tobytes() == tr.z[-1].tobytes()
+        assert np.abs(mine[name] - col).max() <= 1e-12 * np.abs(col).max(), name
+    assert tr.x_final.tobytes() == mine["z"][-1].tobytes()
     assert tr.subgrad_residual.tobytes() == (tr.fp_residual / alpha).tobytes()
 
 
@@ -558,19 +576,22 @@ class TestCycleReplay:
         # the loop computes and tests rows 0 .. 78, row 78 the first repeat,
         # and stops there; nothing is tested after the loop
         f, g, lam = self._lasso(40)
+        params = DrsParams(alpha=1.0, lam=lam, max_iters=self.ITERS)
         tested = []
 
-        def stop(k, Y, Z, FP):
-            tested.append(k)
-            return k == 78
+        class Rows(_Rows):
+            def store(self, k, y, z, fp):
+                super().store(k, y, z, fp)
+                tested.append(k)
+                return k == 78
 
-        X, Y, Z, FP, _, stopped, x_final = _drs_rows(
-            f, g, DrsParams(alpha=1.0, lam=lam, max_iters=self.ITERS), np.zeros(40), stop)
-        assert stopped and tested == list(range(79))
+        X, FP, _, status, x_final, period = _drs_rows(
+            f, g, params, np.zeros(40), Rows(params, 40, (f.inner, g.inner)))
+        assert status == "converged" and period == 0 and tested == list(range(79))
         assert f.calls == g.calls == 79 == _first_repeat(X) + 1
         ref, _ = _plain_drs(f.inner, g.inner, DrsParams(alpha=1.0, lam=lam, max_iters=79),
                             np.zeros(40))
-        for name, col in zip(("x", "y", "z", "fp_residual"), (X, Y, Z, FP)):
+        for name, col in zip(("x", "fp_residual"), (X, FP)):
             assert col.tobytes() == ref[name].tobytes(), name
         assert x_final.tobytes() == X[78].tobytes()
 
@@ -903,7 +924,8 @@ class TestAdmmRun:
     def _rows_meeting_the_rule(tr, tol, alpha):
         """The rows whose stored primal residual and whose dual residual from
         the stored z column (z = 0 before row 0) are both <= tol."""
-        d = np.vstack((tr.z[:1], tr.z[1:] - tr.z[:-1]))
+        z = tr.z
+        d = np.vstack((z[:1], z[1:] - z[:-1]))
         dual = np.sqrt(np.einsum("ij,ij->i", d, d)) / alpha
         return np.flatnonzero((tr.fp_residual <= tol) & (dual <= tol)).tolist()
 
@@ -949,13 +971,16 @@ class TestAdmmRun:
         # the seed-0 Case-3 LASSO of the benchmark's certified_run pool: the
         # DRS form computes rows 0 .. 85, row 85 its first repeat with period
         # 2, and copies the rest; every row's residual is the one its stop
-        # test computed, copied rows included
+        # test computed, copied rows included.  x_final, z at the last row,
+        # a copied one, is one more prox of g at the last state
         f, g, _ = gen_lasso(ProblemSpec("lasso", 60, 40, rank=40, seed=1495516104))
         f, g = Counting(f), Counting(g)
         tr = admm_run(f, g, DrsParams(alpha=1.0, lam=2.0, max_iters=10_000), np.zeros(40))
-        assert len(tr) == 10_000 and (g.calls, f.calls) == (86, 87)
-        assert tr.z[85:].tobytes() == tr.z[83:-2].tobytes()
-        d = tr.x - tr.z
+        assert len(tr) == 10_000 and (g.calls, f.calls) == (86 + 1, 87)
+        z = tr.z
+        assert z[85:].tobytes() == z[83:-2].tobytes()
+        assert tr.x_final.tobytes() == z[-1].tobytes()
+        d = tr.x - z
         assert tr.fp_residual.tobytes() == np.sqrt(np.einsum("ij,ij->i", d, d)).tobytes()
 
     @pytest.mark.parametrize("case", ["lasso", "lasso, schedule", "basis pursuit"])
@@ -974,9 +999,10 @@ class TestAdmmRun:
         ref, status = _plain_admm(f, g, params, np.zeros(n))
         f, g = Counting(f), Counting(g)
         tr = admm_run(f, g, params, np.zeros(n))
-        _assert_admm_parity(tr, ref, status, alpha)
+        ran = g.calls, f.calls  # before a column is read, which recomputes it
         assert status == "converged" and len(tr) < 1000
-        assert (g.calls, f.calls) == (len(tr), len(tr) + 1)
+        assert ran == (len(tr), len(tr) + 1)
+        _assert_admm_parity(tr, ref, status, alpha)
 
     def test_nonfinite_z_reported_with_admm_iteration(self):
         # x = -1, z = -0.9e200 at k = 0; at k = 1 the prox of g overflows
@@ -1001,10 +1027,13 @@ class TestAdmmRun:
                     run(Exploding(), prox_zero(), DrsParams(alpha=1.0, lam=1.9, max_iters=5),
                         np.array([-1e108]))
 
-    def test_memory_above_the_trace_is_two_columns_and_one_matrix_product(self):
-        # basis pursuit, 10^4 rows of n = 100: the DRS x and z columns are
-        # held while the ADMM columns are built, then released; the affine
-        # objective's product is the only other temporary of the trace's length
+    def test_memory_above_the_trace_is_the_buffers_and_one_block(self):
+        # basis pursuit, 10^4 rows of n = 100: the trace holds the DRS state
+        # column t (with its row for t_{10^4}) and the scalar columns; above
+        # them the run holds ADMM's x and z buffers of 2 x 512 rows each, one
+        # 512-row block of the objective's temporaries (the l1 row sums'
+        # 512 x 100 buffer) and the cycle check's dict of about 100 bytes
+        # per row: no x, u or z column
         f, g, _ = gen_basis_pursuit(ProblemSpec("basis_pursuit", 30, 100, seed=42))
         params = DrsParams(alpha=1.0, max_iters=10_000)
         u0 = np.zeros(100)
@@ -1015,10 +1044,54 @@ class TestAdmmRun:
         finally:
             tracemalloc.stop()
         assert len(tr) == 10_000 and tr.status == "iteration-limit"
-        # ADMM's u and z columns are stored, not recomputed from x
-        assert tr.y is tr.y and tr.z is tr.z
-        assert held >= tr.x.nbytes + tr.y.nbytes + tr.z.nbytes
-        assert peak - held <= 2 * 10_000 * 100 * 8 + 10_000 * 30 * 8 + (1 << 20)
+        t = 10_001 * 100 * 8
+        assert t <= held <= 1.05 * t + (1 << 20)
+        assert peak - held <= 2 * (2 * 512 * 100 * 8) + 512 * 100 * 8 + 100 * 10_000 + (1 << 19)
+
+    def test_early_stop_past_4096_rows_holds_only_the_state(self):
+        # the slow quadratic of TestTraceStorage: ADMM stops after 4,096 rows,
+        # so the rows grow three times; the trace holds the state column, and
+        # the peak is the columns at their last capacity, the two buffers,
+        # one 512-row product of the quadratic objective and the cycle dict
+        n = 100
+        s = math.sqrt(3.7e-3)
+        f, g = prox_quadratic(s * np.eye(n), s * np.ones(n)), prox_zero()
+        params = DrsParams(alpha=1.0, max_iters=10_000, stop_tol=1e-9)
+        tracemalloc.start()
+        try:
+            tr = admm_run(f, g, params, np.zeros(n))
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        k = len(tr)
+        assert tr.status == "converged" and 4096 < k < 10_000
+        t = (k + 1) * n * 8
+        assert t <= held <= 1.05 * t + (1 << 20)
+        cap = 1024 << math.ceil(math.log2(k / 1024))
+        columns = (cap + 1) * n * 8 + 2 * cap * 8
+        assert peak <= columns + 2 * (2 * 512 * n * 8) + 512 * n * 8 + 100 * k + (1 << 20)
+
+    def test_reading_a_column_recomputes_it_from_the_state(self):
+        # the DRS loop is on (g, f): a read of x makes len - 1 proxes of each
+        # (row 0 is x_0), of u = y len - 1 of g alone (row 0 is u_0), and of
+        # z len of g alone
+        f, g, _ = gen_basis_pursuit(ProblemSpec("basis_pursuit", 30, 100, seed=42))
+        f, g = Counting(f), Counting(g)
+        tr = admm_run(f, g, DrsParams(alpha=1.0, max_iters=500), np.zeros(100))
+        for name, calls in (("x", (499, 499)), ("y", (0, 499)), ("z", (0, 500))):
+            ran = f.calls, g.calls
+            assert getattr(tr, name).shape == (500, 100)
+            assert (f.calls - ran[0], g.calls - ran[1]) == calls, name
+
+    def test_walking_the_records_recomputes_x_once(self):
+        f, g, _ = gen_basis_pursuit(ProblemSpec("basis_pursuit", 30, 100, seed=42))
+        f, g = Counting(f), Counting(g)
+        tr = admm_run(f, g, DrsParams(alpha=1.0, max_iters=500), np.zeros(100))
+        x = tr.x
+        ran = f.calls, g.calls
+        for r in tr.records:
+            assert r.x.tobytes() == x[r.k].tobytes()
+        assert (f.calls - ran[0], g.calls - ran[1]) == (499, 499)
 
 
 class TestFloatingPointState:
@@ -1119,6 +1192,17 @@ class TestLyapunovSeries:
         with pytest.raises(ValueError):
             lyapunov_series(tr, "case2", 1.0, x_star)
 
+    def test_case2_needs_an_objective_column(self):
+        # the box projection has no objective: the trace has no objective
+        # column, objectives() is NaN throughout and Case 2 is refused
+        tr = drs_run(prox_quadratic(np.eye(2), np.ones(2)), BoxClip(),
+                     DrsParams(alpha=1.0, max_iters=5), np.zeros(2))
+        assert tr.objective is None
+        assert tr.objectives().shape == (5,) and np.isnan(tr.objectives()).all()
+        with pytest.raises(ValueError, match="^the trace has no objective column: "
+                                             "f or g is not evaluable$"):
+            lyapunov_series(tr, "case2", 1.0, np.zeros(2), F_star=0.0)
+
     def test_case2_running_sum(self):
         tr, x_star, F_star = self._trace()
         theta = 0.3
@@ -1161,7 +1245,7 @@ class TestLyapunovSeries:
         n, m = 10_000, 100
         X = rng.standard_normal((n, m))
         fp = rng.uniform(0.0, 1.0, n)
-        tr = Trace(X, X, X, fp, fp, fp)
+        tr = Trace(X, fp, fp, fp)
         for case, theta in (("case1", 0.5), ("case2", 0.5), ("case3", None)):
             tracemalloc.start()
             try:
@@ -1194,6 +1278,15 @@ class TestLyapunovSeries:
 
 
 class TestSolveReference:
+    def test_iteration_cap_reached_names_the_cap(self, monkeypatch):
+        # the slow quadratic needs about 23,000 iterations and does not cycle
+        monkeypatch.setattr(splitting, "_REFERENCE_ITERS", 50)
+        f, g, x0 = TestTraceStorage._slow_problem(n=3)
+        with pytest.raises(RuntimeError, match=r"^reference solve did not reach "
+                           r"\|\|z - y\|\| <= 1e-12 in 50 iterations; increase the "
+                           r"iteration cap$"):
+            solve_reference(f, g, DrsParams(alpha=1.0, max_iters=1), x0)
+
     def test_unconstrained_quadratic(self):
         rng = np.random.default_rng(10)
         A = rng.standard_normal((4, 4)) + 2 * np.eye(4)

@@ -8,8 +8,9 @@ are run through the paper's workflow at the tuned relaxation parameter:
     rho^2, the witness bytes, max_eig and feasible;
   * ``drs_run`` and ``admm_run`` (from u0 = 0) for 10^4 iterations at
     stop_tol 0 and at 1e-10: every Trace column, x_final and the status, or
-    the run's error message (a DRS trace's y and z as it recomputes them
-    from x when they are read);
+    the run's error message (every column but the DRS state as the trace
+    recomputes it from that state when it is read: a DRS trace's y and z,
+    and an ADMM trace's x, u and z);
   * ``solve_reference``: (x*, y*, F*), or its error message;
   * the trace CSV of the stop_tol 0 DRS run with its Lyapunov values, as bytes.
 
