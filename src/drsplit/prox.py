@@ -48,6 +48,14 @@ def _row_sums(X: np.ndarray, fill) -> np.ndarray:
     return sums
 
 
+def _system(A, b):
+    """(A, b) as float arrays, A of shape (p, n) and b of length p."""
+    A, b = np.asarray(A, dtype=float), np.asarray(b, dtype=float)
+    if A.ndim != 2 or b.shape != (A.shape[0],):
+        raise ValueError("A must be p x n and b length p")
+    return A, b
+
+
 class ProxOperator:
     """Base class: an evaluatable proximal map with a declared function class."""
 
@@ -102,12 +110,7 @@ class _AffineProjection(ProxOperator):
     """
 
     def __init__(self, A: np.ndarray, b: np.ndarray):
-        A = np.asarray(A, dtype=float)
-        b = np.asarray(b, dtype=float)
-        if A.ndim != 2 or b.shape != (A.shape[0],):
-            raise ValueError("A must be p x n and b length p")
-        self.A = A
-        self.b = b
+        self.A, self.b = A, b = _system(A, b)
         p, n = A.shape
         if p > n:
             raise ValueError(
@@ -144,28 +147,22 @@ class _QuadraticProx(ProxOperator):
     The inverse and the offset a (I + a A^T A)^-1 A^T b are computed for the
     last alpha seen and kept, so each call is one matrix-vector product; the
     solver keeps alpha constant, so each run factors once.  A new alpha
-    replaces them, so one factor is held however many alphas are used.
+    replaces them, and A^T A and A^T b are formed only then, so A, b and one
+    factor are held however many alphas are used.
     """
 
     def __init__(self, A: np.ndarray, b: np.ndarray):
-        A = np.asarray(A, dtype=float)
-        b = np.asarray(b, dtype=float)
-        if A.ndim != 2 or b.shape != (A.shape[0],):
-            raise ValueError("A must be p x n and b length p")
-        self.A = A
-        self.b = b
-        self._H = A.T @ A
-        self._Atb = A.T @ b
+        self.A, self.b = _system(A, b)
         self._inverse_cache = None  # (alpha, (inverse, offset)) of the last alpha
-        self.function_class = estimate_class_quadratic(A)
+        self.function_class = estimate_class_quadratic(self.A)
 
     def _factor(self, alpha):
         cached = self._inverse_cache
         if cached is None or cached[0] != alpha:
-            n = self._H.shape[0]
+            A, n = self.A, self.A.shape[1]
             # I + a A^T A is positive definite for every a > 0
-            S = np.linalg.solve(np.eye(n) + alpha * self._H,
-                                np.column_stack((np.eye(n), self._Atb)))
+            S = np.linalg.solve(np.eye(n) + alpha * (A.T @ A),
+                                np.column_stack((np.eye(n), A.T @ self.b)))
             cached = self._inverse_cache = (alpha, (S[:, :n], alpha * S[:, n]))
         return cached[1]
 

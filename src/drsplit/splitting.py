@@ -1,13 +1,14 @@
 """The Douglas-Rachford iteration, its relaxed-ADMM form, and trace tooling.
 
 The solver records every state x_k together with the fixed-point residual
-||z_k - y_k|| and the optimality residual ||df(y_k) + dg(z_k)||, which are
-tied by the exact identity  z_k - y_k = -alpha (df(y_k) + dg(z_k)).  A Trace
-keeps them as arrays with one row per iteration, each computed once, by the
-run's loop.  ADMM is DRS after a change of variables, and DRS a system in
-its state alone: DRS's y and z and ADMM's x, u and z are outputs of the
-state, which a trace recomputes when a column is read instead of holding
-it.  Nor does a run hold them: it evaluates the objective in 512-row blocks.
+||z_k - y_k|| and the objective, as arrays with one row per iteration, each
+computed once, by the run's loop.  The optimality residual
+||df(y_k) + dg(z_k)|| is ||z_k - y_k|| / alpha by the exact identity
+z_k - y_k = -alpha (df(y_k) + dg(z_k)), and is derived where it is read.
+ADMM is DRS after a change of variables, and DRS a system in its state
+alone: DRS's y and z and ADMM's x, u and z are outputs of the state, which
+a trace recomputes when a column is read instead of holding it.  Nor does a
+run hold them: it evaluates the objective in 512-row blocks.
 """
 
 from __future__ import annotations
@@ -85,10 +86,11 @@ class Trace:
     """Iteration columns plus terminal status and terminal state.
 
     Row k of ``x``, ``y`` and ``z`` (shape iterations x n) and entry k of
-    ``fp_residual``, ``subgrad_residual`` and ``objective`` (length
-    iterations; ``objective`` is None when F is not evaluable) describe
-    iteration k.  The columns are read-only; ``records`` presents the rows
-    of x and the scalar columns as TraceRecord objects.
+    ``fp_residual`` and ``objective`` (length iterations; ``objective`` is
+    None when F is not evaluable) describe iteration k.  The columns are
+    read-only; ``records`` presents the rows of x and the scalar columns as
+    TraceRecord objects.  The residual ||df(y_k) + dg(z_k)|| is not held:
+    its readers derive it as fp_residual / alpha with the trace's alpha.
 
     A trace holds the state column t of its DRS loop and the scalar columns
     only.  Each read of another column recomputes it from t with the loop's
@@ -101,7 +103,6 @@ class Trace:
 
     _t: np.ndarray = field(repr=False)
     fp_residual: np.ndarray
-    subgrad_residual: np.ndarray
     objective: Optional[np.ndarray] = None
     status: str = "iteration-limit"
     x_final: Optional[np.ndarray] = None
@@ -109,7 +110,7 @@ class Trace:
     _first: Optional[tuple] = field(default=None, repr=False)  # (x_0, u_0) of an admm_run
 
     def __post_init__(self):
-        for c in (self._t, self.fp_residual, self.subgrad_residual, self.objective):
+        for c in (self._t, self.fp_residual, self.objective):
             if c is not None:
                 c.flags.writeable = False
 
@@ -159,10 +160,11 @@ class Trace:
 
 
 class _Records(Sequence):
-    """Read-only sequence view of a Trace's rows as TraceRecord objects; reads x once."""
+    """Read-only sequence view of a Trace's rows as TraceRecord objects; reads x
+    once, at the first row read."""
 
     def __init__(self, trace: Trace):
-        self._trace, self._x = trace, trace.x
+        self._trace, self._x = trace, None
 
     def __len__(self):
         return len(self._trace)
@@ -170,20 +172,19 @@ class _Records(Sequence):
     def __getitem__(self, i):
         if isinstance(i, slice):
             return [self[k] for k in range(len(self))[i]]
-        t, x = self._trace, self._x
-        k = range(len(t))[i]
+        t, k = self._trace, range(len(self))[i]
+        if self._x is None:
+            self._x = t.x
+        fp = t.fp_residual[k]
         obj = None if t.objective is None else float(t.objective[k])
-        return TraceRecord(k, x[k], float(t.fp_residual[k]), float(t.subgrad_residual[k]), obj)
+        return TraceRecord(k, self._x[k], float(fp), float(fp / t._ops[2]), obj)
 
 
 def _objective(f: ProxOperator, g: ProxOperator, at_f, at_g):
     """f(at_f) + g(at_g) at one point or along the rows of two stacks; None
     when either function is not evaluable."""
-    vf = f.objective(at_f)
-    vg = g.objective(at_g)
-    if vf is None or vg is None:
-        return None
-    return vf + vg
+    vf, vg = f.objective(at_f), g.objective(at_g)
+    return None if vf is None or vg is None else vf + vg
 
 
 def _relaxations(params: DrsParams):
@@ -455,9 +456,8 @@ def drs_run(f: ProxOperator, g: ProxOperator, params: DrsParams, x0: np.ndarray)
     """
     x0 = _start("x0", x0)
     with np.errstate(over="ignore", invalid="ignore"):
-        X, FP, objective, status, x_final, _ = _drs_rows(f, g, params, x0,
-                                                       _Rows(params, len(x0), (f, g)))
-        return Trace(X, FP, FP / params.alpha, objective, status, x_final, (f, g, params.alpha))
+        *columns, _ = _drs_rows(f, g, params, x0, _Rows(params, len(x0), (f, g)))
+        return Trace(*columns, (f, g, params.alpha))  # x, fp, objective, status, x_final
 
 
 def _drs_rows(f: ProxOperator, g: ProxOperator, params: DrsParams, x0: np.ndarray, rows: _Rows):
@@ -514,14 +514,15 @@ def admm_run(f_prox: ProxOperator, g_prox: ProxOperator, params: DrsParams, u0: 
             name, k = {"y": ("z", e.k), "z": ("x", e.k + 1), "x": ("u", e.k + 1)}[e.name]
             raise _NonFinite(name, k) from None
         z = g_prox.evaluate(T[-1], a) if period else rows.z[len(T) - 1 - rows.start].copy()
-        return Trace(T, fp, fp / a, objective, status, z, (g_prox, f_prox, a), (x0, u0.copy()))
+        return Trace(T, fp, objective, status, z, (g_prox, f_prox, a), (x0, u0.copy()))
 
 
 def lyapunov_series(trace: Trace, case, theta, x_star: np.ndarray,
                     F_star: Optional[float] = None) -> np.ndarray:
     """Lyapunov values V_k along a trace, one per recorded iteration.
 
-    Case 1: V_k = ||x_k - x*||^2 + sum_{i<k} theta_i ||df(y_i) + dg(z_i)||^2.
+    Case 1: V_k = ||x_k - x*||^2 + sum_{i<k} theta_i ||df(y_i) + dg(z_i)||^2,
+            the residual derived as fp_residual / alpha.
     Case 2: V_k = ||x_k - x*||^2 + sum_{i<k} theta_i [F(z_i) - F*].
     Case 3: V_k = ||x_k - x*||^2.
 
@@ -551,7 +552,7 @@ def lyapunov_series(trace: Trace, case, theta, x_star: np.ndarray,
         if len(th) < n:
             raise ValueError(f"theta has {len(th)} entries for a trace of {n} iterations")
     if case is CertCase.CASE1:
-        incr = th * trace.subgrad_residual ** 2
+        incr = th * (trace.fp_residual / trace._ops[2]) ** 2
     else:
         if F_star is None:
             raise ValueError("Case 2 Lyapunov values require F_star")
@@ -599,17 +600,19 @@ def solve_reference(f: ProxOperator, g: ProxOperator, params: DrsParams, x0: np.
 def write_trace_csv(trace: Trace, path, lyapunov: Optional[np.ndarray] = None):
     """Trace CSV: columns k, fp_residual, subgrad_residual, objective, V.
 
-    Floats are written with ``repr``; the objective and V cells are blank
-    when the trace has no objective or no Lyapunov values are given.  The
-    bytes are those of the csv module's default dialect (rows end in CRLF).
-    Rows are built and written in blocks of _CSV_ROWS, with ``repr`` run
-    once per distinct float64 bit pattern in a block, as runs at rounding
-    level repeat their values, and each row joined from its cells.
+    subgrad_residual, ||df(y_k) + dg(z_k)||, is derived as fp_residual / alpha
+    with the trace's alpha.  Floats are written with ``repr``; the objective
+    and V cells are blank when the trace has no objective or no Lyapunov
+    values are given.  The bytes are those of the csv module's default
+    dialect (rows end in CRLF).  Rows are built and written in blocks of
+    _CSV_ROWS, with ``repr`` run once per distinct float64 bit pattern in a
+    block, as runs at rounding level repeat their values, and each row
+    joined from its cells.
     """
     n = len(trace)
     if lyapunov is not None and len(lyapunov) < n:
         raise ValueError(f"lyapunov has {len(lyapunov)} values for a trace of {n} iterations")
-    columns = (trace.fp_residual, trace.subgrad_residual, trace.objective, lyapunov)
+    columns = (trace.fp_residual, trace.fp_residual / trace._ops[2], trace.objective, lyapunov)
     values = np.array([np.asarray(c, dtype=float)[:n] for c in columns if c is not None])
     with open(path, "w", newline="") as fh:
         fh.write("k,fp_residual,subgrad_residual,objective,V\r\n")

@@ -157,7 +157,7 @@ def test_criterion_04_case2_objective_bound_on_trajectory():
     t0 = time.perf_counter()
     trace, x0, x_star, F_star, theta, _, _ = _lasso_rank_deficient_run()
     dist_sq = float(np.sum((x0 - x_star) ** 2))
-    gaps = trace.objectives() - F_star
+    gaps = trace.objective - F_star
     running_min = np.minimum.accumulate(gaps)
     k = np.arange(1, len(trace) + 1, dtype=float)
     assert np.all(running_min <= dist_sq / (theta * k) * (1.0 + 1e-6))
@@ -254,16 +254,15 @@ def test_criterion_10_residual_identity_and_eigensolver():
         (_lasso_full_rank_run()[0], 1.0),
     ]
     for trace, alpha in runs:
-        for r, y, z in zip(trace.records, trace.y, trace.z):
+        for x, y, z, fp in zip(trace.x, trace.y, trace.z, trace.fp_residual):
             # z - y = -alpha (df(y) + dg(z)) with subgradients recovered from
             # the two proximal steps
-            sf = (r.x - y) / alpha
-            sg = (2.0 * y - r.x - z) / alpha
+            sf = (x - y) / alpha
+            sg = (2.0 * y - x - z) / alpha
             lhs = z - y
             rhs = -alpha * (sf + sg)
             assert np.linalg.norm(lhs - rhs) <= 1e-12 * (1.0 + np.linalg.norm(lhs))
-            assert abs(r.subgrad_residual * alpha - r.fp_residual) <= \
-                1e-12 * (1.0 + r.fp_residual)
+            assert abs(fp / alpha * alpha - fp) <= 1e-12 * (1.0 + fp)
     rng = np.random.default_rng(99)
     for _ in range(1000):
         B = rng.standard_normal((4, 4))

@@ -141,11 +141,37 @@ class TestQuadraticProx:
         factor = n * (n + 1) * 8
         assert factor <= held < 2 * factor
 
+    def test_first_evaluate_holds_one_factor(self):
+        # A^T A and A^T b are formed for the factor and not kept: the
+        # operator holds A, b (made outside the count) and the one factor
+        n = 600
+        rng = np.random.default_rng(4)
+        A, b = rng.standard_normal((60, n)), rng.standard_normal(60)
+        tracemalloc.start()
+        try:
+            op = prox_quadratic(A, b)
+            op.evaluate(np.zeros(n), 1.0)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held <= n * n * 8 + (1 << 20)
+
     def test_deterministic(self):
         rng = np.random.default_rng(2)
         op = prox_quadratic(rng.standard_normal((4, 4)), rng.standard_normal(4))
         v = rng.standard_normal(4)
         assert np.array_equal(op.evaluate(v, 0.7), op.evaluate(v, 0.7))
+
+
+@pytest.mark.parametrize("make_op", [prox_affine_indicator, prox_quadratic])
+@pytest.mark.parametrize("A, b", [
+    (np.ones(3), np.ones(1)),
+    (np.ones((2, 3)), np.ones(3)),
+    (np.ones((2, 3)), np.ones((2, 1))),
+])
+def test_system_of_another_shape_refused(make_op, A, b):
+    with pytest.raises(ValueError, match="^A must be p x n and b length p$"):
+        make_op(A, b)
 
 
 class TestMatrixProductForm:

@@ -124,9 +124,9 @@ class TestDrsRun:
         x0 = np.array([1.0, -2.0])
         tr = drs_run(prox_zero(), prox_zero(),
                      DrsParams(alpha=1.0, lam=1.0, max_iters=5), x0)
-        assert tr.records[0].fp_residual == 0.0
-        for r in tr.records:
-            assert np.array_equal(r.x, x0)
+        assert tr.fp_residual[0] == 0.0
+        for x in tr.x:
+            assert np.array_equal(x, x0)
 
     def test_quadratic_halving(self):
         # f = ||x||^2/2, g = 0, alpha = lam = 1: x_{k+1} = x_k / 2
@@ -157,14 +157,13 @@ class TestDrsRun:
         alpha = 0.7
         tr = drs_run(f, g, DrsParams(alpha=alpha, lam=1.4, max_iters=100),
                      rng.standard_normal(4))
-        for r, y, z in zip(tr.records, tr.y, tr.z):
-            sf = (r.x - y) / alpha
-            sg = (2 * y - r.x - z) / alpha
+        for x, y, z, fp in zip(tr.x, tr.y, tr.z, tr.fp_residual):
+            sf = (x - y) / alpha
+            sg = (2 * y - x - z) / alpha
             lhs = z - y
             rhs = -alpha * (sf + sg)
             assert np.linalg.norm(lhs - rhs) <= 1e-12 * (1 + np.linalg.norm(lhs))
-            assert r.subgrad_residual * alpha == pytest.approx(
-                r.fp_residual, rel=1e-12, abs=1e-300)
+            assert fp / alpha * alpha == pytest.approx(fp, rel=1e-12, abs=1e-300)
 
     def test_running_min_residual_nonincreasing(self):
         rng = np.random.default_rng(9)
@@ -235,9 +234,9 @@ class TestDrsRun:
         f = prox_quadratic(np.eye(1), np.zeros(1))
         tr = drs_run(f, prox_l1(1.0), DrsParams(alpha=1.0, max_iters=3),
                      np.array([2.0]))
-        for r, z in zip(tr.records, tr.z):
+        for objective, z in zip(tr.objective, tr.z):
             expected = 0.5 * z[0] ** 2 + abs(z[0])
-            assert r.objective == pytest.approx(expected, abs=1e-14)
+            assert objective == pytest.approx(expected, abs=1e-14)
 
 
 def _soft(v, t):
@@ -389,7 +388,7 @@ class TestTraceStorage:
         params = DrsParams(alpha=1.0, max_iters=5000, stop_tol=1e-9)
         tr, ref = run(f, g, params, np.zeros(n)), run(f_copy, g_copy, params, np.zeros(n))
         assert tr.status == ref.status == "converged" and 4096 < len(tr) < 5000
-        for name in ("x", "y", "z", "fp_residual", "subgrad_residual", "objective", "x_final"):
+        for name in ("x", "y", "z", "fp_residual", "objective", "x_final"):
             assert getattr(tr, name).tobytes() == getattr(ref, name).tobytes(), name
 
     def test_reference_solve_memory_is_o_n(self):
@@ -486,7 +485,7 @@ def _plain_admm(f_prox, g_prox, params, u0):
                 objective=f_prox.objective(X) + g_prox.objective(Z), x_final=zn), status
 
 
-def _assert_admm_parity(tr, ref, status, alpha):
+def _assert_admm_parity(tr, ref, status):
     """Same length, status and terminal row as the plain ADMM loop; every
     column, x_final included, within 1e-12 of the loop's largest entry."""
     assert (tr.status, len(tr)) == (status, len(ref["x"]))
@@ -494,18 +493,17 @@ def _assert_admm_parity(tr, ref, status, alpha):
     for name, col in ref.items():
         assert np.abs(mine[name] - col).max() <= 1e-12 * np.abs(col).max(), name
     assert tr.x_final.tobytes() == mine["z"][-1].tobytes()
-    assert tr.subgrad_residual.tobytes() == (tr.fp_residual / alpha).tobytes()
 
 
 def _assert_plain(tr, f, g, params, x0):
     """Bitwise the plain loop: status, length, every column (y and z
-    recomputed whole), x_final, and every record's held fields."""
+    recomputed whole), x_final, and every record's fields, its residual
+    fp / alpha."""
     ref, status = _plain_drs(f, g, params, x0)
     assert (tr.status, len(tr)) == (status, len(ref["x"]))
     for name, col in ref.items():
         assert getattr(tr, name).tobytes() == col.tobytes(), name
     subgrad = ref["fp_residual"] / params.alpha
-    assert tr.subgrad_residual.tobytes() == subgrad.tobytes()
     for r in tr.records:
         assert r.x.tobytes() == ref["x"][r.k].tobytes(), r.k
         assert (r.fp_residual, r.subgrad_residual, r.objective) == \
@@ -816,7 +814,7 @@ class TestAdmmRun:
         tr = admm_run(prox_zero(), prox_zero(),
                       DrsParams(alpha=1.0, max_iters=3, stop_tol=0.0),
                       np.zeros(2))
-        assert tr.records[0].fp_residual == 0.0
+        assert tr.fp_residual[0] == 0.0
 
     def test_unrelaxed_matches_textbook_updates_by_hand(self):
         # min 0.5 (x - 1)^2 + |z| with x = z, alpha = 1, lam = 1, from z0=u0=0:
@@ -916,7 +914,7 @@ class TestAdmmRun:
                 for tol in (0.0, 1e-8, 1e-12):
                     params = DrsParams(alpha=alpha, lam=lam, max_iters=self.ITERS, stop_tol=tol)
                     ref, status = _plain_admm(f, g, params, np.zeros(n))
-                    _assert_admm_parity(admm_run(f, g, params, np.zeros(n)), ref, status, alpha)
+                    _assert_admm_parity(admm_run(f, g, params, np.zeros(n)), ref, status)
                     statuses.add(status)
         assert statuses == {"converged", "iteration-limit"}
 
@@ -965,7 +963,7 @@ class TestAdmmRun:
         tr = admm_run(f, g, params, np.zeros(40))
         assert f.calls < 10_000 and g.calls < 10_000
         ref, status = _plain_admm(f.inner, g.inner, params, np.zeros(40))
-        _assert_admm_parity(tr, ref, status, 1.0)
+        _assert_admm_parity(tr, ref, status)
 
     def test_cycling_run_stores_its_primal_residual_at_every_row(self):
         # the seed-0 Case-3 LASSO of the benchmark's certified_run pool: the
@@ -1002,7 +1000,7 @@ class TestAdmmRun:
         ran = g.calls, f.calls  # before a column is read, which recomputes it
         assert status == "converged" and len(tr) < 1000
         assert ran == (len(tr), len(tr) + 1)
-        _assert_admm_parity(tr, ref, status, alpha)
+        _assert_admm_parity(tr, ref, status)
 
     def test_nonfinite_z_reported_with_admm_iteration(self):
         # x = -1, z = -0.9e200 at k = 0; at k = 1 the prox of g overflows
@@ -1084,12 +1082,16 @@ class TestAdmmRun:
             assert (f.calls - ran[0], g.calls - ran[1]) == calls, name
 
     def test_walking_the_records_recomputes_x_once(self):
+        # making the view and taking its length read no column; the first
+        # row read recomputes x, and no later one does
         f, g, _ = gen_basis_pursuit(ProblemSpec("basis_pursuit", 30, 100, seed=42))
         f, g = Counting(f), Counting(g)
         tr = admm_run(f, g, DrsParams(alpha=1.0, max_iters=500), np.zeros(100))
         x = tr.x
         ran = f.calls, g.calls
-        for r in tr.records:
+        records = tr.records
+        assert len(records) == 500 and (f.calls, g.calls) == ran
+        for r in records:
             assert r.x.tobytes() == x[r.k].tobytes()
         assert (f.calls - ran[0], g.calls - ran[1]) == (499, 499)
 
@@ -1162,11 +1164,13 @@ class TestStartIsAVector:
 
 
 class TestLyapunovSeries:
+    ALPHA = 1.0
+
     def _trace(self):
         rng = np.random.default_rng(6)
         f = prox_quadratic(rng.standard_normal((5, 5)), rng.standard_normal(5))
         g = prox_l1(0.5)
-        p = DrsParams(alpha=1.0, lam=1.0, max_iters=400)
+        p = DrsParams(alpha=self.ALPHA, lam=1.0, max_iters=400)
         x0 = rng.standard_normal(5)
         tr = drs_run(f, g, p, x0)
         x_star, _, F_star = solve_reference(f, g, p, x0)
@@ -1175,7 +1179,7 @@ class TestLyapunovSeries:
     def test_zero_theta_reduces_to_distance(self):
         tr, x_star, _ = self._trace()
         V = lyapunov_series(tr, "case1", 0.0, x_star)
-        dist = [np.sum((r.x - x_star) ** 2) for r in tr.records]
+        dist = [np.sum((x - x_star) ** 2) for x in tr.x]
         assert np.allclose(V, dist, atol=0.0)
 
     def test_case1_running_sum(self):
@@ -1183,8 +1187,8 @@ class TestLyapunovSeries:
         theta = 0.7
         V = lyapunov_series(tr, "case1", theta, x_star)
         k = 5
-        expected = np.sum((tr.records[k].x - x_star) ** 2) + theta * sum(
-            tr.records[i].subgrad_residual ** 2 for i in range(k))
+        expected = np.sum((tr.x[k] - x_star) ** 2) + theta * sum(
+            (tr.fp_residual[i] / self.ALPHA) ** 2 for i in range(k))
         assert V[k] == pytest.approx(expected, rel=1e-12)
 
     def test_case2_needs_f_star(self):
@@ -1208,8 +1212,8 @@ class TestLyapunovSeries:
         theta = 0.3
         V = lyapunov_series(tr, "case2", theta, x_star, F_star=F_star)
         k = 7
-        expected = np.sum((tr.records[k].x - x_star) ** 2) + theta * sum(
-            tr.records[i].objective - F_star for i in range(k))
+        expected = np.sum((tr.x[k] - x_star) ** 2) + theta * sum(
+            tr.objective[i] - F_star for i in range(k))
         assert V[k] == pytest.approx(expected, rel=1e-10)
 
     @pytest.mark.parametrize("case", ["case1", "case3"])
@@ -1221,21 +1225,21 @@ class TestLyapunovSeries:
     def test_case3_is_distance(self):
         tr, x_star, _ = self._trace()
         V = lyapunov_series(tr, "case3", None, x_star)
-        assert V[0] == pytest.approx(np.sum((tr.records[0].x - x_star) ** 2))
+        assert V[0] == pytest.approx(np.sum((tr.x[0] - x_star) ** 2))
 
     @pytest.mark.parametrize("iters", [511, 512, 513, 1025])
     @pytest.mark.parametrize("case", ["case1", "case2", "case3"])
     def test_blocks_bitwise_equal_to_the_whole_trace(self, iters, case):
         rng = np.random.default_rng(iters)
         f = prox_quadratic(rng.standard_normal((5, 5)), rng.standard_normal(5))
-        tr = drs_run(f, prox_l1(0.5), DrsParams(alpha=1.0, lam=1.3, max_iters=iters),
-                     rng.standard_normal(5))
+        params = DrsParams(alpha=1.0, lam=1.3, max_iters=iters)
+        tr = drs_run(f, prox_l1(0.5), params, rng.standard_normal(5))
         x_star, F_star = rng.standard_normal(5), -1.0
         theta = np.linspace(0.1, 1.0, iters)
         V = lyapunov_series(tr, case, theta, x_star, F_star=F_star)
         expected = np.sum(np.square(tr.x - x_star), axis=1)
         if case != "case3":
-            incr = theta * (tr.subgrad_residual ** 2 if case == "case1"
+            incr = theta * ((tr.fp_residual / params.alpha) ** 2 if case == "case1"
                             else tr.objective - F_star)
             expected = expected + np.concatenate(([0.0], np.cumsum(incr)[:-1]))
         assert V.tobytes() == expected.tobytes()
@@ -1245,7 +1249,7 @@ class TestLyapunovSeries:
         n, m = 10_000, 100
         X = rng.standard_normal((n, m))
         fp = rng.uniform(0.0, 1.0, n)
-        tr = Trace(X, fp, fp, fp)
+        tr = Trace(X, fp, fp, _ops=(None, None, 1.0))  # (f, g, alpha): alpha alone is read
         for case, theta in (("case1", 0.5), ("case2", 0.5), ("case3", None)):
             tracemalloc.start()
             try:
@@ -1272,8 +1276,8 @@ class TestLyapunovSeries:
         tr, x_star, _ = self._trace()
         thetas = np.linspace(0.1, 1.0, len(tr))
         V = lyapunov_series(tr, "case1", thetas, x_star)
-        expected = np.sum((tr.records[2].x - x_star) ** 2) + sum(
-            thetas[i] * tr.records[i].subgrad_residual ** 2 for i in range(2))
+        expected = np.sum((tr.x[2] - x_star) ** 2) + sum(
+            thetas[i] * (tr.fp_residual[i] / self.ALPHA) ** 2 for i in range(2))
         assert V[2] == pytest.approx(expected, rel=1e-12)
 
 
@@ -1323,7 +1327,8 @@ class TestTraceCsv:
     def test_format(self, tmp_path):
         f = prox_quadratic(np.eye(2), np.zeros(2))
         g = prox_l1(1.0)
-        tr = drs_run(f, g, DrsParams(alpha=1.0, max_iters=5), np.ones(2))
+        params = DrsParams(alpha=1.0, max_iters=5)
+        tr = drs_run(f, g, params, np.ones(2))
         V = lyapunov_series(tr, "case1", 1.0, np.zeros(2))
         out = tmp_path / "trace.csv"
         write_trace_csv(tr, out, lyapunov=V)
@@ -1333,9 +1338,9 @@ class TestTraceCsv:
         assert len(rows) == 6
         for i, row in enumerate(rows[1:]):
             assert int(row[0]) == i
-            assert float(row[1]) == tr.records[i].fp_residual
-            assert float(row[2]) == tr.records[i].subgrad_residual
-            assert float(row[3]) == tr.records[i].objective
+            assert float(row[1]) == tr.fp_residual[i]
+            assert float(row[2]) == tr.fp_residual[i] / params.alpha
+            assert float(row[3]) == tr.objective[i]
             assert float(row[4]) == V[i]
 
     def test_missing_objective_left_blank(self, tmp_path):
@@ -1368,8 +1373,8 @@ class TestTraceCsv:
         rng = np.random.default_rng(21)
         f = prox_quadratic(rng.standard_normal((3, 3)), rng.standard_normal(3))
         # the quadratic run keeps more rows than the writer formats in one block
-        tr = drs_run(f if evaluable else Opaque(), prox_l1(0.2),
-                     DrsParams(alpha=0.9, max_iters=5000), rng.standard_normal(3))
+        params = DrsParams(alpha=0.9, max_iters=5000)
+        tr = drs_run(f if evaluable else Opaque(), prox_l1(0.2), params, rng.standard_normal(3))
         assert (tr.objective is None) is not evaluable
         V = None
         if with_v:
@@ -1388,7 +1393,7 @@ class TestTraceCsv:
         w = csv.writer(expected)
         w.writerow(["k", "fp_residual", "subgrad_residual", "objective", "V"])
         for k in range(len(tr)):
-            w.writerow([k, cell(tr.fp_residual, k), cell(tr.subgrad_residual, k),
+            w.writerow([k, cell(tr.fp_residual, k), cell(tr.fp_residual / params.alpha, k),
                         cell(tr.objective, k), cell(V, k)])
         assert out.read_bytes() == expected.getvalue().encode()
 
@@ -1408,4 +1413,45 @@ class TestTraceCsv:
         with open(out, newline="") as fh:
             rows = list(csv.reader(fh))
         for i, row in enumerate(rows[1:]):
-            assert float(row[1]) == tr.records[i].fp_residual
+            assert float(row[1]) == tr.fp_residual[i]
+
+
+class TestDerivedResidual:
+    """The residual ||df(y) + dg(z)|| is not held: the CSV, the Case-1
+    Lyapunov values and the records derive it from the trace's alpha, bit for
+    bit fp_residual / alpha.  At alpha = 1 that is fp itself, so alpha != 1."""
+
+    ALPHAS = [0.3, 3.0]
+
+    @staticmethod
+    def _trace(run, alpha):
+        f, g, _ = gen_lasso(ProblemSpec("lasso", 60, 40, rank=20, seed=7))
+        return run(f, g, DrsParams(alpha=alpha, lam=1.5, max_iters=300), np.zeros(40))
+
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    @pytest.mark.parametrize("run", [drs_run, admm_run])
+    def test_csv_column(self, tmp_path, run, alpha):
+        tr = self._trace(run, alpha)
+        write_trace_csv(tr, tmp_path / "trace.csv")
+        with open(tmp_path / "trace.csv", newline="") as fh:
+            column = [float(row[2]) for row in list(csv.reader(fh))[1:]]
+        assert np.array(column).tobytes() == (tr.fp_residual / alpha).tobytes()
+
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    @pytest.mark.parametrize("schedule", [False, True])
+    def test_lyapunov_case1(self, alpha, schedule):
+        tr = self._trace(drs_run, alpha)
+        theta = np.linspace(0.1, 1.0, len(tr)) if schedule else 0.7
+        x_star = np.ones(40)
+        V = lyapunov_series(tr, "case1", theta, x_star)
+        incr = theta * (tr.fp_residual / alpha) ** 2
+        expected = np.sum(np.square(tr.x - x_star), axis=1) + np.concatenate(
+            ([0.0], np.cumsum(incr)[:-1]))
+        assert V.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    @pytest.mark.parametrize("run", [drs_run, admm_run])
+    def test_records(self, run, alpha):
+        tr = self._trace(run, alpha)
+        derived = [r.subgrad_residual for r in tr.records]
+        assert np.array(derived).tobytes() == (tr.fp_residual / alpha).tobytes()

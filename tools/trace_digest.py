@@ -10,7 +10,8 @@ are run through the paper's workflow at the tuned relaxation parameter:
     stop_tol 0 and at 1e-10: every Trace column, x_final and the status, or
     the run's error message (every column but the DRS state as the trace
     recomputes it from that state when it is read: a DRS trace's y and z,
-    and an ADMM trace's x, u and z);
+    and an ADMM trace's x, u and z), and under the label subgrad_residual
+    fp_residual / alpha, the residual the trace's readers derive;
   * ``solve_reference``: (x*, y*, F*), or its error message;
   * the trace CSV of the stop_tol 0 DRS run with its Lyapunov values, as bytes.
 
@@ -112,7 +113,8 @@ def _run(h, label: str, run, f, g, params, start):
         return None
     h.update(f"{label} tol={params.stop_tol!r} status={tr.status} len={len(tr)};".encode())
     for name in COLUMNS:
-        _array(h, name, getattr(tr, name))
+        column = tr.fp_residual / params.alpha if name == "subgrad_residual" else getattr(tr, name)
+        _array(h, name, column)
     return tr
 
 
