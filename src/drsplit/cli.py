@@ -143,7 +143,9 @@ def cmd_solve(args) -> int:
     for params, out in zip(runs, outs):
         trace = drs_run(f, g, params, _x0(args, spec.cols))
         write_trace_csv(trace, out)
-        print(f"lambda={params.lam:g}: {len(trace)} iterations, status={trace.status}, "
+        replay = ("" if trace._replay is None else
+                  " ({} computed, the rest repeating with period {})".format(*trace._replay))
+        print(f"lambda={params.lam:g}: {len(trace)} iterations{replay}, status={trace.status}, "
               f"final residual={trace.fp_residual[-1]:.3e} -> {out}")
     return 0
 

@@ -8,7 +8,8 @@ z_k - y_k = -alpha (df(y_k) + dg(z_k)), and is derived where it is read.
 ADMM is DRS after a change of variables, and DRS a system in its state
 alone: DRS's y and z and ADMM's x, u and z are outputs of the state, which
 a trace recomputes when a column is read instead of holding it.  Nor does a
-run hold them: it evaluates the objective in 512-row blocks.
+run hold them: it evaluates the objective in 512-row blocks.  A run that
+replays a cycle holds the state rows it computed and the period.
 """
 
 from __future__ import annotations
@@ -92,13 +93,17 @@ class Trace:
     TraceRecord objects.  The residual ||df(y_k) + dg(z_k)|| is not held:
     its readers derive it as fp_residual / alpha with the trace's alpha.
 
-    A trace holds the state column t of its DRS loop and the scalar columns
-    only.  Each read of another column recomputes it from t with the loop's
-    f, g and alpha, y_k = prox_{af}(t_k) and z_k = prox_{ag}(2 y_k - t_k),
-    in the loop's arithmetic, so every row is bitwise the run's (see
-    ``ProxOperator.evaluate``).  A ``drs_run`` trace's x is t.  An
-    ``admm_run`` trace is of the loop on (g, f): its x is (x_0, z[:-1]), its
-    y = u is (u_0, (t - y)[:-1]) and its z is y.
+    A trace holds the scalar columns and the state rows t of its DRS loop
+    that the loop computed.  A run that replays a cycle computes rows
+    0 .. k-1 and holds only those, with the replay point (k, p): loop row
+    i >= k is row k - p + (i - k) mod p.  Each read of a column other than
+    a held x recomputes it from t with the loop's f, g and alpha,
+    y_i = prox_{af}(t_i) and z_i = prox_{ag}(2 y_i - t_i), in the loop's
+    arithmetic and on the held rows alone, so every row is bitwise the
+    run's (see ``ProxOperator.evaluate``), and maps the rows.  A
+    ``drs_run`` trace's x is t.  An ``admm_run`` trace is of the loop on
+    (g, f): its x is (x_0, z[:-1]), its y = u is (u_0, (t - y)[:-1]) and
+    its z is y.
     """
 
     _t: np.ndarray = field(repr=False)
@@ -108,6 +113,7 @@ class Trace:
     x_final: Optional[np.ndarray] = None
     _ops: Optional[tuple] = field(default=None, repr=False)  # (f, g, alpha) of the DRS loop
     _first: Optional[tuple] = field(default=None, repr=False)  # (x_0, u_0) of an admm_run
+    _replay: Optional[tuple] = field(default=None, repr=False)  # (k, p) of a replayed cycle
 
     def __post_init__(self):
         for c in (self._t, self.fp_residual, self.objective):
@@ -119,34 +125,74 @@ class Trace:
 
     @property
     def x(self) -> np.ndarray:
-        return self._t if self._first is None else self._column("x")
+        return self._column("x")[0]
 
     @property
     def y(self) -> np.ndarray:
-        return self._column("y")
+        return self._column("y")[0]
 
     @property
     def z(self) -> np.ndarray:
-        return self._column("z")
+        return self._column("z")[0]
 
-    def _column(self, name: str) -> np.ndarray:
-        """Column ``name`` from t, row by row in ``_drs``'s arithmetic."""
-        f, g, a = self._ops
-        t = self._t
-        col = out = np.empty(t.shape)
-        if self._first is not None:  # ADMM's x_k is z_{k-1}, u_k t_{k-1} - y_{k-1}, z_k y_k
-            name = {"x": "z", "y": "u", "z": "y"}[name]
-            if name != "y":
-                col[0] = self._first[name == "u"]
-                t, out = t[:-1], col[1:]
-        with np.errstate(over="ignore", invalid="ignore"):
-            for k, x in enumerate(t):
-                y = f.evaluate(x, a)
-                if name == "z":
-                    y = g.evaluate(np.subtract(np.multiply(y, 2.0), x), a)
-                out[k] = np.subtract(x, y) if name == "u" else y
-        col.flags.writeable = False
-        return col
+    def _shift(self, name: str) -> int:
+        """1 for an ADMM x or u, whose row j > 0 is of loop row j - 1, else 0."""
+        return int(self._first is not None and name != "z")
+
+    def _row(self, j, name: str):
+        """The row of ``_held(name)``'s array that holds row(s) j of column
+        ``name``: j itself, or of loop row i = j - shift the held row
+        ``_held_row(i, replay)``."""
+        if self._replay is None:
+            return j
+        s = self._shift(name)
+        return s + _held_row(j - s, self._replay)
+
+    def _held(self, *names: str) -> list:
+        """Columns ``names`` on the held rows: for each an array whose row
+        shift + i is of loop row i < len(t), and whose row 0 is x_0 or u_0
+        when shift is 1.  The held t is a ``drs_run`` trace's x; every other
+        column is computed one held row at a time, with y_i and z_i computed
+        once for all of ``names``, in ``_drs``'s arithmetic."""
+        t, n = self._t, len(self)
+        cols, todo = [], []
+        for name in names:
+            if self._first is None and name == "x":
+                cols.append(t)
+                continue
+            s = self._shift(name)
+            # ADMM's x_j is z_{j-1}, u_j t_{j-1} - y_{j-1}, z_j y_j
+            q = {"x": "z", "y": "u", "z": "y"}[name] if self._first is not None else name
+            col = np.empty((s + min(n - s, len(t)),) + t.shape[1:])
+            if s:
+                col[0] = self._first[q == "u"]
+            cols.append(col)
+            todo.append((q, col[s:]))
+        if todo:
+            f, g, a = self._ops
+            with np.errstate(over="ignore", invalid="ignore"):
+                for i in range(max(len(rows) for _, rows in todo)):
+                    x = t[i]
+                    y = f.evaluate(x, a)
+                    for q, rows in todo:
+                        if i < len(rows):
+                            rows[i] = (y if q == "y" else np.subtract(x, y) if q == "u"
+                                       else g.evaluate(np.subtract(np.multiply(y, 2.0), x), a))
+        for col in cols:
+            col.flags.writeable = False
+        return cols
+
+    def _column(self, *names: str) -> list:
+        """Columns ``names``, each row read from ``_held`` through ``_row``."""
+        out = [self._map(col, name) for name, col in zip(names, self._held(*names))]
+        for col in out:
+            col.flags.writeable = False
+        return out
+
+    def _map(self, held: np.ndarray, name: str) -> np.ndarray:
+        """One entry or row per row of the trace from those of ``held``,
+        which are per held row of column ``name``."""
+        return held if self._replay is None else held[self._row(np.arange(len(self)), name)]
 
     @property
     def records(self) -> "_Records":
@@ -159,9 +205,16 @@ class Trace:
         return self.objective.copy()
 
 
+def _held_row(i, replay: tuple):
+    """The held row of loop row(s) i of a run replayed from row k with
+    period p, replay = (k, p): i itself below k, else k - p + (i - k) mod p."""
+    k, p = replay
+    return i - p * ((i - k) // p + 1) * (i >= k)  # ints and index arrays alike
+
+
 class _Records(Sequence):
-    """Read-only sequence view of a Trace's rows as TraceRecord objects; reads x
-    once, at the first row read."""
+    """Read-only sequence view of a Trace's rows as TraceRecord objects; reads
+    the held rows of x once, at the first row read."""
 
     def __init__(self, trace: Trace):
         self._trace, self._x = trace, None
@@ -174,10 +227,10 @@ class _Records(Sequence):
             return [self[k] for k in range(len(self))[i]]
         t, k = self._trace, range(len(self))[i]
         if self._x is None:
-            self._x = t.x
+            (self._x,) = t._held("x")
         fp = t.fp_residual[k]
         obj = None if t.objective is None else float(t.objective[k])
-        return TraceRecord(k, self._x[k], float(fp), float(fp / t._ops[2]), obj)
+        return TraceRecord(k, self._x[t._row(k, "x")], float(fp), float(fp / t._ops[2]), obj)
 
 
 def _objective(f: ProxOperator, g: ProxOperator, at_f, at_g):
@@ -217,7 +270,9 @@ class _Rows:
     cap is max_iters when the run cannot stop early (stop_tol == 0), else
     _FIRST_ROWS, doubled as needed up to max_iters.  ``resize`` grows and
     trims the columns in place with ``ndarray.resize``, a realloc that frees
-    the old buffer: no view of a column may outlive a resize.
+    the old buffer: no view of a column may outlive a resize.  ``repeat``
+    ends a run that replays a cycle: x keeps the rows computed, and the
+    scalar columns grow to max_iters.
     """
 
     def __init__(self, params: DrsParams, n: int, ops: tuple, buffers: int = 1):
@@ -273,22 +328,18 @@ class _Rows:
             obj[keep:hi] = values[keep - lo:]
 
     def repeat(self, k: int, p: int) -> np.ndarray:
-        """Fill rows k .. limit-1 with rows k-p .. k-1 repeated, for a run
-        whose x_k equals x_{k-p} and whose rows before k are stored, the
-        objective's evaluated; return (a copy of) x_limit, the terminal x.
-
-        Doubling slice copies, so no temporary of the filled size is made.
-        """
-        self.resize(self.limit)
-        cols = self.cols
-        start, end = k - p, k
-        while end < self.limit:
-            n = min(end - start, self.limit - end)
-            for c in cols:
-                if c is not None:
-                    c[end:end + n] = c[start:start + n]
-            end += n
-        return cols[0][start + (self.limit - k) % p].copy()
+        """For a run whose x_k equals x_{k-p} and whose rows before k are
+        stored, the objective's evaluated: trim x to rows 0 .. k, fill fp and
+        objective rows k .. limit-1 with the rows ``_held_row`` gives, and
+        return (a copy of) x_limit, the terminal x."""
+        X = self.cols[0]
+        x_final = X[_held_row(self.limit, (k, p))].copy()
+        X.resize((k + 1,) + X.shape[1:], refcheck=False)
+        for c in self.cols[1:]:
+            if c is not None:
+                c.resize(self.limit, refcheck=False)
+                c[k:] = c[_held_row(np.arange(k, self.limit), (k, p))]
+        return x_final
 
 
 class _AdmmRows(_Rows):
@@ -349,7 +400,7 @@ def _drs(f: ProxOperator, g: ProxOperator, params: DrsParams, x0: np.ndarray,
     hash of each x_j's bytes to j, and a hit is confirmed against the stored
     row.  Iteration k is then computed, stored and tested like any other,
     and the loop returns after it (k + 1 iterations) with period p and
-    x_final = x_{k+1}; the rows from k + 1 on are copies of stored ones.
+    x_final = x_{k+1}; every row from k + 1 on repeats a stored one.
     period is 0 otherwise.
 
     Each iterate is written once: x_{k+1} = x_k + lam_k (z_k - y_k) goes
@@ -449,30 +500,35 @@ def drs_run(f: ProxOperator, g: ProxOperator, params: DrsParams, x0: np.ndarray)
 
     With a constant lambda, a run is not iterated past the first k whose
     iterate x_k repeats an earlier x_{k-p} exactly (as runs at rounding level
-    do): rows k onward are copies of rows k-p .. k-1 in turn, x_final is the
+    do): the trace holds the k + 1 state rows computed, 0 .. k, and the
+    period, and gives every later row as a row of the period in turn (see
+    ``Trace``); fp and objective rows k + 1 onward are copies, x_final is the
     row the period gives for iteration max_iters, and the status is
     "iteration-limit".  Every value is the one the full loop would compute,
     as each prox is a deterministic function of its arguments.
     """
     x0 = _start("x0", x0)
     with np.errstate(over="ignore", invalid="ignore"):
-        *columns, _ = _drs_rows(f, g, params, x0, _Rows(params, len(x0), (f, g)))
-        return Trace(*columns, (f, g, params.alpha))  # x, fp, objective, status, x_final
+        *columns, replay = _drs_rows(f, g, params, x0, _Rows(params, len(x0), (f, g)))
+        return Trace(*columns, (f, g, params.alpha), _replay=replay)  # x, fp, obj, status, x_final
 
 
 def _drs_rows(f: ProxOperator, g: ProxOperator, params: DrsParams, x0: np.ndarray, rows: _Rows):
-    """The DRS loop on ``rows``: its x, fp and objective columns trimmed to
-    the rows run, the trace status, x_final and the period of a replayed
-    cycle, 0 without one.  The rows of a cycle past its first repeat, which
-    the loop has computed and tested, are copies of tested rows."""
+    """The DRS loop on ``rows``: its x column trimmed to the rows computed,
+    its fp and objective columns to the rows run, the trace status, x_final
+    and the replay point (k, p) of a replayed cycle, None without one.  The
+    fp and objective rows of a cycle past its first repeat, which the loop
+    has computed and tested, are copies of tested rows."""
     k, x_final, status, period = _drs(f, g, params, x0, rows)
     rows.flush(k)
+    replay = None
     if period:
-        k, x_final = params.max_iters, rows.repeat(k, period)
-    rows.resize(k)
+        replay, x_final = (k, period), rows.repeat(k, period)
+    else:
+        rows.resize(k)
     X, FP, objective = rows.cols
     # x keeps its extra row behind a view: a one-row trim fragments the heap
-    return X[:k], FP, objective, status, x_final, period
+    return X[:k], FP, objective, status, x_final, replay
 
 
 def admm_run(f_prox: ProxOperator, g_prox: ProxOperator, params: DrsParams, u0: np.ndarray) -> Trace:
@@ -493,9 +549,9 @@ def admm_run(f_prox: ProxOperator, g_prox: ProxOperator, params: DrsParams, u0: 
     and the primal residual the test computes is the row's fp_residual, so a
     converged trace ends at the first row that meets it by the residuals it
     stores.  x_final is the last DRS y computed, or after a replayed cycle
-    one prox of g at the last t.  ``u0`` must be a 1-D vector; t_0 and the
-    objective are computed inside the run's one errstate, so an overflow
-    there is not warned.
+    one prox of g at the held t of the last row.  ``u0`` must be a 1-D
+    vector; t_0 and the objective are computed inside the run's one
+    errstate, so an overflow there is not warned.
     """
     a, tol, limit = params.alpha, params.stop_tol, params.max_iters
     u0 = _start("u0", u0)
@@ -508,13 +564,14 @@ def admm_run(f_prox: ProxOperator, g_prox: ProxOperator, params: DrsParams, u0: 
     rows = _AdmmRows(drs, x0, (f_prox, g_prox))
     with np.errstate(over="ignore", invalid="ignore"):
         try:
-            T, fp, objective, status, _, period = _drs_rows(
+            T, fp, objective, status, _, replay = _drs_rows(
                 g_prox, f_prox, drs, np.ravel(lam)[0] * x0 + u0, rows)
         except _NonFinite as e:
             name, k = {"y": ("z", e.k), "z": ("x", e.k + 1), "x": ("u", e.k + 1)}[e.name]
             raise _NonFinite(name, k) from None
-        z = g_prox.evaluate(T[-1], a) if period else rows.z[len(T) - 1 - rows.start].copy()
-        return Trace(T, fp, objective, status, z, (g_prox, f_prox, a), (x0, u0.copy()))
+        z = (g_prox.evaluate(T[_held_row(len(fp) - 1, replay)], a) if replay
+             else rows.z[len(T) - 1 - rows.start].copy())
+        return Trace(T, fp, objective, status, z, (g_prox, f_prox, a), (x0, u0.copy()), replay)
 
 
 def lyapunov_series(trace: Trace, case, theta, x_star: np.ndarray,
@@ -527,22 +584,25 @@ def lyapunov_series(trace: Trace, case, theta, x_star: np.ndarray,
     Case 3: V_k = ||x_k - x*||^2.
 
     ``theta`` is a constant or a sequence with at least one entry per
-    iteration.  The distances are computed in row blocks through one
-    block-sized buffer, so no temporary of the trace's size is made.
+    iteration.  The distances are computed on the trace's held rows of x,
+    which it reads once, in row blocks through one block-sized buffer, and
+    mapped to the rows they hold, so no temporary of the trace's size is
+    made; each row's sum keeps its bits.
     """
     from .certify import CertCase
 
     case = CertCase(case)
     n = len(trace)
     xs = np.asarray(x_star, dtype=float).reshape(-1)
-    if xs.size != trace.x.shape[1]:
-        raise ValueError(f"x_star has {xs.size} entries but the iterates have {trace.x.shape[1]}")
+    if xs.size != trace._t.shape[1]:
+        raise ValueError(f"x_star has {xs.size} entries but the iterates have {trace._t.shape[1]}")
 
     def fill(rows, out):
         np.subtract(rows, xs, out=out)
         np.square(out, out=out)
 
-    dist = _row_sums(trace.x, fill)
+    (held,) = trace._held("x")
+    dist = trace._map(_row_sums(held, fill), "x")
     if case is CertCase.CASE3:
         return dist
     if np.ndim(theta) == 0:

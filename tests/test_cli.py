@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from drsplit import CertCase, DrsParams, drs_run, sdplite
+from drsplit import CertCase, DrsParams, drs_run, sdplite, write_trace_csv
 from drsplit.certify import detect_case
 from drsplit.cli import (
     ProblemSpec,
@@ -116,6 +116,23 @@ class TestCliSolve:
             rows = list(csv.reader(fh))
         assert rows[0][:3] == ["k", "fp_residual", "subgrad_residual"]
         assert len(rows) > 1
+
+    def test_summary_states_a_replayed_cycle(self, tmp_path, capsys):
+        # at tol 0 the seed-7 Case-3 LASSO computes 147 rows and replays a
+        # cycle of period 12; at the default tol it converges
+        base = ["--mode", "solve", "--problem", "lasso", "--rows", "60", "--cols", "40",
+                "--rank", "40", "--seed", "7", "--max-iters", "10000"]
+        for extra, name, summary in (
+                (["--tol", "0"], "cycle.csv", "10000 iterations (147 computed, the rest "
+                 "repeating with period 12), status=iteration-limit, "),
+                ([], "stop.csv", "74 iterations, status=converged, ")):
+            out = tmp_path / name
+            assert main(base + extra + ["--out", str(out)]) == 0
+            assert capsys.readouterr().out.startswith(f"lambda=1: {summary}final residual=")
+        f, g, _ = build_problem(ProblemSpec("lasso", 60, 40, rank=40, seed=7))
+        write_trace_csv(drs_run(f, g, DrsParams(alpha=1.0, max_iters=10_000), np.zeros(40)),
+                        tmp_path / "direct.csv")
+        assert (tmp_path / "cycle.csv").read_bytes() == (tmp_path / "direct.csv").read_bytes()
 
     def test_lambda_list_writes_suffixed_files(self, tmp_path):
         out = tmp_path / "sweep.csv"

@@ -583,15 +583,62 @@ class TestCycleReplay:
                 tested.append(k)
                 return k == 78
 
-        X, FP, _, status, x_final, period = _drs_rows(
+        X, FP, _, status, x_final, replay = _drs_rows(
             f, g, params, np.zeros(40), Rows(params, 40, (f.inner, g.inner)))
-        assert status == "converged" and period == 0 and tested == list(range(79))
+        assert status == "converged" and replay is None and tested == list(range(79))
         assert f.calls == g.calls == 79 == _first_repeat(X) + 1
         ref, _ = _plain_drs(f.inner, g.inner, DrsParams(alpha=1.0, lam=lam, max_iters=79),
                             np.zeros(40))
         for name, col in zip(("x", "fp_residual"), (X, FP)):
             assert col.tobytes() == ref[name].tobytes(), name
         assert x_final.tobytes() == X[78].tobytes()
+
+    @pytest.mark.parametrize("run", [drs_run, admm_run])
+    @pytest.mark.parametrize("max_iters", [10_000, 100_000])
+    def test_replayed_run_holds_its_computed_rows(self, run, max_iters):
+        # the DRS loop computes rows 0 .. 78 (ADMM's, on (g, f), rows
+        # 0 .. 75), the last its first repeat: the trace holds those state
+        # rows, one more row behind the view, and the two scalar columns,
+        # and nothing of max_iters x n
+        f, g, lam = self._lasso(40)
+        f, g, x0 = f.inner, g.inner, np.zeros(40)
+        f.evaluate(x0, 1.0)  # the prox's per-alpha factor, made outside the count
+        tracemalloc.start()
+        try:
+            tr = run(f, g, DrsParams(alpha=1.0, lam=lam, max_iters=max_iters), x0)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(tr) == max_iters and len(tr.x) == max_iters
+        assert held <= 80 * 40 * 8 + 2 * max_iters * 8 + (1 << 14)
+
+    def test_reading_a_replayed_trace_costs_its_computed_rows(self):
+        # y and z are recomputed on the 79 rows the loop computed and mapped;
+        # the records and the Lyapunov distances read the held rows of x
+        # and make no (k, n) array, which would take 3.2 MB: the distances
+        # hold their output and a few row-index vectors of its length
+        f, g, lam = self._lasso(40)
+        tr = drs_run(f, g, DrsParams(alpha=1.0, lam=lam, max_iters=self.ITERS), np.zeros(40))
+        for name, calls in (("y", (79, 0)), ("z", (79, 79))):
+            ran = f.calls, g.calls
+            assert getattr(tr, name).shape == (self.ITERS, 40)
+            assert (f.calls - ran[0], g.calls - ran[1]) == calls, name
+        ran = f.calls, g.calls
+        x_star = np.ones(40)
+        tracemalloc.start()
+        try:
+            for r in tr.records:
+                assert r.x.shape == (40,)
+            _, walk = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            V = lyapunov_series(tr, "case3", None, x_star)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert walk < 1 << 16
+        assert peak < 5 * V.nbytes
+        assert (f.calls, g.calls) == ran
+        assert V.tobytes() == np.sum((tr.x - x_star) ** 2, axis=1).tobytes()
 
     def test_reference_solve_fails_once_the_iterates_cycle(self):
         # b and gamma scaled by 2^20 scale every iterate of the Case-3 run by
@@ -1080,6 +1127,30 @@ class TestAdmmRun:
             ran = f.calls, g.calls
             assert getattr(tr, name).shape == (500, 100)
             assert (f.calls - ran[0], g.calls - ran[1]) == calls, name
+
+    def test_reading_x_u_and_z_together_computes_each_row_once(self):
+        # one pass makes each DRS y (the prox of g) once, and each DRS z
+        # (the prox of f) once for x's rows 1 .. len - 1
+        f, g, _ = gen_basis_pursuit(ProblemSpec("basis_pursuit", 30, 100, seed=42))
+        f, g = Counting(f), Counting(g)
+        tr = admm_run(f, g, DrsParams(alpha=1.0, max_iters=1000), np.zeros(100))
+        ran = f.calls, g.calls
+        together = tr._column("x", "y", "z")
+        assert (f.calls - ran[0], g.calls - ran[1]) == (999, 1000)
+        for name, col in zip("xyz", together):
+            assert col.tobytes() == getattr(tr, name).tobytes(), name
+            assert not col.flags.writeable
+
+    def test_lyapunov_series_reads_x_once(self):
+        # the size check reads the held state, and the distances one
+        # recomputed x: len - 1 proxes of each
+        f, g, _ = gen_basis_pursuit(ProblemSpec("basis_pursuit", 30, 100, seed=42))
+        f, g = Counting(f), Counting(g)
+        tr = admm_run(f, g, DrsParams(alpha=1.0, max_iters=500), np.zeros(100))
+        ran = f.calls, g.calls
+        V = lyapunov_series(tr, "case3", None, np.ones(100))
+        assert (f.calls - ran[0], g.calls - ran[1]) == (499, 499)
+        assert V.tobytes() == np.sum((tr.x - 1.0) ** 2, axis=1).tobytes()
 
     def test_walking_the_records_recomputes_x_once(self):
         # making the view and taking its length read no column; the first

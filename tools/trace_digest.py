@@ -8,9 +8,10 @@ are run through the paper's workflow at the tuned relaxation parameter:
     rho^2, the witness bytes, max_eig and feasible;
   * ``drs_run`` and ``admm_run`` (from u0 = 0) for 10^4 iterations at
     stop_tol 0 and at 1e-10: every Trace column, x_final and the status, or
-    the run's error message (every column but the DRS state as the trace
-    recomputes it from that state when it is read: a DRS trace's y and z,
-    and an ADMM trace's x, u and z), and under the label subgrad_residual
+    the run's error message (x, y and z as the trace gives them when they
+    are read together: a DRS trace's y and z, and an ADMM trace's x, u and
+    z, recomputed from its held state rows, and a replayed run's rows
+    mapped from the rows it holds), and under the label subgrad_residual
     fp_residual / alpha, the residual the trace's readers derive;
   * ``solve_reference``: (x*, y*, F*), or its error message;
   * the trace CSV of the stop_tol 0 DRS run with its Lyapunov values, as bytes.
@@ -67,6 +68,7 @@ from drsplit import certify, cli, prox, splitting  # noqa: E402
 ALPHA = 1.0
 STOP_TOLS = (0.0, 1e-10)
 COLUMNS = ("x", "y", "z", "fp_residual", "subgrad_residual", "objective", "x_final")
+RECOMPUTED = ("x", "y", "z")  # read in one pass, each row's y and z computed once
 PARTS = ("certificate", "drs_run", "admm_run", "reference", "trace CSV", "growth runs")
 
 
@@ -112,9 +114,10 @@ def _run(h, label: str, run, f, g, params, start):
         h.update(f"{label} tol={params.stop_tol!r} error: {exc};".encode())
         return None
     h.update(f"{label} tol={params.stop_tol!r} status={tr.status} len={len(tr)};".encode())
+    columns = dict(zip(RECOMPUTED, tr._column(*RECOMPUTED)))
+    columns["subgrad_residual"] = tr.fp_residual / params.alpha
     for name in COLUMNS:
-        column = tr.fp_residual / params.alpha if name == "subgrad_residual" else getattr(tr, name)
-        _array(h, name, column)
+        _array(h, name, columns[name] if name in columns else getattr(tr, name))
     return tr
 
 
