@@ -1,9 +1,12 @@
 """Command-line harness: problem generators, solver, certifier, tuner, sweep.
 
 Problems are generated from a seeded PCG64 generator (numpy's default_rng),
-so byte-identical outputs are obtained for identical (seed, flags) across
-platforms.  Gaussian entries come from the generator's standard_normal
-(ziggurat over the 64-bit uniform stream).
+so identical (seed, flags) give identical problems.  Gaussian entries come
+from the generator's standard_normal (ziggurat over the 64-bit uniform
+stream).  Outputs are byte-identical for identical (seed, flags) on one
+numpy build and BLAS kernel: another kernel (OpenBLAS's Prescott against
+its SkylakeX, say) can change the last bit of a matrix product, and with it
+every later iterate.
 """
 
 from __future__ import annotations

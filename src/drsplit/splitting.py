@@ -258,14 +258,13 @@ class _Rows:
     column, which ``ops`` = (f, g) gives as F(z_k) = f(z_k) + g(z_k).
 
     ``store(k, y, z, fp)`` keeps row k and returns the stop verdict,
-    fp_k <= stop_tol.  z_k goes into row k - start of a point buffer of 2B
-    rows, B = _BLOCK_ROWS, the last of ``buffers`` (f is evaluated on the
-    first, g on the last).  Each time a block of B rows is full, ``block``
-    evaluates it as one window into its slice of the objective column and
-    keeps it in the front half of the buffers while the next block fills the
-    back half; ``flush`` evaluates the rows left at the end.  A window that
-    gives no value (an f or g not evaluable) drops the objective column, and
-    no later window is evaluated.
+    fp_k <= stop_tol.  z_k goes into row k % B of a ring of B = _BLOCK_ROWS
+    rows, the last of ``points`` (f is evaluated on the first, g on the
+    last).  ``_evaluate(hi)`` evaluates the last min(hi, B) rows before hi
+    as one window: ``store`` each block of B rows once it is full, ``flush``
+    the rows after the last block, in a window that overlaps it.  A window
+    that gives no value (an f or g not evaluable) drops the objective
+    column, and no later window is evaluated.
 
     cap is max_iters when the run cannot stop early (stop_tol == 0), else
     _FIRST_ROWS, doubled as needed up to max_iters.  ``resize`` grows and
@@ -279,16 +278,14 @@ class _Rows:
         self.limit, self.tol, self.ops = params.max_iters, params.stop_tol, ops
         cap = self.limit if params.stop_tol == 0 else min(self.limit, _FIRST_ROWS)
         self.cols = [np.empty((cap + 1, n)), np.empty(cap), np.empty(cap)]  # x, fp, objective
-        self.points = np.empty((buffers, min(self.limit, 2 * _BLOCK_ROWS), n))
+        self.points = np.empty((buffers, min(self.limit, _BLOCK_ROWS), n))
         self.z = self.points[-1]
-        self.start = 0  # the row in row 0 of the buffers
-        self.due = _BLOCK_ROWS - 1  # the row that completes a block
 
     def store(self, k: int, y, z, fp: float) -> bool:
-        self.z[k - self.start] = z
+        self.z[k % _BLOCK_ROWS] = z
         self.cols[1][k] = fp
-        if k == self.due:
-            self.block()
+        if (k + 1) % _BLOCK_ROWS == 0:
+            self._evaluate(k + 1)
         return fp <= self.tol
 
     def resize(self, cap):
@@ -297,35 +294,25 @@ class _Rows:
             if c is not None:
                 c.resize((rows,) + c.shape[1:], refcheck=False)
 
-    def block(self):
-        """Evaluate the B rows up to row ``due``, the last B of the buffers,
-        and move them to the front of the buffers."""
-        B, hi = _BLOCK_ROWS, self.due + 1
-        self._evaluate(hi - B, hi, hi - B)
-        if self.start < hi - B:
-            self.points[:, :B] = self.points[:, B:]
-            self.start += B
-        self.due += B
-
     def flush(self, k: int):
-        """Evaluate the objective of rows up to k not yet evaluated, in one
-        window of the last min(k, B) rows, which overlaps the last block."""
-        done = self.due + 1 - _BLOCK_ROWS
-        if done < k:
-            self._evaluate(max(k - _BLOCK_ROWS, 0), k, done)
+        """Evaluate the objective of the rows up to k after the last block."""
+        if k % _BLOCK_ROWS:
+            self._evaluate(k)
 
-    def _evaluate(self, lo: int, hi: int, keep: int):
-        """Objective of rows lo .. hi-1 of the buffers as one window, stored
-        for rows keep .. hi-1."""
-        obj = self.cols[2]
+    def _evaluate(self, hi: int):
+        """Objective of rows max(hi - B, 0) .. hi-1 as one window, gathered
+        in row order where it wraps the ring, stored for the rows from the
+        last block edge below hi."""
+        obj, B = self.cols[2], _BLOCK_ROWS
         if obj is None:
             return
-        window = self.points[:, lo - self.start:hi - self.start]
+        lo, edge = max(hi - B, 0), (hi - 1) // B * B
+        window = self.points[:, :hi - lo] if lo % B == 0 else np.roll(self.points, -hi, axis=1)
         values = _objective(*self.ops, window[0], window[-1])
         if values is None:
             self.cols[2] = None
         else:
-            obj[keep:hi] = values[keep - lo:]
+            obj[edge:hi] = values[edge - lo:]
 
     def repeat(self, k: int, p: int) -> np.ndarray:
         """For a run whose x_k equals x_{k-p} and whose rows before k are
@@ -353,12 +340,12 @@ class _AdmmRows(_Rows):
         self.x, self.last, self.alpha = self.points[0], x0.copy(), params.alpha
 
     def store(self, k: int, y, z, fp: float) -> bool:
-        self.x[k - self.start] = self.last
+        self.x[k % _BLOCK_ROWS] = self.last
         p = self.last - y
         self.last[:] = z
         if not super().store(k, None, y, math.sqrt(np.einsum("j,j->", p, p))):
             return False
-        d = y - self.z[k - 1 - self.start] if k else y  # after the block, if any, moved
+        d = y - self.z[(k - 1) % _BLOCK_ROWS] if k else y
         return math.sqrt(np.einsum("j,j->", d, d)) / self.alpha <= self.tol
 
 
@@ -487,14 +474,16 @@ def drs_run(f: ProxOperator, g: ProxOperator, params: DrsParams, x0: np.ndarray)
     columns; the trace recomputes y_k and z_k from x_k when they are read.
     The objective column is F evaluated at z_k when both function values
     are evaluable.  It is filled as the loop runs, inside the run's one
-    errstate, and the run holds no z column: z_k goes into a buffer of
-    2 x 512 rows, each block of 512 rows is evaluated as one window once it
-    is full, and the rows after the last block in one window of the last
-    min(k, 512) rows, which overlaps that block.  A replayed cycle copies
-    objective values.  Each value is F on its window.  Where the stack
-    evaluation of f or g gives a row bits that do not depend on the rows
-    around it, as the soft threshold's row sums and a gemm matrix product
-    do, that is F on the whole z column bit for bit; numpy's matrix-vector
+    errstate, and the run holds no z column: z_k goes into row k % 512 of a
+    ring of 512 rows, each block of 512 rows is evaluated as one window once
+    it is full, and the rows after the last block in one window of the last
+    min(k, 512) rows, which overlaps that block and is gathered in row order
+    where it wraps the ring.  A replayed cycle copies objective values.
+    Each value is F on its window.  Where the stack evaluation of f or g
+    gives a row bits that do not depend on the rows around it, as the soft
+    threshold's row sums do, and a gemm matrix product on the BLAS kernel
+    the trace digest was taken on (OpenBLAS's SkylakeX, not its Prescott),
+    that is F on the whole z column bit for bit; numpy's matrix-vector
     product, which a quadratic f with a one-row A takes, can differ from it
     in the last bit.
 
@@ -570,7 +559,7 @@ def admm_run(f_prox: ProxOperator, g_prox: ProxOperator, params: DrsParams, u0: 
             name, k = {"y": ("z", e.k), "z": ("x", e.k + 1), "x": ("u", e.k + 1)}[e.name]
             raise _NonFinite(name, k) from None
         z = (g_prox.evaluate(T[_held_row(len(fp) - 1, replay)], a) if replay
-             else rows.z[len(T) - 1 - rows.start].copy())
+             else rows.z[(len(T) - 1) % _BLOCK_ROWS].copy())
         return Trace(T, fp, objective, status, z, (g_prox, f_prox, a), (x0, u0.copy()), replay)
 
 

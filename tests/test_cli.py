@@ -16,6 +16,7 @@ from drsplit.cli import (
     gen_lasso,
     main,
 )
+from test_splitting import _first_repeat, _plain_drs
 
 
 class TestProblemSpec:
@@ -118,18 +119,23 @@ class TestCliSolve:
         assert len(rows) > 1
 
     def test_summary_states_a_replayed_cycle(self, tmp_path, capsys):
-        # at tol 0 the seed-7 Case-3 LASSO computes 147 rows and replays a
-        # cycle of period 12; at the default tol it converges
+        # at tol 0 the seed-7 Case-3 LASSO computes rows 0 .. k and replays
+        # a cycle of period p (k + 1 = 147 and p = 12 on OpenBLAS's SkylakeX
+        # kernel); at the default tol it converges
+        f, g, _ = build_problem(ProblemSpec("lasso", 60, 40, rank=40, seed=7))
+        k, p = _first_repeat(_plain_drs(f, g, DrsParams(alpha=1.0, max_iters=10_000),
+                                        np.zeros(40))[0]["x"])
+        stop, _ = _plain_drs(f, g, DrsParams(alpha=1.0, max_iters=10_000, stop_tol=1e-10),
+                             np.zeros(40))
         base = ["--mode", "solve", "--problem", "lasso", "--rows", "60", "--cols", "40",
                 "--rank", "40", "--seed", "7", "--max-iters", "10000"]
         for extra, name, summary in (
-                (["--tol", "0"], "cycle.csv", "10000 iterations (147 computed, the rest "
-                 "repeating with period 12), status=iteration-limit, "),
-                ([], "stop.csv", "74 iterations, status=converged, ")):
+                (["--tol", "0"], "cycle.csv", f"10000 iterations ({k + 1} computed, the rest "
+                 f"repeating with period {p}), status=iteration-limit, "),
+                ([], "stop.csv", f"{len(stop['x'])} iterations, status=converged, ")):
             out = tmp_path / name
             assert main(base + extra + ["--out", str(out)]) == 0
             assert capsys.readouterr().out.startswith(f"lambda=1: {summary}final residual=")
-        f, g, _ = build_problem(ProblemSpec("lasso", 60, 40, rank=40, seed=7))
         write_trace_csv(drs_run(f, g, DrsParams(alpha=1.0, max_iters=10_000), np.zeros(40)),
                         tmp_path / "direct.csv")
         assert (tmp_path / "cycle.csv").read_bytes() == (tmp_path / "direct.csv").read_bytes()

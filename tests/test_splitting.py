@@ -344,10 +344,11 @@ class TestTraceStorage:
     @pytest.mark.parametrize("max_iters", [24_000, 200_000])
     def test_early_stop_holds_only_the_rows_run(self, max_iters):
         # the x, fp and objective columns grow and are trimmed in place, and
-        # z_k goes into a buffer of 2 x 512 rows: the trace holds its x
-        # column, and the peak is the columns at their last capacity, the
-        # buffer, one 512-row product of the quadratic objective and the
-        # cycle check's dict of about 100 bytes per row, with no (k, n) z
+        # z_k goes into a ring of 512 rows: the trace holds its x column,
+        # and the peak is the columns at their last capacity, the ring and
+        # the last window gathered from it, one 512-row product of the
+        # quadratic objective and the cycle check's dict of about 100 bytes
+        # per row, with no (k, n) z
         f, g, x0 = self._slow_problem()
         n = x0.size
         tracemalloc.start()
@@ -498,7 +499,7 @@ def _assert_admm_parity(tr, ref, status):
 def _assert_plain(tr, f, g, params, x0):
     """Bitwise the plain loop: status, length, every column (y and z
     recomputed whole), x_final, and every record's fields, its residual
-    fp / alpha."""
+    fp / alpha.  Returns the plain loop's columns."""
     ref, status = _plain_drs(f, g, params, x0)
     assert (tr.status, len(tr)) == (status, len(ref["x"]))
     for name, col in ref.items():
@@ -508,17 +509,24 @@ def _assert_plain(tr, f, g, params, x0):
         assert r.x.tobytes() == ref["x"][r.k].tobytes(), r.k
         assert (r.fp_residual, r.subgrad_residual, r.objective) == \
             (ref["fp_residual"][r.k], subgrad[r.k], ref["objective"][r.k])
+    return ref
 
 
 def _first_repeat(X):
-    """The first k whose row X[k] equals an earlier row byte for byte."""
-    seen = set()
+    """(k, p) for the first k whose row X[k] equals an earlier row X[k - p]
+    byte for byte, which must exist."""
+    seen = {}
     for k, row in enumerate(X):
-        key = row.tobytes()
-        if key in seen:
-            return k
-        seen.add(key)
-    return None
+        j = seen.setdefault(row.tobytes(), k)
+        if j != k:
+            return k, k - j
+    raise AssertionError(f"none of the {len(X)} rows repeats an earlier one")
+
+
+def _plain_cycle(f, g, params, x0):
+    """(k, p) of the plain DRS loop's first repeat, before max_iters: a run
+    computes rows 0 .. k and repeats with period p."""
+    return _first_repeat(_plain_drs(f, g, params, x0)[0]["x"])
 
 
 class TestCycleReplay:
@@ -535,25 +543,29 @@ class TestCycleReplay:
 
     @pytest.mark.parametrize("rank", [40, 20])  # Cases 3 and 2
     def test_cycling_run_matches_the_full_loop(self, rank):
-        first_repeat = {40: 78, 20: 570}[rank]
         f, g, lam = self._lasso(rank)
         params = DrsParams(alpha=1.0, lam=lam, max_iters=self.ITERS)
         tr = drs_run(f, g, params, np.zeros(40))
         # x_k of the first repeat is evaluated like any other: calls are
-        # iterations 0 .. k
-        assert f.calls == g.calls == first_repeat + 1 == _first_repeat(tr.x) + 1
-        _assert_plain(tr, f.inner, g.inner, params, np.zeros(40))
+        # iterations 0 .. k (k = 78 and 570 on OpenBLAS's SkylakeX kernel)
+        calls = f.calls, g.calls
+        ref = _assert_plain(tr, f.inner, g.inner, params, np.zeros(40))
+        k, p = _first_repeat(ref["x"])
+        assert calls == (k + 1, k + 1) and _first_repeat(tr.x) == (k, p)
 
     def test_long_period_found_at_its_first_repeat(self):
-        # period 4,932 from iteration 711: Brent's power-of-two marks would
-        # find it at 8,192 + 4,932, after max_iters
+        # on OpenBLAS's SkylakeX kernel, period 4,932 from iteration 711:
+        # Brent's power-of-two marks would find it at 8,192 + 4,932, after
+        # max_iters
         f, g, fc = gen_lasso(ProblemSpec("lasso", 60, 40, rank=20, seed=1825957107))
         f, g = Counting(f), Counting(g)
         params = DrsParams(alpha=1.0, lam=tune(fc, 1.0).lam, max_iters=self.ITERS)
         tr = drs_run(f, g, params, np.zeros(40))
-        assert f.calls == g.calls == 711 + 4932 + 1 == _first_repeat(tr.x) + 1
-        assert tr.x[711].tobytes() == tr.x[711 + 4932].tobytes()
-        _assert_plain(tr, f.inner, g.inner, params, np.zeros(40))
+        calls = f.calls, g.calls
+        ref = _assert_plain(tr, f.inner, g.inner, params, np.zeros(40))
+        k, p = _first_repeat(ref["x"])
+        assert calls == (k + 1, k + 1) and _first_repeat(tr.x) == (k, p)
+        assert tr.x[k - p].tobytes() == tr.x[k].tobytes()
 
     def test_tolerance_below_rounding_grows_to_the_cap(self):
         f, g, lam = self._lasso(40)
@@ -571,35 +583,35 @@ class TestCycleReplay:
         _assert_plain(tr, f.inner, g.inner, params, np.zeros(40))
 
     def test_stop_test_met_on_the_first_replayed_row_ends_the_run_there(self):
-        # the loop computes and tests rows 0 .. 78, row 78 the first repeat,
+        # the loop computes and tests rows 0 .. k, row k the first repeat,
         # and stops there; nothing is tested after the loop
         f, g, lam = self._lasso(40)
         params = DrsParams(alpha=1.0, lam=lam, max_iters=self.ITERS)
+        ref, _ = _plain_drs(f.inner, g.inner, params, np.zeros(40))
+        last, p = _first_repeat(ref["x"])
         tested = []
 
         class Rows(_Rows):
             def store(self, k, y, z, fp):
                 super().store(k, y, z, fp)
                 tested.append(k)
-                return k == 78
+                return k == last
 
         X, FP, _, status, x_final, replay = _drs_rows(
             f, g, params, np.zeros(40), Rows(params, 40, (f.inner, g.inner)))
-        assert status == "converged" and replay is None and tested == list(range(79))
-        assert f.calls == g.calls == 79 == _first_repeat(X) + 1
-        ref, _ = _plain_drs(f.inner, g.inner, DrsParams(alpha=1.0, lam=lam, max_iters=79),
-                            np.zeros(40))
+        assert status == "converged" and replay is None and tested == list(range(last + 1))
+        assert f.calls == g.calls == last + 1 and _first_repeat(X) == (last, p)
         for name, col in zip(("x", "fp_residual"), (X, FP)):
-            assert col.tobytes() == ref[name].tobytes(), name
-        assert x_final.tobytes() == X[78].tobytes()
+            assert col.tobytes() == ref[name][:last + 1].tobytes(), name
+        assert x_final.tobytes() == X[last].tobytes()
 
     @pytest.mark.parametrize("run", [drs_run, admm_run])
     @pytest.mark.parametrize("max_iters", [10_000, 100_000])
     def test_replayed_run_holds_its_computed_rows(self, run, max_iters):
-        # the DRS loop computes rows 0 .. 78 (ADMM's, on (g, f), rows
-        # 0 .. 75), the last its first repeat: the trace holds those state
-        # rows, one more row behind the view, and the two scalar columns,
-        # and nothing of max_iters x n
+        # the DRS loop computes rows 0 .. k, the last its first repeat (on
+        # OpenBLAS's SkylakeX kernel k is 78, and 75 for ADMM's loop on
+        # (g, f)): the trace holds those state rows, one more row behind the
+        # view, and the two scalar columns, and nothing of max_iters x n
         f, g, lam = self._lasso(40)
         f, g, x0 = f.inner, g.inner, np.zeros(40)
         f.evaluate(x0, 1.0)  # the prox's per-alpha factor, made outside the count
@@ -609,17 +621,21 @@ class TestCycleReplay:
             held, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert len(tr) == max_iters and len(tr.x) == max_iters
-        assert held <= 80 * 40 * 8 + 2 * max_iters * 8 + (1 << 14)
+        k = len(tr._t)
+        assert len(tr) == max_iters and len(tr.x) == max_iters and tr._replay[0] == k
+        assert held <= (k + 1) * 40 * 8 + 2 * max_iters * 8 + (1 << 14)
 
     def test_reading_a_replayed_trace_costs_its_computed_rows(self):
-        # y and z are recomputed on the 79 rows the loop computed and mapped;
-        # the records and the Lyapunov distances read the held rows of x
-        # and make no (k, n) array, which would take 3.2 MB: the distances
-        # hold their output and a few row-index vectors of its length
+        # y and z are recomputed on the k + 1 rows the loop computed and
+        # mapped; the records and the Lyapunov distances read the held rows
+        # of x and make no (k, n) array, which would take 3.2 MB: the
+        # distances hold their output and a few row-index vectors of its
+        # length
         f, g, lam = self._lasso(40)
-        tr = drs_run(f, g, DrsParams(alpha=1.0, lam=lam, max_iters=self.ITERS), np.zeros(40))
-        for name, calls in (("y", (79, 0)), ("z", (79, 79))):
+        params = DrsParams(alpha=1.0, lam=lam, max_iters=self.ITERS)
+        k, _ = _plain_cycle(f.inner, g.inner, params, np.zeros(40))
+        tr = drs_run(f, g, params, np.zeros(40))
+        for name, calls in (("y", (k + 1, 0)), ("z", (k + 1, k + 1))):
             ran = f.calls, g.calls
             assert getattr(tr, name).shape == (self.ITERS, 40)
             assert (f.calls - ran[0], g.calls - ran[1]) == calls, name
@@ -708,10 +724,11 @@ class TestIterateWrittenOnce:
     def test_memory_above_the_trace_is_one_matrix_product(self):
         # Case 1 of the benchmark's size: 10^4 rows of n = 100.  The trace
         # holds its x column and the scalar columns; above them the run
-        # holds the 2 x 512-row z buffer, one 512-row block of the
-        # objective's temporaries (the l1 row sums' 512 x 100 buffer, above
-        # the affine product's 512 x 30) and the cycle check's dict of about
-        # 100 bytes per row: nothing of the trace's length times n
+        # holds the 512-row z ring and the last window gathered from it, one
+        # 512-row block of the objective's temporaries (the l1 row sums'
+        # 512 x 100 buffer, above the affine product's 512 x 30) and the
+        # cycle check's dict of about 100 bytes per row: nothing of the
+        # trace's length times n
         f, g, _ = gen_basis_pursuit(ProblemSpec("basis_pursuit", 30, 100, seed=42))
         params = DrsParams(alpha=1.0, max_iters=10_000)
         x0 = np.zeros(100)
@@ -763,16 +780,20 @@ def _assert_objective_oracle(tr, f, g):
     assert tr.objective.tobytes() == whole.tobytes()
 
 
-def _assert_objective_per_window(tr, f, g):
-    """The objective column of a run without replay bitwise drs_run's window
-    rule on the recomputed z column: F on each block of 512 rows, then on
-    the last min(k, 512) rows for the rows after the last block."""
-    k, z = len(tr), tr.z
+def _assert_objective_per_window(tr, f, g, at=("z", "z")):
+    """The objective column of a run without replay bitwise the window rule
+    on the recomputed columns ``at`` (z for both functions in a drs_run,
+    f(x) + g(z) in an admm_run): F on each block of 512 rows, then on the
+    last min(k, 512) rows for the rows after the last block."""
+    assert tr._replay is None
+    k, cols = len(tr), dict(zip(at, tr._column(*at)))
+    at_f, at_g = cols[at[0]], cols[at[1]]
     windows = [(lo, lo + 512, lo) for lo in range(0, k - k % 512, 512)]
     if k % 512:
         windows.append((max(k - 512, 0), k, k - k % 512))
     with np.errstate(over="ignore", invalid="ignore"):
-        parts = [_objective(f, g, z[lo:hi], z[lo:hi])[keep - lo:] for lo, hi, keep in windows]
+        parts = [_objective(f, g, at_f[lo:hi], at_g[lo:hi])[keep - lo:]
+                 for lo, hi, keep in windows]
     assert tr.objective.tobytes() == np.concatenate(parts).tobytes()
 
 
@@ -833,12 +854,14 @@ class TestBlockedObjective:
         _assert_objective_oracle(tr, f, g)
 
     def test_cycle_across_a_block_edge(self):
-        # the Case-2 LASSO repeats x_502 at iteration 570: the cycle spans
-        # the edge at row 512, and its replay copies objective values
-        # across every later edge
+        # the Case-2 LASSO repeats x_502 at iteration 570 on OpenBLAS's
+        # SkylakeX kernel: the cycle spans the edge at row 512, and its
+        # replay copies objective values across every later edge
         f, g, lam = TestCycleReplay._lasso(20)
-        tr = drs_run(f, g, DrsParams(alpha=1.0, lam=lam, max_iters=3000), np.zeros(40))
-        assert f.calls == 571 and tr.x[502].tobytes() == tr.x[570].tobytes()
+        params = DrsParams(alpha=1.0, lam=lam, max_iters=3000)
+        k, p = _plain_cycle(f.inner, g.inner, params, np.zeros(40))
+        tr = drs_run(f, g, params, np.zeros(40))
+        assert f.calls == k + 1 and tr.x[k - p].tobytes() == tr.x[k].tobytes()
         _assert_objective_oracle(tr, f.inner, g.inner)
 
     def test_no_objective_stops_the_windows(self):
@@ -1014,16 +1037,20 @@ class TestAdmmRun:
 
     def test_cycling_run_stores_its_primal_residual_at_every_row(self):
         # the seed-0 Case-3 LASSO of the benchmark's certified_run pool: the
-        # DRS form computes rows 0 .. 85, row 85 its first repeat with period
-        # 2, and copies the rest; every row's residual is the one its stop
-        # test computed, copied rows included.  x_final, z at the last row,
-        # a copied one, is one more prox of g at the last state
+        # DRS form, from t_0 = lam x_0 + u_0, x_0 = prox_{af}(-u_0), computes
+        # rows 0 .. k, row k its first repeat with period p (85 and 2 on
+        # OpenBLAS's SkylakeX kernel), and copies the rest; every row's
+        # residual is the one its stop test computed, copied rows included.
+        # x_final, z at the last row, a copied one, is one more prox of g at
+        # the last state
         f, g, _ = gen_lasso(ProblemSpec("lasso", 60, 40, rank=40, seed=1495516104))
+        params, u0 = DrsParams(alpha=1.0, lam=2.0, max_iters=10_000), np.zeros(40)
+        k, p = _plain_cycle(g, f, params, 2.0 * f.evaluate(-u0, 1.0) + u0)
         f, g = Counting(f), Counting(g)
-        tr = admm_run(f, g, DrsParams(alpha=1.0, lam=2.0, max_iters=10_000), np.zeros(40))
-        assert len(tr) == 10_000 and (g.calls, f.calls) == (86 + 1, 87)
+        tr = admm_run(f, g, params, u0)
+        assert len(tr) == 10_000 and (g.calls, f.calls) == (k + 2, k + 2)
         z = tr.z
-        assert z[85:].tobytes() == z[83:-2].tobytes()
+        assert z[k:].tobytes() == z[k - p:-p].tobytes()
         assert tr.x_final.tobytes() == z[-1].tobytes()
         d = tr.x - z
         assert tr.fp_residual.tobytes() == np.sqrt(np.einsum("ij,ij->i", d, d)).tobytes()
@@ -1072,13 +1099,46 @@ class TestAdmmRun:
                     run(Exploding(), prox_zero(), DrsParams(alpha=1.0, lam=1.9, max_iters=5),
                         np.array([-1e108]))
 
+    @pytest.mark.parametrize("k", TestBlockedObjective.LENGTHS)
+    def test_objective_follows_the_window_rule(self, k):
+        # f(x) + g(z) on each window of the x and z rings, at run lengths
+        # around the block edges: basis pursuit (a gemm) at lam = 1.5, and
+        # numpy's matrix-vector path (a one-row A) under a lambda sequence
+        f, g, _ = gen_basis_pursuit(ProblemSpec("basis_pursuit", 30, 100, seed=42))
+        tr = admm_run(f, g, DrsParams(alpha=1.0, lam=1.5, max_iters=k), np.zeros(100))
+        assert len(tr) == k
+        _assert_objective_per_window(tr, f, g, ("x", "z"))
+        rng = np.random.default_rng(2)
+        f = prox_quadratic(rng.standard_normal((1, 100)), rng.standard_normal(1))
+        g = prox_l1(1e-3)
+        lam = np.linspace(1.0, 1.9, k)
+        tr = admm_run(f, g, DrsParams(alpha=1.0, lam=lam, max_iters=k), rng.standard_normal(100))
+        assert len(tr) == k
+        _assert_objective_per_window(tr, f, g, ("x", "z"))
+
+    @pytest.mark.parametrize("stop", [511, 512, 513, 1024])
+    def test_objective_of_an_early_stop_follows_the_window_rule(self, stop):
+        # the slow quadratic of TestTraceStorage, stopped at row ``stop`` by
+        # the larger of its primal and dual residuals there, taken from a
+        # run without a stop test in the library's arithmetic
+        f, g, u0 = TestTraceStorage._slow_problem()
+        full = admm_run(f, g, DrsParams(alpha=1.0, max_iters=stop + 1), u0)
+        z = np.vstack((np.zeros((1, 100)), full.z))
+        dual = [math.sqrt(np.einsum("j,j->", d, d)) for d in z[1:] - z[:-1]]
+        rule = np.maximum(full.fp_residual, dual)
+        assert np.all(np.diff(rule) < 0)
+        tr = admm_run(f, g, DrsParams(alpha=1.0, max_iters=10_000, stop_tol=rule[stop]), u0)
+        assert tr.status == "converged" and len(tr) == stop + 1
+        _assert_objective_per_window(tr, f, g, ("x", "z"))
+
     def test_memory_above_the_trace_is_the_buffers_and_one_block(self):
         # basis pursuit, 10^4 rows of n = 100: the trace holds the DRS state
         # column t (with its row for t_{10^4}) and the scalar columns; above
-        # them the run holds ADMM's x and z buffers of 2 x 512 rows each, one
-        # 512-row block of the objective's temporaries (the l1 row sums'
-        # 512 x 100 buffer) and the cycle check's dict of about 100 bytes
-        # per row: no x, u or z column
+        # them the run holds ADMM's x and z rings of 512 rows each and the
+        # last windows gathered from them, one 512-row block of the
+        # objective's temporaries (the l1 row sums' 512 x 100 buffer) and
+        # the cycle check's dict of about 100 bytes per row: no x, u or z
+        # column
         f, g, _ = gen_basis_pursuit(ProblemSpec("basis_pursuit", 30, 100, seed=42))
         params = DrsParams(alpha=1.0, max_iters=10_000)
         u0 = np.zeros(100)
@@ -1096,8 +1156,9 @@ class TestAdmmRun:
     def test_early_stop_past_4096_rows_holds_only_the_state(self):
         # the slow quadratic of TestTraceStorage: ADMM stops after 4,096 rows,
         # so the rows grow three times; the trace holds the state column, and
-        # the peak is the columns at their last capacity, the two buffers,
-        # one 512-row product of the quadratic objective and the cycle dict
+        # the peak is the columns at their last capacity, the two rings and
+        # the last windows gathered from them, one 512-row product of the
+        # quadratic objective and the cycle dict
         n = 100
         s = math.sqrt(3.7e-3)
         f, g = prox_quadratic(s * np.eye(n), s * np.ones(n)), prox_zero()

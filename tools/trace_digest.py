@@ -37,7 +37,10 @@ Two checkouts whose library gives the same bits print the same digest.  A
 line per part follows it, each the sha256 of that part's share of the same
 bytes: the certificate, the ``drs_run`` runs, the ``admm_run`` runs, the
 reference solves, the trace CSVs and the growth runs.  Where the digests
-differ, those lines name the part that moved.
+differ, those lines name the part that moved.  A last line names numpy's
+BLAS build configuration and ``OPENBLAS_CORETYPE`` (a DYNAMIC_ARCH OpenBLAS
+picks its kernel from the CPU when that is unset): a matrix product's last
+bits can depend on the kernel, so two digests compare only on one kernel.
 
 Run from the root of a checkout (the library is imported from its ``src``):
 
@@ -197,6 +200,10 @@ def main(argv=None):
           "and the growth runs")
     for name, part in parts.items():
         print(f"{part.own.hexdigest()}  {name}")
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    print(f"numpy {np.__version__}, BLAS {blas.get('name')} {blas.get('version')} "
+          f"({blas.get('openblas configuration', 'no OpenBLAS configuration')}), "
+          f"OPENBLAS_CORETYPE={os.environ.get('OPENBLAS_CORETYPE', 'unset')}")
 
 
 if __name__ == "__main__":
