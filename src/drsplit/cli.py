@@ -149,7 +149,7 @@ def cmd_solve(args) -> int:
         replay = ("" if trace._replay is None else
                   " ({} computed, the rest repeating with period {})".format(*trace._replay))
         print(f"lambda={params.lam:g}: {len(trace)} iterations{replay}, status={trace.status}, "
-              f"final residual={trace.fp_residual[-1]:.3e} -> {out}")
+              f"final residual={trace.records[-1].fp_residual:.3e} -> {out}")
     return 0
 
 

@@ -8,8 +8,9 @@ z_k - y_k = -alpha (df(y_k) + dg(z_k)), and is derived where it is read.
 ADMM is DRS after a change of variables, and DRS a system in its state
 alone: DRS's y and z and ADMM's x, u and z are outputs of the state, which
 a trace recomputes when a column is read instead of holding it.  Nor does a
-run hold them: it evaluates the objective in 512-row blocks.  A run that
-replays a cycle holds the state rows it computed and the period.
+run hold them: it evaluates the objective in 512-row blocks.  A trace holds
+only the rows its loop computed, in every column; a replayed cycle adds its
+replay point, through which every column is read.
 """
 
 from __future__ import annotations
@@ -93,35 +94,35 @@ class Trace:
     TraceRecord objects.  The residual ||df(y_k) + dg(z_k)|| is not held:
     its readers derive it as fp_residual / alpha with the trace's alpha.
 
-    A trace holds the scalar columns and the state rows t of its DRS loop
-    that the loop computed.  A run that replays a cycle computes rows
-    0 .. k-1 and holds only those, with the replay point (k, p): loop row
-    i >= k is row k - p + (i - k) mod p.  Each read of a column other than
-    a held x recomputes it from t with the loop's f, g and alpha,
-    y_i = prox_{af}(t_i) and z_i = prox_{ag}(2 y_i - t_i), in the loop's
-    arithmetic and on the held rows alone, so every row is bitwise the
-    run's (see ``ProxOperator.evaluate``), and maps the rows.  A
-    ``drs_run`` trace's x is t.  An ``admm_run`` trace is of the loop on
-    (g, f): its x is (x_0, z[:-1]), its y = u is (u_0, (t - y)[:-1]) and
-    its z is y.
+    A trace holds the rows 0 .. k-1 that its DRS loop computed, of the
+    state t, fp and the objective, and a replayed cycle its replay point
+    and length (k, p, iterations): loop row i >= k is row
+    k - p + (i - k) mod p, and every column is read through that row map.
+    Each read of a column other than a held one recomputes it from t with
+    the loop's f, g and alpha, y_i = prox_{af}(t_i) and
+    z_i = prox_{ag}(2 y_i - t_i), in the loop's arithmetic and on the held
+    rows alone, so every row is bitwise the run's (see
+    ``ProxOperator.evaluate``), and maps the rows.  A ``drs_run`` trace's
+    x is t.  An ``admm_run`` trace is of the loop on (g, f): its x is
+    (x_0, z[:-1]), its y = u is (u_0, (t - y)[:-1]) and its z is y.
     """
 
     _t: np.ndarray = field(repr=False)
-    fp_residual: np.ndarray
-    objective: Optional[np.ndarray] = None
+    _fp: np.ndarray = field(repr=False)
+    _objective: Optional[np.ndarray] = field(default=None, repr=False)
     status: str = "iteration-limit"
     x_final: Optional[np.ndarray] = None
     _ops: Optional[tuple] = field(default=None, repr=False)  # (f, g, alpha) of the DRS loop
     _first: Optional[tuple] = field(default=None, repr=False)  # (x_0, u_0) of an admm_run
-    _replay: Optional[tuple] = field(default=None, repr=False)  # (k, p) of a replayed cycle
+    _replay: Optional[tuple] = field(default=None, repr=False)  # (k, p, iterations) of a replay
 
     def __post_init__(self):
-        for c in (self._t, self.fp_residual, self.objective):
+        for c in (self._t, self._fp, self._objective):
             if c is not None:
                 c.flags.writeable = False
 
     def __len__(self):
-        return len(self.fp_residual)
+        return len(self._fp) if self._replay is None else self._replay[2]
 
     @property
     def x(self) -> np.ndarray:
@@ -135,9 +136,17 @@ class Trace:
     def z(self) -> np.ndarray:
         return self._column("z")[0]
 
+    @property
+    def fp_residual(self) -> np.ndarray:
+        return self._column("fp_residual")[0]
+
+    @property
+    def objective(self) -> Optional[np.ndarray]:
+        return None if self._objective is None else self._column("objective")[0]
+
     def _shift(self, name: str) -> int:
         """1 for an ADMM x or u, whose row j > 0 is of loop row j - 1, else 0."""
-        return int(self._first is not None and name != "z")
+        return int(self._first is not None and name in ("x", "y"))
 
     def _row(self, j, name: str):
         """The row of ``_held(name)``'s array that holds row(s) j of column
@@ -151,14 +160,18 @@ class Trace:
     def _held(self, *names: str) -> list:
         """Columns ``names`` on the held rows: for each an array whose row
         shift + i is of loop row i < len(t), and whose row 0 is x_0 or u_0
-        when shift is 1.  The held t is a ``drs_run`` trace's x; every other
-        column is computed one held row at a time, with y_i and z_i computed
-        once for all of ``names``, in ``_drs``'s arithmetic."""
+        when shift is 1.  fp, the objective and a ``drs_run`` trace's x (the
+        held t) are held; every other column is computed one held row at a
+        time, with y_i and z_i computed once for all of ``names``, in
+        ``_drs``'s arithmetic."""
         t, n = self._t, len(self)
+        held = {"fp_residual": self._fp, "objective": self._objective}
+        if self._first is None:
+            held["x"] = t
         cols, todo = [], []
         for name in names:
-            if self._first is None and name == "x":
-                cols.append(t)
+            if name in held:
+                cols.append(held[name])
                 continue
             s = self._shift(name)
             # ADMM's x_j is z_{j-1}, u_j t_{j-1} - y_{j-1}, z_j y_j
@@ -200,24 +213,26 @@ class Trace:
 
     def objectives(self) -> np.ndarray:
         """The objective column, NaN throughout when F is not evaluable."""
-        if self.objective is None:
+        if self._objective is None:
             return np.full(len(self), math.nan)
-        return self.objective.copy()
+        return self._objective[self._row(np.arange(len(self)), "objective")]  # a new array
 
 
 def _held_row(i, replay: tuple):
     """The held row of loop row(s) i of a run replayed from row k with
-    period p, replay = (k, p): i itself below k, else k - p + (i - k) mod p."""
-    k, p = replay
+    period p, replay = (k, p, iterations): i itself below k, else
+    k - p + (i - k) mod p."""
+    k, p, _ = replay
     return i - p * ((i - k) // p + 1) * (i >= k)  # ints and index arrays alike
 
 
 class _Records(Sequence):
     """Read-only sequence view of a Trace's rows as TraceRecord objects; reads
-    the held rows of x once, at the first row read."""
+    the held rows of x once, at the first row read, and each record's
+    values at one held row (x's own on an ADMM trace, shifted by one)."""
 
     def __init__(self, trace: Trace):
-        self._trace, self._x = trace, None
+        self._trace, self._x, self._shift = trace, None, trace._shift("x")
 
     def __len__(self):
         return len(self._trace)
@@ -228,9 +243,12 @@ class _Records(Sequence):
         t, k = self._trace, range(len(self))[i]
         if self._x is None:
             (self._x,) = t._held("x")
-        fp = t.fp_residual[k]
-        obj = None if t.objective is None else float(t.objective[k])
-        return TraceRecord(k, self._x[t._row(k, "x")], float(fp), float(fp / t._ops[2]), obj)
+        r = t._replay
+        h = k if r is None else _held_row(k, r)  # of fp and the objective, and a DRS x
+        x = self._x[h if r is None or not self._shift else 1 + _held_row(k - 1, r)]
+        fp = t._fp[h]
+        obj = None if t._objective is None else float(t._objective[h])
+        return TraceRecord(k, x, float(fp), float(fp / t._ops[2]), obj)
 
 
 def _objective(f: ProxOperator, g: ProxOperator, at_f, at_g):
@@ -247,7 +265,7 @@ def _relaxations(params: DrsParams):
     return np.asarray(params.lam, dtype=float)[:params.max_iters].tolist()
 
 
-_FIRST_ROWS = 1024  # initial row capacity when a run may stop early
+_FIRST_ROWS = 1024  # initial row capacity of a run, doubled up to max_iters
 _CSV_ROWS = 4096  # trace CSV rows formatted and written per block
 _REFERENCE_ITERS = 2_000_000  # the least iteration cap of a reference solve
 
@@ -255,7 +273,11 @@ _REFERENCE_ITERS = 2_000_000  # the least iteration cap of a reference solve
 class _Rows:
     """Rows of one run: x_0 .. x_cap in a (cap + 1, n) column, so that x_{k+1}
     has a row whenever iteration k runs, fp_k for k < cap, and the objective
-    column, which ``ops`` = (f, g) gives as F(z_k) = f(z_k) + g(z_k).
+    column, which ``ops`` = (f, g) gives as F(z_k) = f(z_k) + g(z_k).  cap
+    starts at _FIRST_ROWS and is doubled as needed up to max_iters;
+    ``resize`` grows and trims the columns in place with ``ndarray.resize``,
+    a realloc that frees the old buffer: no view of a column may outlive a
+    resize.  Every run is trimmed to its k computed rows at its end.
 
     ``store(k, y, z, fp)`` keeps row k and returns the stop verdict,
     fp_k <= stop_tol.  z_k goes into row k % B of a ring of B = _BLOCK_ROWS
@@ -265,18 +287,11 @@ class _Rows:
     the rows after the last block, in a window that overlaps it.  A window
     that gives no value (an f or g not evaluable) drops the objective
     column, and no later window is evaluated.
-
-    cap is max_iters when the run cannot stop early (stop_tol == 0), else
-    _FIRST_ROWS, doubled as needed up to max_iters.  ``resize`` grows and
-    trims the columns in place with ``ndarray.resize``, a realloc that frees
-    the old buffer: no view of a column may outlive a resize.  ``repeat``
-    ends a run that replays a cycle: x keeps the rows computed, and the
-    scalar columns grow to max_iters.
     """
 
     def __init__(self, params: DrsParams, n: int, ops: tuple, buffers: int = 1):
         self.limit, self.tol, self.ops = params.max_iters, params.stop_tol, ops
-        cap = self.limit if params.stop_tol == 0 else min(self.limit, _FIRST_ROWS)
+        cap = min(self.limit, _FIRST_ROWS)
         self.cols = [np.empty((cap + 1, n)), np.empty(cap), np.empty(cap)]  # x, fp, objective
         self.points = np.empty((buffers, min(self.limit, _BLOCK_ROWS), n))
         self.z = self.points[-1]
@@ -313,20 +328,6 @@ class _Rows:
             self.cols[2] = None
         else:
             obj[edge:hi] = values[edge - lo:]
-
-    def repeat(self, k: int, p: int) -> np.ndarray:
-        """For a run whose x_k equals x_{k-p} and whose rows before k are
-        stored, the objective's evaluated: trim x to rows 0 .. k, fill fp and
-        objective rows k .. limit-1 with the rows ``_held_row`` gives, and
-        return (a copy of) x_limit, the terminal x."""
-        X = self.cols[0]
-        x_final = X[_held_row(self.limit, (k, p))].copy()
-        X.resize((k + 1,) + X.shape[1:], refcheck=False)
-        for c in self.cols[1:]:
-            if c is not None:
-                c.resize(self.limit, refcheck=False)
-                c[k:] = c[_held_row(np.arange(k, self.limit), (k, p))]
-        return x_final
 
 
 class _AdmmRows(_Rows):
@@ -478,21 +479,20 @@ def drs_run(f: ProxOperator, g: ProxOperator, params: DrsParams, x0: np.ndarray)
     ring of 512 rows, each block of 512 rows is evaluated as one window once
     it is full, and the rows after the last block in one window of the last
     min(k, 512) rows, which overlaps that block and is gathered in row order
-    where it wraps the ring.  A replayed cycle copies objective values.
-    Each value is F on its window.  Where the stack evaluation of f or g
-    gives a row bits that do not depend on the rows around it, as the soft
-    threshold's row sums do, and a gemm matrix product on the BLAS kernel
-    the trace digest was taken on (OpenBLAS's SkylakeX, not its Prescott),
-    that is F on the whole z column bit for bit; numpy's matrix-vector
-    product, which a quadratic f with a one-row A takes, can differ from it
-    in the last bit.
+    where it wraps the ring.  Each value is F on its window.  Where the
+    stack evaluation of f or g gives a row bits that do not depend on the
+    rows around it, as the soft threshold's row sums do, and a gemm matrix
+    product on the BLAS kernel the trace digest was taken on (OpenBLAS's
+    SkylakeX, not its Prescott), that is F on the whole z column bit for
+    bit; numpy's matrix-vector product, which a quadratic f with a one-row A
+    takes, can differ from it in the last bit.
 
     With a constant lambda, a run is not iterated past the first k whose
     iterate x_k repeats an earlier x_{k-p} exactly (as runs at rounding level
-    do): the trace holds the k + 1 state rows computed, 0 .. k, and the
-    period, and gives every later row as a row of the period in turn (see
-    ``Trace``); fp and objective rows k + 1 onward are copies, x_final is the
-    row the period gives for iteration max_iters, and the status is
+    do): the trace holds the k + 1 rows computed, 0 .. k, of x, fp and the
+    objective, and the period, and gives every later row of every column as
+    a row of the period in turn (see ``Trace``); x_final is the row the
+    period gives for iteration max_iters, and the status is
     "iteration-limit".  Every value is the one the full loop would compute,
     as each prox is a deterministic function of its arguments.
     """
@@ -503,19 +503,16 @@ def drs_run(f: ProxOperator, g: ProxOperator, params: DrsParams, x0: np.ndarray)
 
 
 def _drs_rows(f: ProxOperator, g: ProxOperator, params: DrsParams, x0: np.ndarray, rows: _Rows):
-    """The DRS loop on ``rows``: its x column trimmed to the rows computed,
-    its fp and objective columns to the rows run, the trace status, x_final
-    and the replay point (k, p) of a replayed cycle, None without one.  The
-    fp and objective rows of a cycle past its first repeat, which the loop
-    has computed and tested, are copies of tested rows."""
+    """The DRS loop on ``rows``: its x, fp and objective columns trimmed to
+    the k rows computed, the trace status, x_final and, for a replayed
+    cycle, the replay point and length (k, p, max_iters), else None.  The
+    x_final of a replayed cycle is the held row of x_{max_iters}."""
     k, x_final, status, period = _drs(f, g, params, x0, rows)
     rows.flush(k)
-    replay = None
-    if period:
-        replay, x_final = (k, period), rows.repeat(k, period)
-    else:
-        rows.resize(k)
+    rows.resize(k)
     X, FP, objective = rows.cols
+    replay = (k, period, params.max_iters) if period else None
+    x_final = X[_held_row(params.max_iters, replay)].copy() if replay else x_final
     # x keeps its extra row behind a view: a one-row trim fragments the heap
     return X[:k], FP, objective, status, x_final, replay
 
@@ -533,8 +530,9 @@ def admm_run(f_prox: ProxOperator, g_prox: ProxOperator, params: DrsParams, u0: 
     With t = v + u this is ``drs_run(g, f)`` (Eckstein & Bertsekas 1992)
     from t_0 = lam_0 x_0 + u_0, x_0 = prox_{af}(-u_0), DRS lam_k being ADMM
     lam_{k+1}: row k is x = DRS z[k-1], u = DRS x[k-1] - DRS y[k-1], z = DRS
-    y[k], with x_0, u_0 and z = 0 before row 0; the trace holds t, x_0 and
-    u_0 (see ``Trace``).  DRS tests the rule on row k once it has DRS y[k],
+    y[k], with x_0, u_0 and z = 0 before row 0; the trace holds the computed
+    rows of t, fp and the objective, x_0 and u_0, and maps every column
+    (see ``Trace``).  DRS tests the rule on row k once it has DRS y[k],
     and the primal residual the test computes is the row's fp_residual, so a
     converged trace ends at the first row that meets it by the residuals it
     stores.  x_final is the last DRS y computed, or after a replayed cycle
@@ -558,7 +556,7 @@ def admm_run(f_prox: ProxOperator, g_prox: ProxOperator, params: DrsParams, u0: 
         except _NonFinite as e:
             name, k = {"y": ("z", e.k), "z": ("x", e.k + 1), "x": ("u", e.k + 1)}[e.name]
             raise _NonFinite(name, k) from None
-        z = (g_prox.evaluate(T[_held_row(len(fp) - 1, replay)], a) if replay
+        z = (g_prox.evaluate(T[_held_row(limit - 1, replay)], a) if replay
              else rows.z[(len(T) - 1) % _BLOCK_ROWS].copy())
         return Trace(T, fp, objective, status, z, (g_prox, f_prox, a), (x0, u0.copy()), replay)
 
@@ -605,7 +603,7 @@ def lyapunov_series(trace: Trace, case, theta, x_star: np.ndarray,
     else:
         if F_star is None:
             raise ValueError("Case 2 Lyapunov values require F_star")
-        if trace.objective is None:
+        if trace._objective is None:
             raise ValueError("the trace has no objective column: f or g is not evaluable")
         incr = th * (trace.objective - F_star)
     running = np.concatenate(([0.0], np.cumsum(incr)[:-1]))
@@ -661,7 +659,8 @@ def write_trace_csv(trace: Trace, path, lyapunov: Optional[np.ndarray] = None):
     n = len(trace)
     if lyapunov is not None and len(lyapunov) < n:
         raise ValueError(f"lyapunov has {len(lyapunov)} values for a trace of {n} iterations")
-    columns = (trace.fp_residual, trace.fp_residual / trace._ops[2], trace.objective, lyapunov)
+    fp = trace.fp_residual
+    columns = (fp, fp / trace._ops[2], trace.objective, lyapunov)
     values = np.array([np.asarray(c, dtype=float)[:n] for c in columns if c is not None])
     with open(path, "w", newline="") as fh:
         fh.write("k,fp_residual,subgrad_residual,objective,V\r\n")

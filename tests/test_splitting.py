@@ -323,16 +323,26 @@ class TestTraceStorage:
         assert tr.objective.shape == (1300,)
 
     def test_columns_are_read_only(self):
-        tr = drs_run(prox_quadratic(np.eye(2), np.ones(2)), prox_l1(0.5),
-                     DrsParams(alpha=1.0, max_iters=4), np.array([3.0, -2.0]))
-        with pytest.raises(ValueError):
-            tr.records[1].x[0] = 5.0
-        with pytest.raises(ValueError):
-            tr.fp_residual[0] = 5.0
-        with pytest.raises(ValueError):
-            tr.z[0, 0] = 5.0
-        assert tr.records[-1].k == 3
-        assert [r.k for r in tr.records[1:3]] == [1, 2]
+        # a replayed trace maps every column, fp and the objective included,
+        # from its held rows: the mapped columns refuse writes too
+        f, g, fc = gen_lasso(ProblemSpec("lasso", 60, 40, rank=40, seed=7))
+        replayed = drs_run(f, g, DrsParams(alpha=1.0, lam=tune(fc, 1.0).lam, max_iters=1000),
+                           np.zeros(40))
+        assert replayed._replay is not None
+        for tr in (drs_run(prox_quadratic(np.eye(2), np.ones(2)), prox_l1(0.5),
+                           DrsParams(alpha=1.0, max_iters=4), np.array([3.0, -2.0])), replayed):
+            with pytest.raises(ValueError):
+                tr.records[1].x[0] = 5.0
+            with pytest.raises(ValueError):
+                tr.x[-1, 0] = 5.0
+            with pytest.raises(ValueError):
+                tr.fp_residual[-1] = 5.0
+            with pytest.raises(ValueError):
+                tr.objective[-1] = 5.0
+            with pytest.raises(ValueError):
+                tr.z[0, 0] = 5.0
+            assert tr.records[-1].k == len(tr) - 1
+            assert [r.k for r in tr.records[1:3]] == [1, 2]
 
     @staticmethod
     def _slow_problem(n=100):
@@ -606,24 +616,31 @@ class TestCycleReplay:
         assert x_final.tobytes() == X[last].tobytes()
 
     @pytest.mark.parametrize("run", [drs_run, admm_run])
-    @pytest.mark.parametrize("max_iters", [10_000, 100_000])
+    @pytest.mark.parametrize("max_iters", [10_000, 100_000, 1_000_000])
     def test_replayed_run_holds_its_computed_rows(self, run, max_iters):
         # the DRS loop computes rows 0 .. k, the last its first repeat (on
         # OpenBLAS's SkylakeX kernel k is 78, and 75 for ADMM's loop on
-        # (g, f)): the trace holds those state rows, one more row behind the
-        # view, and the two scalar columns, and nothing of max_iters x n
+        # (g, f)): the trace holds those rows of the state, fp and the
+        # objective, and one more state row behind the view.  The run's peak
+        # is its first 1,024 rows, its objective ring (two for ADMM) and the
+        # ring's gathered tail: nothing grows with max_iters
         f, g, lam = self._lasso(40)
         f, g, x0 = f.inner, g.inner, np.zeros(40)
         f.evaluate(x0, 1.0)  # the prox's per-alpha factor, made outside the count
         tracemalloc.start()
         try:
             tr = run(f, g, DrsParams(alpha=1.0, lam=lam, max_iters=max_iters), x0)
-            held, _ = tracemalloc.get_traced_memory()
+            held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         k = len(tr._t)
-        assert len(tr) == max_iters and len(tr.x) == max_iters and tr._replay[0] == k
-        assert held <= (k + 1) * 40 * 8 + 2 * max_iters * 8 + (1 << 14)
+        assert len(tr) == max_iters and tr._replay[0] == k
+        assert len(tr.fp_residual) == len(tr.objective) == max_iters
+        if max_iters <= 100_000:  # a mapped x of 10^6 rows would take 320 MB
+            assert len(tr.x) == max_iters
+        assert held <= (k + 1) * 40 * 8 + 2 * (k + 1) * 8 + (1 << 14)
+        ring = (1 if run is drs_run else 2) * 512 * 40 * 8
+        assert peak <= 1025 * 40 * 8 + 2 * 1024 * 8 + 2 * ring + (1 << 16)
 
     def test_reading_a_replayed_trace_costs_its_computed_rows(self):
         # y and z are recomputed on the k + 1 rows the loop computed and
@@ -820,11 +837,11 @@ class TestBlockedObjective:
 
     @pytest.mark.parametrize("k", LENGTHS)
     def test_quadratic_with_a_one_row_matrix(self, k):
-        # p = 1 takes numpy's matrix-vector path.  On OpenBLAS 0.3.31
-        # (Haswell) row 1021 of the 1,023-row run differs in the last bit
-        # from one evaluation on the whole column; the values are the window
-        # rule's.  A lambda sequence is never replayed, so every row is
-        # computed
+        # p = 1 takes numpy's matrix-vector path.  On OpenBLAS 0.3.31's
+        # SkylakeX kernel (not its Haswell one) row 1021 of the 1,023-row
+        # run differs in the last bit from one evaluation on the whole
+        # column; the values are the window rule's.  A lambda sequence is
+        # never replayed, so every row is computed
         rng = np.random.default_rng(2)
         f = Counting(prox_quadratic(rng.standard_normal((1, 100)), rng.standard_normal(1)))
         g = Counting(prox_l1(1e-3))
@@ -856,7 +873,7 @@ class TestBlockedObjective:
     def test_cycle_across_a_block_edge(self):
         # the Case-2 LASSO repeats x_502 at iteration 570 on OpenBLAS's
         # SkylakeX kernel: the cycle spans the edge at row 512, and its
-        # replay copies objective values across every later edge
+        # replay maps the held objective rows across every later edge
         f, g, lam = TestCycleReplay._lasso(20)
         params = DrsParams(alpha=1.0, lam=lam, max_iters=3000)
         k, p = _plain_cycle(f.inner, g.inner, params, np.zeros(40))
@@ -1039,9 +1056,9 @@ class TestAdmmRun:
         # the seed-0 Case-3 LASSO of the benchmark's certified_run pool: the
         # DRS form, from t_0 = lam x_0 + u_0, x_0 = prox_{af}(-u_0), computes
         # rows 0 .. k, row k its first repeat with period p (85 and 2 on
-        # OpenBLAS's SkylakeX kernel), and copies the rest; every row's
-        # residual is the one its stop test computed, copied rows included.
-        # x_final, z at the last row, a copied one, is one more prox of g at
+        # OpenBLAS's SkylakeX kernel), and maps the rest; every row's
+        # residual is the one its stop test computed, mapped rows included.
+        # x_final, z at the last row, a mapped one, is one more prox of g at
         # the last state
         f, g, _ = gen_lasso(ProblemSpec("lasso", 60, 40, rank=40, seed=1495516104))
         params, u0 = DrsParams(alpha=1.0, lam=2.0, max_iters=10_000), np.zeros(40)
@@ -1371,8 +1388,11 @@ class TestLyapunovSeries:
         V = lyapunov_series(tr, case, theta, x_star, F_star=F_star)
         expected = np.sum(np.square(tr.x - x_star), axis=1)
         if case != "case3":
-            incr = theta * ((tr.fp_residual / params.alpha) ** 2 if case == "case1"
-                            else tr.objective - F_star)
+            # a run that reaches ||z - y|| = 0 exactly stops early (row 50 of
+            # the 512-row run on OpenBLAS's Haswell kernel): the library
+            # reads as many theta entries as the trace has rows
+            incr = theta[:len(tr)] * ((tr.fp_residual / params.alpha) ** 2 if case == "case1"
+                                      else tr.objective - F_star)
             expected = expected + np.concatenate(([0.0], np.cumsum(incr)[:-1]))
         assert V.tobytes() == expected.tobytes()
 

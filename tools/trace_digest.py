@@ -17,15 +17,16 @@ are run through the paper's workflow at the tuned relaxation parameter:
   * the trace CSV of the stop_tol 0 DRS run with its Lyapunov values, as bytes.
 
 Once per invocation it also digests, through ``drs_run`` and ``admm_run``,
-the early-stopping runs that grow their rows far past the first 1,024 (few
-pool runs do, and none of them replays a cycle):
+two kinds of long run that the pools hardly reach (few pool runs grow their
+rows far past the first 1,024, and none of them replays a cycle at a
+tolerance below its rounding floor):
 
   * f = 0.5e-3 ||x - 1||^2, g = 0, n = 100 from x0 = 0 at stop_tol 1e-12,
     which DRS reaches after 23,038 iterations, at max_iters 24,000 and
     200,000;
   * the LASSO 60 x 40 of rank 40, seed 7, at its tuned lambda and stop_tol
-    1e-17, below its rounding floor: the run cycles, and the replay grows
-    the rows to max_iters 10,000.
+    1e-17, below its rounding floor: the run cycles, holds the rows it
+    computed, and maps every column from them up to max_iters 10,000.
 
 With them, in the same part, go two early-stopping ``admm_run`` runs at
 stop_tol 1e-8 and lambda 1.5: basis pursuit 30 x 100, seed 42, at alpha 1,
