@@ -94,17 +94,17 @@ class Trace:
     TraceRecord objects.  The residual ||df(y_k) + dg(z_k)|| is not held:
     its readers derive it as fp_residual / alpha with the trace's alpha.
 
-    A trace holds the rows 0 .. k-1 that its DRS loop computed, of the
-    state t, fp and the objective, and a replayed cycle its replay point
-    and length (k, p, iterations): loop row i >= k is row
-    k - p + (i - k) mod p, and every column is read through that row map.
-    Each read of a column other than a held one recomputes it from t with
-    the loop's f, g and alpha, y_i = prox_{af}(t_i) and
-    z_i = prox_{ag}(2 y_i - t_i), in the loop's arithmetic and on the held
-    rows alone, so every row is bitwise the run's (see
-    ``ProxOperator.evaluate``), and maps the rows.  A ``drs_run`` trace's
-    x is t.  An ``admm_run`` trace is of the loop on (g, f): its x is
-    (x_0, z[:-1]), its y = u is (u_0, (t - y)[:-1]) and its z is y.
+    A trace holds the rows 0 .. k-1 that its DRS loop computed, of the state
+    t, fp and the objective, and a replayed cycle its replay point and
+    length (k, p, iterations): loop row i >= k is row k - p + (i - k) mod p,
+    and every column is read through that row map in one gather, which makes
+    the column and an index of its length.  Each read of a column other than
+    a held one recomputes it from t with the loop's f, g and alpha,
+    y_i = prox_{af}(t_i) and z_i = prox_{ag}(2 y_i - t_i), in the loop's
+    arithmetic and on the held rows alone, so every row is bitwise the run's
+    (see ``ProxOperator.evaluate``), and maps the rows.  A ``drs_run``
+    trace's x is t.  An ``admm_run`` trace is of the loop on (g, f): its x
+    is (x_0, z[:-1]), its y = u is (u_0, (t - y)[:-1]) and its z is y.
     """
 
     _t: np.ndarray = field(repr=False)
@@ -148,15 +148,6 @@ class Trace:
         """1 for an ADMM x or u, whose row j > 0 is of loop row j - 1, else 0."""
         return int(self._first is not None and name in ("x", "y"))
 
-    def _row(self, j, name: str):
-        """The row of ``_held(name)``'s array that holds row(s) j of column
-        ``name``: j itself, or of loop row i = j - shift the held row
-        ``_held_row(i, replay)``."""
-        if self._replay is None:
-            return j
-        s = self._shift(name)
-        return s + _held_row(j - s, self._replay)
-
     def _held(self, *names: str) -> list:
         """Columns ``names`` on the held rows: for each an array whose row
         shift + i is of loop row i < len(t), and whose row 0 is x_0 or u_0
@@ -196,34 +187,42 @@ class Trace:
         return cols
 
     def _column(self, *names: str) -> list:
-        """Columns ``names``, each row read from ``_held`` through ``_row``."""
+        """Columns ``names``, each read from ``_held`` through ``_map``."""
         out = [self._map(col, name) for name, col in zip(names, self._held(*names))]
         for col in out:
             col.flags.writeable = False
         return out
 
     def _map(self, held: np.ndarray, name: str) -> np.ndarray:
-        """One entry or row per row of the trace from those of ``held``,
-        which are per held row of column ``name``."""
-        return held if self._replay is None else held[self._row(np.arange(len(self)), name)]
+        """Column ``name``, one entry or row per trace row, from ``held``, one
+        per held row: after a replay one gather, through an index built in
+        place, of row j for j < m = shift + k, else m - p + (j - m) mod p."""
+        if self._replay is None:
+            return held
+        k, p, n = self._replay
+        m = self._shift(name) + k
+        index = np.arange(n)
+        tail = index[m:]
+        np.remainder(np.subtract(tail, m, out=tail), p, out=tail)
+        tail += m - p
+        return held[index]
 
     @property
     def records(self) -> "_Records":
         return _Records(self)
 
     def objectives(self) -> np.ndarray:
-        """The objective column, NaN throughout when F is not evaluable."""
+        """A writable copy of ``objective``, NaN throughout when F is not evaluable."""
         if self._objective is None:
             return np.full(len(self), math.nan)
-        return self._objective[self._row(np.arange(len(self)), "objective")]  # a new array
+        return self._map(self._objective, "objective") if self._replay else self._objective.copy()
 
 
-def _held_row(i, replay: tuple):
-    """The held row of loop row(s) i of a run replayed from row k with
-    period p, replay = (k, p, iterations): i itself below k, else
-    k - p + (i - k) mod p."""
+def _held_row(i: int, replay: tuple) -> int:
+    """The held row of one loop row i of a run replayed from row k with
+    period p, replay = (k, p, iterations): i below k, else k - p + (i - k) mod p."""
     k, p, _ = replay
-    return i - p * ((i - k) // p + 1) * (i >= k)  # ints and index arrays alike
+    return i if i < k else k - p + (i - k) % p
 
 
 class _Records(Sequence):
@@ -651,21 +650,21 @@ def write_trace_csv(trace: Trace, path, lyapunov: Optional[np.ndarray] = None):
     with the trace's alpha.  Floats are written with ``repr``; the objective
     and V cells are blank when the trace has no objective or no Lyapunov
     values are given.  The bytes are those of the csv module's default
-    dialect (rows end in CRLF).  Rows are built and written in blocks of
-    _CSV_ROWS, with ``repr`` run once per distinct float64 bit pattern in a
-    block, as runs at rounding level repeat their values, and each row
-    joined from its cells.
+    dialect (rows end in CRLF).  Rows are written in blocks of _CSV_ROWS,
+    each stacked from the columns as it is written, with ``repr`` run once
+    per distinct float64 bit pattern in a block, as runs at rounding level
+    repeat their values, and each row joined from its cells.
     """
     n = len(trace)
     if lyapunov is not None and len(lyapunov) < n:
         raise ValueError(f"lyapunov has {len(lyapunov)} values for a trace of {n} iterations")
     fp = trace.fp_residual
     columns = (fp, fp / trace._ops[2], trace.objective, lyapunov)
-    values = np.array([np.asarray(c, dtype=float)[:n] for c in columns if c is not None])
+    values = [np.asarray(c, dtype=float)[:n] for c in columns if c is not None]
     with open(path, "w", newline="") as fh:
         fh.write("k,fp_residual,subgrad_residual,objective,V\r\n")
         for start in range(0, n, _CSV_ROWS):
-            block = values[:, start:start + _CSV_ROWS]
+            block = np.array([c[start:start + _CSV_ROWS] for c in values])
             bits, index = np.unique(block.view(np.int64), return_inverse=True)
             text = np.array([repr(v) for v in bits.view(float).tolist()], dtype=object)
             filled = iter(text[index.reshape(block.shape)].tolist())

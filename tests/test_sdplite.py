@@ -4,6 +4,7 @@ import csv
 import logging
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -237,6 +238,62 @@ class TestOptimizeRate:
     def test_rejects_wrong_class(self):
         with pytest.raises(ValueError):
             optimize_rate(1.0, FunctionClass(0.0, 10.0))
+
+
+def _exact_mul(A, B):
+    return [[sum(a * b for a, b in zip(row, col)) for col in zip(*B)] for row in A]
+
+
+def _exact_prox_qc(m, L, alpha):
+    """``prox_qc_matrix`` in rationals, L = None for F(m, inf)."""
+    h = Fraction(1, 2)
+    qc = [[-m, h], [h, Fraction(0)]] if L is None else [[-m * L / (m + L), h], [h, -1 / (m + L)]]
+    M = _exact_mul(_exact_mul([[0, 1], [alpha, -1]], qc), [[0, alpha], [1, -1]])
+    return [[(M[i][j] + M[j][i]) / 2 for j in range(2)] for i in range(2)]
+
+
+def _exact_neg_witness(cert, rho_sq):
+    """-(Qk(lambda, rho_sq) + sigma1 Q1 + sigma2 Q2) of a Case-3 certificate,
+    formed in rationals from its stored floats, with ``rho_sq`` for its own."""
+    a, lam, s1, s2, r, m, L = map(Fraction, (cert.alpha, cert.lam, cert.sigma1, cert.sigma2,
+                                             rho_sq, cert.fc.m, cert.fc.L))
+    l2 = lam * lam
+    Qk = [[1 - r, -lam, lam], [-lam, l2, -l2], [lam, -l2, l2]]
+    P = _exact_prox_qc(m, L, a)
+    C = [[-1, 2, 0], [0, 0, 1]]
+    Q2 = _exact_mul(_exact_mul([list(c) for c in zip(*C)], _exact_prox_qc(Fraction(0), None, a)), C)
+    return [[-(Qk[i][j] + (s1 * P[i][j] if i < 2 and j < 2 else 0) + s2 * Q2[i][j])
+             for j in range(3)] for i in range(3)]
+
+
+def _principal_minors(F):
+    """The seven principal minors of a 3x3 matrix: all >= 0 exactly when a
+    symmetric F is positive semidefinite."""
+    pairs = [F[i][i] * F[j][j] - F[i][j] * F[j][i] for i, j in ((0, 1), (0, 2), (1, 2))]
+    det = (F[0][0] * (F[1][1] * F[2][2] - F[1][2] * F[2][1])
+           - F[0][1] * (F[1][0] * F[2][2] - F[1][2] * F[2][0])
+           + F[0][2] * (F[1][0] * F[2][1] - F[1][1] * F[2][0]))
+    return [F[i][i] for i in range(3)] + pairs + [det]
+
+
+class TestExactWitness:
+    """The exact check of ROADMAP item 4 as a test oracle: the witness of
+    each default-grid certificate is negative semidefinite in rational
+    arithmetic, not merely within the float check's tolerance."""
+
+    def test_default_grid_witnesses_are_exactly_nsd(self):
+        for kappa in sdplite.DEFAULT_KAPPA_GRID:
+            fc = FunctionClass(1.0, kappa)
+            for alpha in sdplite.DEFAULT_ALPHA_GRID:
+                cert = optimize_rate(float(alpha), fc)
+                F = _exact_neg_witness(cert, cert.rho_sq)
+                # the rational factor is the one the float check eigen-checks
+                assert np.allclose(-np.array(F, dtype=float), cert.witness, rtol=0,
+                                   atol=psd_tol(cert.witness))
+                assert min(_principal_minors(F)) >= 0, (alpha, kappa)
+                # a rate a relative 1e-9 below the certified one has no witness
+                lowered = _exact_neg_witness(cert, cert.rho_sq * (1 - 1e-9))
+                assert min(_principal_minors(lowered)) < 0, (alpha, kappa)
 
 
 class TestSweepHeatmap:

@@ -3,6 +3,7 @@
 import csv
 import io
 import math
+import os
 import re
 import tracemalloc
 import warnings
@@ -237,6 +238,10 @@ class TestDrsRun:
         for objective, z in zip(tr.objective, tr.z):
             expected = 0.5 * z[0] ** 2 + abs(z[0])
             assert objective == pytest.approx(expected, abs=1e-14)
+        # objectives() is a writable copy of the held column, not the column
+        obj = tr.objectives()
+        assert obj.flags.writeable and not np.shares_memory(obj, tr.objective)
+        assert obj.tobytes() == tr.objective.tobytes()
 
 
 def _soft(v, t):
@@ -506,12 +511,21 @@ def _assert_admm_parity(tr, ref, status):
     assert tr.x_final.tobytes() == mine["z"][-1].tobytes()
 
 
-def _assert_plain(tr, f, g, params, x0):
+def _assert_plain(tr, f, g, params, x0, windows=False):
     """Bitwise the plain loop: status, length, every column (y and z
     recomputed whole), x_final, and every record's fields, its residual
-    fp / alpha.  Returns the plain loop's columns."""
+    fp / alpha.  The objective is F on the whole z column, or with
+    ``windows`` the library's rule for a replayed run: F per window on the
+    computed rows 0 .. k of z (k the first repeat, period p), and row
+    i > k that of row k + 1 - p + (i - k - 1) mod p.  Returns the plain
+    loop's columns."""
     ref, status = _plain_drs(f, g, params, x0)
     assert (tr.status, len(tr)) == (status, len(ref["x"]))
+    if windows:
+        k, p = _first_repeat(ref["x"])
+        held = _objective_windows(f, g, ref["z"][:k + 1], ref["z"][:k + 1])
+        rows = [i if i <= k else k + 1 - p + (i - k - 1) % p for i in range(len(ref["x"]))]
+        ref["objective"] = held[rows]
     for name, col in ref.items():
         assert getattr(tr, name).tobytes() == col.tobytes(), name
     subgrad = ref["fp_residual"] / params.alpha
@@ -623,7 +637,10 @@ class TestCycleReplay:
         # (g, f)): the trace holds those rows of the state, fp and the
         # objective, and one more state row behind the view.  The run's peak
         # is its first 1,024 rows, its objective ring (two for ADMM) and the
-        # ring's gathered tail: nothing grows with max_iters
+        # ring's gathered tail: nothing grows with max_iters.  Reading a
+        # mapped scalar column makes the column and one int64 index of its
+        # length, and the trace CSV the three float columns it writes (fp,
+        # fp / alpha and the objective) and the last one's index
         f, g, lam = self._lasso(40)
         f, g, x0 = f.inner, g.inner, np.zeros(40)
         f.evaluate(x0, 1.0)  # the prox's per-alpha factor, made outside the count
@@ -641,6 +658,21 @@ class TestCycleReplay:
         assert held <= (k + 1) * 40 * 8 + 2 * (k + 1) * 8 + (1 << 14)
         ring = (1 if run is drs_run else 2) * 512 * 40 * 8
         assert peak <= 1025 * 40 * 8 + 2 * 1024 * 8 + 2 * ring + (1 << 16)
+        column = max_iters * 8
+        reads = {"fp_residual": lambda: tr.fp_residual, "objective": lambda: tr.objective,
+                 "objectives": tr.objectives,
+                 "write_trace_csv": lambda: write_trace_csv(tr, os.devnull)}
+        for name, read in reads.items():
+            tracemalloc.start()
+            try:
+                read()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            bound = 4 * column + (2 << 20) if name == "write_trace_csv" else 2 * column + (1 << 20)
+            assert peak <= bound, name
+        obj = tr.objectives()
+        assert obj.flags.writeable and obj.tobytes() == tr.objective.tobytes()
 
     def test_reading_a_replayed_trace_costs_its_computed_rows(self):
         # y and z are recomputed on the k + 1 rows the loop computed and
@@ -733,7 +765,11 @@ class TestIterateWrittenOnce:
         x0 = np.zeros(40)
         tr = drs_run(f, g, DrsParams(alpha=1.0, lam=np.array(1.5), max_iters=10_000), x0)
         assert f.calls < 10_000  # a constant: the cycle is replayed
-        _assert_plain(tr, f.inner, g.inner, DrsParams(alpha=1.0, lam=1.5, max_iters=10_000), x0)
+        # the objective by the library's rule, not one product over the
+        # whole z column: on OpenBLAS's Prescott kernel that differs from
+        # the windows at row 102
+        _assert_plain(tr, f.inner, g.inner, DrsParams(alpha=1.0, lam=1.5, max_iters=10_000), x0,
+                      windows=True)
         mine = solve_reference(f.inner, g.inner, DrsParams(alpha=1.0, lam=np.array(1.5)), x0)
         theirs = solve_reference(f.inner, g.inner, DrsParams(alpha=1.0, lam=1.5), x0)
         assert mine[0].tobytes() == theirs[0].tobytes() and mine[2] == theirs[2]
@@ -797,21 +833,28 @@ def _assert_objective_oracle(tr, f, g):
     assert tr.objective.tobytes() == whole.tobytes()
 
 
-def _assert_objective_per_window(tr, f, g, at=("z", "z")):
-    """The objective column of a run without replay bitwise the window rule
-    on the recomputed columns ``at`` (z for both functions in a drs_run,
-    f(x) + g(z) in an admm_run): F on each block of 512 rows, then on the
-    last min(k, 512) rows for the rows after the last block."""
-    assert tr._replay is None
-    k, cols = len(tr), dict(zip(at, tr._column(*at)))
-    at_f, at_g = cols[at[0]], cols[at[1]]
+def _objective_windows(f, g, at_f, at_g):
+    """The window rule on k rows of f's and g's points: F on each block of
+    512 rows, then on the last min(k, 512) rows for the rows after the last
+    block."""
+    k = len(at_f)
     windows = [(lo, lo + 512, lo) for lo in range(0, k - k % 512, 512)]
     if k % 512:
         windows.append((max(k - 512, 0), k, k - k % 512))
     with np.errstate(over="ignore", invalid="ignore"):
         parts = [_objective(f, g, at_f[lo:hi], at_g[lo:hi])[keep - lo:]
                  for lo, hi, keep in windows]
-    assert tr.objective.tobytes() == np.concatenate(parts).tobytes()
+    return np.concatenate(parts)
+
+
+def _assert_objective_per_window(tr, f, g, at=("z", "z")):
+    """The objective column of a run without replay bitwise the window rule
+    on the recomputed columns ``at`` (z for both functions in a drs_run,
+    f(x) + g(z) in an admm_run)."""
+    assert tr._replay is None
+    cols = dict(zip(at, tr._column(*at)))
+    expected = _objective_windows(f, g, cols[at[0]], cols[at[1]])
+    assert tr.objective.tobytes() == expected.tobytes()
 
 
 class TestBlockedObjective:
