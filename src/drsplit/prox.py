@@ -4,9 +4,10 @@ Every operator evaluates ``prox_{alpha f}(v) = argmin_y f(y) + ||v-y||^2/(2a)``
 in closed form and declares the function class of the underlying f.  The
 subgradient used implicitly by the prox is (v - y)/alpha.  Operators with an
 evaluable objective expose it via ``objective``, at one point or at every row
-of a stack of points; others return None there.  On a stack the objectives
-hold no temporary of the stack's size: the affine and quadratic ones work in
-place on their one matrix product, the soft threshold's in row blocks.
+of a stack of points; others return None there.  On a stack the affine and
+quadratic objectives work in place on their one matrix product, and the soft
+threshold's makes one temporary, |x|, of the stack's size; the caller
+chooses how many rows a stack holds.
 """
 
 from __future__ import annotations
@@ -25,34 +26,16 @@ __all__ = [
     "prox_zero",
 ]
 
-_BLOCK_ROWS = 512  # rows per block of a blockwise row sum
-
-
-def _row_sums(X: np.ndarray, fill) -> np.ndarray:
-    """Sum of each row of a stack X after an elementwise map, without a
-    temporary of X's size.
-
-    ``fill(rows, out)`` writes the map of a block of rows into ``out``, a
-    buffer of the block's shape; blocks of _BLOCK_ROWS rows go through one
-    buffer.  Each row is reduced on its own, so the sums are bitwise those of
-    ``np.add.reduce(map(X), axis=1)``.
-    """
-    n = len(X)
-    sums = np.empty(n)
-    buf = np.empty((min(n, _BLOCK_ROWS),) + X.shape[1:])
-    for start in range(0, n, _BLOCK_ROWS):
-        rows = X[start:start + _BLOCK_ROWS]
-        block = buf[:len(rows)]
-        fill(rows, block)
-        np.add.reduce(block, axis=1, out=sums[start:start + len(rows)])
-    return sums
-
 
 def _system(A, b):
-    """(A, b) as float arrays, A of shape (p, n) and b of length p."""
+    """(A, b) as float arrays, A of shape (p, n) and b of length p, every
+    entry finite."""
     A, b = np.asarray(A, dtype=float), np.asarray(b, dtype=float)
     if A.ndim != 2 or b.shape != (A.shape[0],):
         raise ValueError("A must be p x n and b length p")
+    for name, v in (("A", A), ("b", b)):
+        if not np.isfinite(v).all():
+            raise ValueError(f"{name} has a non-finite entry (NaN or inf)")
     return A, b
 
 
@@ -94,10 +77,7 @@ class _SoftThreshold(ProxOperator):
         return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
 
     def objective(self, x):
-        x = np.asarray(x)
-        if x.ndim != 2:
-            return self.gamma * np.sum(np.abs(x), axis=-1)
-        return self.gamma * _row_sums(x, lambda rows, out: np.abs(rows, out=out))
+        return self.gamma * np.sum(np.abs(x), axis=-1)
 
 
 class _AffineProjection(ProxOperator):

@@ -220,11 +220,16 @@ def sweep_heatmap(alpha_grid: Sequence[float], kappa_grid: Sequence[float],
     """Optimal certified rate per (alpha, kappa) cell, row-major (kappa outer).
 
     A cell whose optimization fails is kept, marked infeasible with NaN
-    values and the exception text as its ``reason``; the sweep goes on.
+    values and the exception text as its ``reason``; the sweep goes on.  A
+    kappa below 1 or NaN is no condition number and is refused up front; an
+    infinite one gives failed cells.
     """
     if len(alpha_grid) == 0 or len(kappa_grid) == 0:
         raise ValueError("grids must be nonempty")
     _positive("m_base", m_base)
+    for kappa in kappa_grid:
+        if not kappa >= 1:
+            raise ValueError(f"every kappa must be >= 1, got kappa={kappa}")
     cells = []
     for kappa in kappa_grid:
         fc = FunctionClass(m_base, kappa * m_base)

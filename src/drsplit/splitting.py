@@ -25,7 +25,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .funclass import _positive
-from .prox import _BLOCK_ROWS, ProxOperator, _row_sums
+from .prox import ProxOperator
 
 __all__ = [
     "DrsParams",
@@ -265,6 +265,7 @@ def _relaxations(params: DrsParams):
 
 
 _FIRST_ROWS = 1024  # initial row capacity of a run, doubled up to max_iters
+_BLOCK_ROWS = 512  # rows per objective window, and per block of the Lyapunov distances
 _CSV_ROWS = 4096  # trace CSV rows formatted and written per block
 _REFERENCE_ITERS = 2_000_000  # the least iteration cap of a reference solve
 
@@ -478,13 +479,8 @@ def drs_run(f: ProxOperator, g: ProxOperator, params: DrsParams, x0: np.ndarray)
     ring of 512 rows, each block of 512 rows is evaluated as one window once
     it is full, and the rows after the last block in one window of the last
     min(k, 512) rows, which overlaps that block and is gathered in row order
-    where it wraps the ring.  Each value is F on its window.  Where the
-    stack evaluation of f or g gives a row bits that do not depend on the
-    rows around it, as the soft threshold's row sums do, and a gemm matrix
-    product on the BLAS kernel the trace digest was taken on (OpenBLAS's
-    SkylakeX, not its Prescott), that is F on the whole z column bit for
-    bit; numpy's matrix-vector product, which a quadratic f with a one-row A
-    takes, can differ from it in the last bit.
+    where it wraps the ring.  Each value is F on its window.  Like every
+    output, its bits hold for one numpy build and BLAS kernel.
 
     With a constant lambda, a run is not iterated past the first k whose
     iterate x_k repeats an earlier x_{k-p} exactly (as runs at rounding level
@@ -571,9 +567,9 @@ def lyapunov_series(trace: Trace, case, theta, x_star: np.ndarray,
 
     ``theta`` is a constant or a sequence with at least one entry per
     iteration.  The distances are computed on the trace's held rows of x,
-    which it reads once, in row blocks through one block-sized buffer, and
+    which it reads once, in blocks of 512 rows through one buffer, and
     mapped to the rows they hold, so no temporary of the trace's size is
-    made; each row's sum keeps its bits.
+    made; each row is reduced on its own, so its sum keeps its bits.
     """
     from .certify import CertCase
 
@@ -583,12 +579,15 @@ def lyapunov_series(trace: Trace, case, theta, x_star: np.ndarray,
     if xs.size != trace._t.shape[1]:
         raise ValueError(f"x_star has {xs.size} entries but the iterates have {trace._t.shape[1]}")
 
-    def fill(rows, out):
-        np.subtract(rows, xs, out=out)
-        np.square(out, out=out)
-
     (held,) = trace._held("x")
-    dist = trace._map(_row_sums(held, fill), "x")
+    dist = np.empty(len(held))
+    buf = np.empty((min(len(held), _BLOCK_ROWS), xs.size))
+    for lo in range(0, len(held), _BLOCK_ROWS):
+        rows = held[lo:lo + _BLOCK_ROWS]
+        block = np.subtract(rows, xs, out=buf[:len(rows)])
+        np.square(block, out=block)
+        np.add.reduce(block, axis=1, out=dist[lo:lo + len(rows)])
+    dist = trace._map(dist, "x")
     if case is CertCase.CASE3:
         return dist
     if np.ndim(theta) == 0:

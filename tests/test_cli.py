@@ -314,6 +314,23 @@ class TestCliSweep:
                    "--out", str(tmp_path / "x.csv")])
         assert rc == 2
 
+    @pytest.mark.parametrize("kappas", ["0.5", "nan", "5,0.5"])
+    def test_kappa_below_one_or_nan_is_input_error_naming_kappa(self, tmp_path, capsys, kappas):
+        out = tmp_path / "heat.csv"
+        rc = main(["--mode", "sweep", "--alpha-grid", "0.5:2:2",
+                   "--kappa-list", kappas, "--out", str(out)])
+        assert rc == 2 and not out.exists()
+        bad = kappas.split(",")[-1]
+        assert capsys.readouterr().err == f"error: every kappa must be >= 1, got kappa={bad}\n"
+
+    def test_infinite_kappa_fails_its_cells_with_a_reason(self, tmp_path, capsys):
+        rc = main(["--mode", "sweep", "--alpha-grid", "0.5:2:2",
+                   "--kappa-list", "inf", "--out", str(tmp_path / "heat.csv")])
+        assert rc == 0
+        reason = "the linear-rate certificate requires 0 < m <= L < inf"
+        assert capsys.readouterr().err.splitlines() == [
+            f"cell alpha=0.5 kappa=inf failed: {reason}", f"cell alpha=2 kappa=inf failed: {reason}"]
+
 
 class TestCliErrors:
     def test_unknown_flag(self):

@@ -174,6 +174,23 @@ def test_system_of_another_shape_refused(make_op, A, b):
         make_op(A, b)
 
 
+@pytest.mark.parametrize("make_op", [prox_affine_indicator, prox_quadratic])
+@pytest.mark.parametrize("name, where, value", [
+    ("A", (1, 2), math.nan),
+    ("A", (0, 3), math.inf),
+    ("b", 1, math.nan),
+])
+def test_non_finite_system_refused_by_name(make_op, name, where, value):
+    # without the check, NaN or inf in A read as a rank-deficient A or
+    # overflowed in A^T A, and NaN in b built an operator whose first
+    # iterate was non-finite
+    rng = np.random.default_rng(5)
+    system = {"A": rng.standard_normal((3, 6)), "b": rng.standard_normal(3)}
+    system[name][where] = value
+    with pytest.raises(ValueError, match=f"^{name} has a non-finite entry \\(NaN or inf\\)$"):
+        make_op(system["A"], system["b"])
+
+
 class TestMatrixProductForm:
     """evaluate is bitwise the prox written with ``@`` on the cached factors."""
 
@@ -229,7 +246,8 @@ class TestStackedObjective:
 
 class TestStackedObjectiveInPlace:
     """objective over a stack is bitwise the whole-stack expression with its
-    temporaries, at row counts on both sides of the soft threshold's block."""
+    temporaries, at row counts on both sides of splitting's 512-row
+    objective window."""
 
     ROWS = [1, 511, 512, 513, 10_000]
 

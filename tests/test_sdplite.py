@@ -315,6 +315,15 @@ class TestSweepHeatmap:
         with pytest.raises(ValueError, match="^grids must be nonempty$"):
             sweep_heatmap(alphas, kappas)
 
+    @pytest.mark.parametrize("kappa", [0.5, 0.0, -2.0, math.nan])
+    def test_kappa_below_one_refused_before_any_cell(self, kappa, monkeypatch):
+        def fail(alpha, fc, lam_fixed=None):
+            raise AssertionError("a cell was computed")
+
+        monkeypatch.setattr(sdplite, "optimize_rate", fail)
+        with pytest.raises(ValueError, match=f"^every kappa must be >= 1, got kappa={kappa}$"):
+            sweep_heatmap([1.0], [5.0, kappa])
+
     def test_m_base_scaling_changes_class(self):
         cells = sweep_heatmap([1.0], [10.0], m_base=2.0)
         assert cells[0].feasible

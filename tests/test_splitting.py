@@ -442,9 +442,12 @@ class Counting(ProxOperator):
 
 def _plain_drs(f, g, params, x0):
     """The DRS loop with every iteration computed: columns x, y, z, fp and
-    the objective, x_final and the status, in the library's arithmetic."""
+    the objective, x_final and the status, in the library's arithmetic.  The
+    objective is the window rule's on the rows a run computes: with a
+    constant lambda whose x_k first repeats x_{k-p}, on rows 0 .. k, row
+    i > k being that of row k + 1 - p + (i - k - 1) mod p."""
     a, n = params.alpha, params.max_iters
-    lams = [float(params.lam)] * n if np.isscalar(params.lam) else list(params.lam)
+    lams = [float(params.lam)] * n if np.ndim(params.lam) == 0 else list(params.lam)
     x = np.array(x0, dtype=float)
     X, Y, Z, FP = [], [], [], []
     status = "iteration-limit"
@@ -458,9 +461,13 @@ def _plain_drs(f, g, params, x0):
             status = "converged"
             break
         x = x + lams[k] * d
-    Z = np.array(Z)
-    return dict(x=np.array(X), y=np.array(Y), z=Z, fp_residual=np.array(FP),
-                objective=f.objective(Z) + g.objective(Z), x_final=x), status
+    X, Z = np.array(X), np.array(Z)
+    cycle = _repeat(X) if np.ndim(params.lam) == 0 else None
+    k, p = cycle if cycle else (len(X) - 1, 1)
+    held = _objective_windows(f, g, Z[:k + 1], Z[:k + 1])
+    rows = [i if i <= k else k + 1 - p + (i - k - 1) % p for i in range(len(X))]
+    return dict(x=X, y=np.array(Y), z=Z, fp_residual=np.array(FP),
+                objective=held[rows], x_final=x), status
 
 
 def _plain_admm(f_prox, g_prox, params, u0):
@@ -511,21 +518,13 @@ def _assert_admm_parity(tr, ref, status):
     assert tr.x_final.tobytes() == mine["z"][-1].tobytes()
 
 
-def _assert_plain(tr, f, g, params, x0, windows=False):
+def _assert_plain(tr, f, g, params, x0):
     """Bitwise the plain loop: status, length, every column (y and z
-    recomputed whole), x_final, and every record's fields, its residual
-    fp / alpha.  The objective is F on the whole z column, or with
-    ``windows`` the library's rule for a replayed run: F per window on the
-    computed rows 0 .. k of z (k the first repeat, period p), and row
-    i > k that of row k + 1 - p + (i - k - 1) mod p.  Returns the plain
-    loop's columns."""
+    recomputed whole, the objective by the window rule), x_final, and every
+    record's fields, its residual fp / alpha.  Returns the plain loop's
+    columns."""
     ref, status = _plain_drs(f, g, params, x0)
     assert (tr.status, len(tr)) == (status, len(ref["x"]))
-    if windows:
-        k, p = _first_repeat(ref["x"])
-        held = _objective_windows(f, g, ref["z"][:k + 1], ref["z"][:k + 1])
-        rows = [i if i <= k else k + 1 - p + (i - k - 1) % p for i in range(len(ref["x"]))]
-        ref["objective"] = held[rows]
     for name, col in ref.items():
         assert getattr(tr, name).tobytes() == col.tobytes(), name
     subgrad = ref["fp_residual"] / params.alpha
@@ -536,15 +535,23 @@ def _assert_plain(tr, f, g, params, x0, windows=False):
     return ref
 
 
-def _first_repeat(X):
+def _repeat(X):
     """(k, p) for the first k whose row X[k] equals an earlier row X[k - p]
-    byte for byte, which must exist."""
+    byte for byte, or None."""
     seen = {}
     for k, row in enumerate(X):
         j = seen.setdefault(row.tobytes(), k)
         if j != k:
             return k, k - j
-    raise AssertionError(f"none of the {len(X)} rows repeats an earlier one")
+    return None
+
+
+def _first_repeat(X):
+    """``_repeat(X)``, which must exist."""
+    cycle = _repeat(X)
+    if cycle is None:
+        raise AssertionError(f"none of the {len(X)} rows repeats an earlier one")
+    return cycle
 
 
 def _plain_cycle(f, g, params, x0):
@@ -765,11 +772,7 @@ class TestIterateWrittenOnce:
         x0 = np.zeros(40)
         tr = drs_run(f, g, DrsParams(alpha=1.0, lam=np.array(1.5), max_iters=10_000), x0)
         assert f.calls < 10_000  # a constant: the cycle is replayed
-        # the objective by the library's rule, not one product over the
-        # whole z column: on OpenBLAS's Prescott kernel that differs from
-        # the windows at row 102
-        _assert_plain(tr, f.inner, g.inner, DrsParams(alpha=1.0, lam=1.5, max_iters=10_000), x0,
-                      windows=True)
+        _assert_plain(tr, f.inner, g.inner, DrsParams(alpha=1.0, lam=1.5, max_iters=10_000), x0)
         mine = solve_reference(f.inner, g.inner, DrsParams(alpha=1.0, lam=np.array(1.5)), x0)
         theirs = solve_reference(f.inner, g.inner, DrsParams(alpha=1.0, lam=1.5), x0)
         assert mine[0].tobytes() == theirs[0].tobytes() and mine[2] == theirs[2]
@@ -778,10 +781,9 @@ class TestIterateWrittenOnce:
         # Case 1 of the benchmark's size: 10^4 rows of n = 100.  The trace
         # holds its x column and the scalar columns; above them the run
         # holds the 512-row z ring and the last window gathered from it, one
-        # 512-row block of the objective's temporaries (the l1 row sums'
-        # 512 x 100 buffer, above the affine product's 512 x 30) and the
-        # cycle check's dict of about 100 bytes per row: nothing of the
-        # trace's length times n
+        # window's objective temporaries (the soft threshold's 512 x 100 |z|,
+        # above the affine product's 512 x 30) and the cycle check's dict of
+        # about 100 bytes per row: nothing of the trace's length times n
         f, g, _ = gen_basis_pursuit(ProblemSpec("basis_pursuit", 30, 100, seed=42))
         params = DrsParams(alpha=1.0, max_iters=10_000)
         x0 = np.zeros(100)
@@ -825,14 +827,6 @@ class TestIterateWrittenOnce:
             assert (f.calls - ran[0], g.calls - ran[1]) == calls, name
 
 
-def _assert_objective_oracle(tr, f, g):
-    """The objective column bitwise F evaluated in one call on the whole z
-    column, recomputed from x."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        whole = _objective(f, g, tr.z, tr.z)
-    assert tr.objective.tobytes() == whole.tobytes()
-
-
 def _objective_windows(f, g, at_f, at_g):
     """The window rule on k rows of f's and g's points: F on each block of
     512 rows, then on the last min(k, 512) rows for the rows after the last
@@ -860,11 +854,10 @@ def _assert_objective_per_window(tr, f, g, at=("z", "z")):
 class TestBlockedObjective:
     """drs_run evaluates the objective during the loop, each block of 512
     rows once it is full and the rows after the last block in one window of
-    the last min(k, 512) rows, at run lengths around the block edges.  With
-    a matrix product computed by gemm (or none) every value is bitwise F on
-    the whole z column; numpy's matrix-vector path (a one-row A) gives a row
-    bits that depend on the stack around it, so there the values are those
-    of the window rule."""
+    the last min(k, 512) rows, at run lengths around the block edges.  Every
+    value is bitwise F on its window, the one rule, which holds on every
+    BLAS kernel: a row's bits may depend on the rows around it in a matrix
+    product, gemm or numpy's matrix-vector path (a one-row A) alike."""
 
     LENGTHS = [1, 511, 512, 513, 1023, 1024, 1025, 1537, 10_000]
 
@@ -875,7 +868,6 @@ class TestBlockedObjective:
         f, g = Counting(f), Counting(g)
         tr = drs_run(f, g, DrsParams(alpha=1.0, max_iters=k), np.zeros(100))
         assert len(tr) == f.calls == k
-        _assert_objective_oracle(tr, f.inner, g.inner)
         _assert_objective_per_window(tr, f.inner, g.inner)
 
     @pytest.mark.parametrize("k", LENGTHS)
@@ -899,8 +891,7 @@ class TestBlockedObjective:
         params = DrsParams(alpha=1.0, lam=np.linspace(0.5, 1.5, 1537), max_iters=1537)
         tr = drs_run(f, g, params, np.zeros(40))
         assert len(tr) == f.calls == 1537
-        _assert_objective_oracle(tr, f.inner, g.inner)
-        _assert_objective_per_window(tr, f.inner, g.inner)
+        _assert_plain(tr, f.inner, g.inner, params, np.zeros(40))
 
     @pytest.mark.parametrize("stop", [1300, 2000])
     def test_early_stop_mid_block_after_the_rows_grow(self, stop):
@@ -909,9 +900,10 @@ class TestBlockedObjective:
         f, g, x0 = TestTraceStorage._slow_problem(n=20)
         fp = _plain_drs(f, g, DrsParams(alpha=1.0, max_iters=stop + 1), x0)[0]["fp_residual"]
         assert np.all(np.diff(fp) < 0)
-        tr = drs_run(f, g, DrsParams(alpha=1.0, max_iters=10_000, stop_tol=fp[stop]), x0)
+        params = DrsParams(alpha=1.0, max_iters=10_000, stop_tol=fp[stop])
+        tr = drs_run(f, g, params, x0)
         assert tr.status == "converged" and len(tr) == stop + 1
-        _assert_objective_oracle(tr, f, g)
+        _assert_plain(tr, f, g, params, x0)
 
     def test_cycle_across_a_block_edge(self):
         # the Case-2 LASSO repeats x_502 at iteration 570 on OpenBLAS's
@@ -922,7 +914,7 @@ class TestBlockedObjective:
         k, p = _plain_cycle(f.inner, g.inner, params, np.zeros(40))
         tr = drs_run(f, g, params, np.zeros(40))
         assert f.calls == k + 1 and tr.x[k - p].tobytes() == tr.x[k].tobytes()
-        _assert_objective_oracle(tr, f.inner, g.inner)
+        _assert_plain(tr, f.inner, g.inner, params, np.zeros(40))
 
     def test_no_objective_stops_the_windows(self):
         # the first window gives no value: the trace has no objective, and
@@ -1195,10 +1187,9 @@ class TestAdmmRun:
         # basis pursuit, 10^4 rows of n = 100: the trace holds the DRS state
         # column t (with its row for t_{10^4}) and the scalar columns; above
         # them the run holds ADMM's x and z rings of 512 rows each and the
-        # last windows gathered from them, one 512-row block of the
-        # objective's temporaries (the l1 row sums' 512 x 100 buffer) and
-        # the cycle check's dict of about 100 bytes per row: no x, u or z
-        # column
+        # last windows gathered from them, one window's objective
+        # temporaries (the soft threshold's 512 x 100 |z|) and the cycle
+        # check's dict of about 100 bytes per row: no x, u or z column
         f, g, _ = gen_basis_pursuit(ProblemSpec("basis_pursuit", 30, 100, seed=42))
         params = DrsParams(alpha=1.0, max_iters=10_000)
         u0 = np.zeros(100)
