@@ -25,8 +25,7 @@ __all__ = [
     "CertCase", "Certificate", "psd_tol", "build_W0", "build_W1", "build_Q1",
     "build_Q2", "build_Qk", "make_certificate",
     "analytic_params_case1", "analytic_params_case2", "suggest_lambda_case2",
-    "tune", "rate_bound", "kron_quadratic_form", "detect_case",
-    "write_certificates_csv",
+    "tune", "rate_bound", "detect_case", "write_certificates_csv",
 ]
 
 
@@ -285,17 +284,6 @@ def rate_bound(cert_sequence: Union[Certificate, Sequence[Certificate]],
             return rates[0] ** k * x0_dist_sq
         return math.prod(rates) * x0_dist_sq
     return x0_dist_sq / sum(c.theta for c in certs)
-
-
-def kron_quadratic_form(M: np.ndarray, blocks: Sequence[np.ndarray]) -> float:
-    """e^T (M (x) I_d) e for e stacked from the given d-vectors.
-
-    Evaluates sum_ij M[i, j] <blocks[i], blocks[j]> without materializing the
-    Kronecker expansion.
-    """
-    B = np.asarray(blocks, dtype=float)
-    G = B @ B.T
-    return float(np.sum(np.asarray(M) * G))
 
 
 def write_certificates_csv(certs: Sequence[Certificate], path):

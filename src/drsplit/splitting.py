@@ -282,10 +282,11 @@ class _Rows:
     ``store(k, y, z, fp)`` keeps row k and returns the stop verdict,
     fp_k <= stop_tol.  z_k goes into row k % B of a ring of B = _BLOCK_ROWS
     rows, the last of ``points`` (f is evaluated on the first, g on the
-    last).  ``_evaluate(hi)`` evaluates the last min(hi, B) rows before hi
-    as one window: ``store`` each block of B rows once it is full, ``flush``
-    the rows after the last block, in a window that overlaps it.  A window
-    that gives no value (an f or g not evaluable) drops the objective
+    last).  ``_evaluate(hi)`` evaluates the aligned block of rows
+    lo = (hi - 1) // B * B .. hi - 1, the first hi - lo rows of the ring, as
+    one window: ``store`` each block of B rows once it is full, ``flush``
+    the rows after the last full block.  Each row is evaluated once.  A
+    window that gives no value (an f or g not evaluable) drops the objective
     column, and no later window is evaluated.
     """
 
@@ -315,19 +316,17 @@ class _Rows:
             self._evaluate(k)
 
     def _evaluate(self, hi: int):
-        """Objective of rows max(hi - B, 0) .. hi-1 as one window, gathered
-        in row order where it wraps the ring, stored for the rows from the
-        last block edge below hi."""
-        obj, B = self.cols[2], _BLOCK_ROWS
+        """Objective of the block lo = (hi - 1) // B * B .. hi - 1 as one window."""
+        obj = self.cols[2]
         if obj is None:
             return
-        lo, edge = max(hi - B, 0), (hi - 1) // B * B
-        window = self.points[:, :hi - lo] if lo % B == 0 else np.roll(self.points, -hi, axis=1)
+        lo = (hi - 1) // _BLOCK_ROWS * _BLOCK_ROWS
+        window = self.points[:, :hi - lo]
         values = _objective(*self.ops, window[0], window[-1])
         if values is None:
             self.cols[2] = None
         else:
-            obj[edge:hi] = values[edge - lo:]
+            obj[lo:hi] = values
 
 
 class _AdmmRows(_Rows):
@@ -344,10 +343,10 @@ class _AdmmRows(_Rows):
         self.x[k % _BLOCK_ROWS] = self.last
         p = self.last - y
         self.last[:] = z
-        if not super().store(k, None, y, math.sqrt(np.einsum("j,j->", p, p))):
+        if not super().store(k, None, y, math.sqrt(np.dot(p, p))):
             return False
         d = y - self.z[(k - 1) % _BLOCK_ROWS] if k else y
-        return math.sqrt(np.einsum("j,j->", d, d)) / self.alpha <= self.tol
+        return math.sqrt(np.dot(d, d)) / self.alpha <= self.tol
 
 
 def _start(name: str, v) -> np.ndarray:
@@ -476,11 +475,10 @@ def drs_run(f: ProxOperator, g: ProxOperator, params: DrsParams, x0: np.ndarray)
     The objective column is F evaluated at z_k when both function values
     are evaluable.  It is filled as the loop runs, inside the run's one
     errstate, and the run holds no z column: z_k goes into row k % 512 of a
-    ring of 512 rows, each block of 512 rows is evaluated as one window once
-    it is full, and the rows after the last block in one window of the last
-    min(k, 512) rows, which overlaps that block and is gathered in row order
-    where it wraps the ring.  Each value is F on its window.  Like every
-    output, its bits hold for one numpy build and BLAS kernel.
+    ring of 512 rows, and F is evaluated on each aligned block of 512 rows,
+    as one window once the block is full, and on the rows after the last
+    full block as one last window.  Each value is F on its window.  Like
+    every output, its bits hold for one numpy build and BLAS kernel.
 
     With a constant lambda, a run is not iterated past the first k whose
     iterate x_k repeats an earlier x_{k-p} exactly (as runs at rounding level
@@ -528,12 +526,14 @@ def admm_run(f_prox: ProxOperator, g_prox: ProxOperator, params: DrsParams, u0: 
     y[k], with x_0, u_0 and z = 0 before row 0; the trace holds the computed
     rows of t, fp and the objective, x_0 and u_0, and maps every column
     (see ``Trace``).  DRS tests the rule on row k once it has DRS y[k],
-    and the primal residual the test computes is the row's fp_residual, so a
+    each residual ``math.sqrt(np.dot(d, d))`` as DRS's ||z - y||, and the
+    primal residual the test computes is the row's fp_residual, so a
     converged trace ends at the first row that meets it by the residuals it
-    stores.  x_final is the last DRS y computed, or after a replayed cycle
-    one prox of g at the held t of the last row.  ``u0`` must be a 1-D
-    vector; t_0 and the objective are computed inside the run's one
-    errstate, so an overflow there is not warned.
+    stores.  The objective has ``drs_run``'s windows, on x and z.  x_final
+    is the last DRS y computed, or after a replayed cycle one prox of g at
+    the held t of the last row.  ``u0`` must be a 1-D vector; t_0 and the
+    objective are computed inside the run's one errstate, so an overflow
+    there is not warned.
     """
     a, tol, limit = params.alpha, params.stop_tol, params.max_iters
     u0 = _start("u0", u0)

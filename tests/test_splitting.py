@@ -76,6 +76,22 @@ class Aliasing(ProxOperator):
         return np.zeros(np.shape(x)[:-1])[()]
 
 
+class Stacks(ProxOperator):
+    """Delegates to a prox operator and appends the shape of each stack
+    handed to its objective to ``calls``."""
+
+    def __init__(self, inner, calls):
+        self.inner, self.calls = inner, calls
+        self.function_class = inner.function_class
+
+    def evaluate(self, v, alpha):
+        return self.inner.evaluate(v, alpha)
+
+    def objective(self, x):
+        self.calls.append(np.shape(x))
+        return self.inner.objective(x)
+
+
 class TestDrsParams:
     def test_valid(self):
         p = DrsParams(alpha=0.5, lam=1.2, max_iters=10, stop_tol=1e-8)
@@ -299,32 +315,29 @@ class TestTrajectoryMatchesNumpyRecursion:
 
 class TestTraceStorage:
     def test_objective_evaluated_once_on_the_stack(self):
-        calls = []
-
-        class Counting(ProxOperator):
-            def __init__(self, inner):
-                self.inner = inner
-                self.function_class = inner.function_class
-
-            def evaluate(self, v, alpha):
-                return self.inner.evaluate(v, alpha)
-
-            def objective(self, x):
-                calls.append(np.shape(x))
-                return self.inner.objective(x)
-
         # a run shorter than a block: one call of each on its whole stack
-        f = Counting(prox_quadratic(np.eye(3), np.ones(3)))
-        g = Counting(prox_l1(0.5))
+        calls = []
+        f = Stacks(prox_quadratic(np.eye(3), np.ones(3)), calls)
+        g = Stacks(prox_l1(0.5), calls)
         tr = drs_run(f, g, DrsParams(alpha=1.0, max_iters=50), np.array([3.0, -2.0, 0.1]))
         assert calls == [(50, 3), (50, 3)]
         assert tr.objective.shape == (50,)
         # 1,300 rows: the blocks of rows 0-511 and 512-1023 as they fill,
-        # then rows 1024-1299 in one window of the last 512 rows
+        # then rows 1024-1299, each row in one window
         calls.clear()
         f, g, _ = gen_basis_pursuit(ProblemSpec("basis_pursuit", 30, 100, seed=42))
-        tr = drs_run(Counting(f), Counting(g), DrsParams(alpha=1.0, max_iters=1300), np.zeros(100))
-        assert calls == [(512, 100)] * 6
+        tr = drs_run(Stacks(f, calls), Stacks(g, calls), DrsParams(alpha=1.0, max_iters=1300),
+                     np.zeros(100))
+        assert calls == [(512, 100)] * 4 + [(276, 100)] * 2
+        assert tr.objective.shape == (1300,)
+
+    def test_admm_objective_evaluated_once_on_the_stack(self):
+        # f on ADMM's x rows and g on its z rows, in drs_run's windows
+        calls = []
+        f, g, _ = gen_basis_pursuit(ProblemSpec("basis_pursuit", 30, 100, seed=42))
+        tr = admm_run(Stacks(f, calls), Stacks(g, calls), DrsParams(alpha=1.0, max_iters=1300),
+                      np.zeros(100))
+        assert calls == [(512, 100)] * 4 + [(276, 100)] * 2
         assert tr.objective.shape == (1300,)
 
     def test_columns_are_read_only(self):
@@ -360,10 +373,9 @@ class TestTraceStorage:
     def test_early_stop_holds_only_the_rows_run(self, max_iters):
         # the x, fp and objective columns grow and are trimmed in place, and
         # z_k goes into a ring of 512 rows: the trace holds its x column,
-        # and the peak is the columns at their last capacity, the ring and
-        # the last window gathered from it, one 512-row product of the
-        # quadratic objective and the cycle check's dict of about 100 bytes
-        # per row, with no (k, n) z
+        # and the peak is the columns at their last capacity, the ring, one
+        # 512-row product of the quadratic objective and the cycle check's
+        # dict of about 100 bytes per row, with no (k, n) z
         f, g, x0 = self._slow_problem()
         n = x0.size
         tracemalloc.start()
@@ -643,8 +655,8 @@ class TestCycleReplay:
         # OpenBLAS's SkylakeX kernel k is 78, and 75 for ADMM's loop on
         # (g, f)): the trace holds those rows of the state, fp and the
         # objective, and one more state row behind the view.  The run's peak
-        # is its first 1,024 rows, its objective ring (two for ADMM) and the
-        # ring's gathered tail: nothing grows with max_iters.  Reading a
+        # is its first 1,024 rows and its objective ring (two for ADMM), with
+        # one window's temporaries: nothing grows with max_iters.  Reading a
         # mapped scalar column makes the column and one int64 index of its
         # length, and the trace CSV the three float columns it writes (fp,
         # fp / alpha and the objective) and the last one's index
@@ -780,10 +792,10 @@ class TestIterateWrittenOnce:
     def test_memory_above_the_trace_is_one_matrix_product(self):
         # Case 1 of the benchmark's size: 10^4 rows of n = 100.  The trace
         # holds its x column and the scalar columns; above them the run
-        # holds the 512-row z ring and the last window gathered from it, one
-        # window's objective temporaries (the soft threshold's 512 x 100 |z|,
-        # above the affine product's 512 x 30) and the cycle check's dict of
-        # about 100 bytes per row: nothing of the trace's length times n
+        # holds the 512-row z ring, one window's objective temporaries (the
+        # soft threshold's 512 x 100 |z|, above the affine product's
+        # 512 x 30) and the cycle check's dict of about 100 bytes per row:
+        # nothing of the trace's length times n
         f, g, _ = gen_basis_pursuit(ProblemSpec("basis_pursuit", 30, 100, seed=42))
         params = DrsParams(alpha=1.0, max_iters=10_000)
         x0 = np.zeros(100)
@@ -828,16 +840,11 @@ class TestIterateWrittenOnce:
 
 
 def _objective_windows(f, g, at_f, at_g):
-    """The window rule on k rows of f's and g's points: F on each block of
-    512 rows, then on the last min(k, 512) rows for the rows after the last
-    block."""
-    k = len(at_f)
-    windows = [(lo, lo + 512, lo) for lo in range(0, k - k % 512, 512)]
-    if k % 512:
-        windows.append((max(k - 512, 0), k, k - k % 512))
+    """The window rule on the rows of f's and g's points: F on each aligned
+    block of 512 rows, the last one the rows after the last full block."""
     with np.errstate(over="ignore", invalid="ignore"):
-        parts = [_objective(f, g, at_f[lo:hi], at_g[lo:hi])[keep - lo:]
-                 for lo, hi, keep in windows]
+        parts = [_objective(f, g, at_f[lo:lo + 512], at_g[lo:lo + 512])
+                 for lo in range(0, len(at_f), 512)]
     return np.concatenate(parts)
 
 
@@ -852,10 +859,10 @@ def _assert_objective_per_window(tr, f, g, at=("z", "z")):
 
 
 class TestBlockedObjective:
-    """drs_run evaluates the objective during the loop, each block of 512
-    rows once it is full and the rows after the last block in one window of
-    the last min(k, 512) rows, at run lengths around the block edges.  Every
-    value is bitwise F on its window, the one rule, which holds on every
+    """drs_run evaluates the objective during the loop, each aligned block
+    of 512 rows once it is full and the rows after the last full block in
+    one window, at run lengths around the block edges.  Every value is
+    bitwise F on its window, the one rule, which holds on every
     BLAS kernel: a row's bits may depend on the rows around it in a matrix
     product, gemm or numpy's matrix-vector path (a one-row A) alike."""
 
@@ -1046,7 +1053,7 @@ class TestAdmmRun:
         the stored z column (z = 0 before row 0) are both <= tol."""
         z = tr.z
         d = np.vstack((z[:1], z[1:] - z[:-1]))
-        dual = np.sqrt(np.einsum("ij,ij->i", d, d)) / alpha
+        dual = np.array([math.sqrt(np.dot(r, r)) for r in d]) / alpha
         return np.flatnonzero((tr.fp_residual <= tol) & (dual <= tol)).tolist()
 
     @pytest.mark.parametrize("lam", [0.6, 1.0, 1.5, 1.7, "schedule"])
@@ -1104,8 +1111,8 @@ class TestAdmmRun:
         z = tr.z
         assert z[k:].tobytes() == z[k - p:-p].tobytes()
         assert tr.x_final.tobytes() == z[-1].tobytes()
-        d = tr.x - z
-        assert tr.fp_residual.tobytes() == np.sqrt(np.einsum("ij,ij->i", d, d)).tobytes()
+        primal = [math.sqrt(np.dot(d, d)) for d in tr.x - z]
+        assert tr.fp_residual.tobytes() == np.array(primal).tobytes()
 
     @pytest.mark.parametrize("case", ["lasso", "lasso, schedule", "basis pursuit"])
     def test_stop_costs_one_prox_of_g_per_row_and_one_more_of_f(self, case):
@@ -1176,20 +1183,24 @@ class TestAdmmRun:
         f, g, u0 = TestTraceStorage._slow_problem()
         full = admm_run(f, g, DrsParams(alpha=1.0, max_iters=stop + 1), u0)
         z = np.vstack((np.zeros((1, 100)), full.z))
-        dual = [math.sqrt(np.einsum("j,j->", d, d)) for d in z[1:] - z[:-1]]
+        dual = [math.sqrt(np.dot(d, d)) for d in z[1:] - z[:-1]]
         rule = np.maximum(full.fp_residual, dual)
         assert np.all(np.diff(rule) < 0)
-        tr = admm_run(f, g, DrsParams(alpha=1.0, max_iters=10_000, stop_tol=rule[stop]), u0)
+        at_f, at_g = [], []
+        tr = admm_run(Stacks(f, at_f), Stacks(g, at_g),
+                      DrsParams(alpha=1.0, max_iters=10_000, stop_tol=rule[stop]), u0)
         assert tr.status == "converged" and len(tr) == stop + 1
+        # each computed row is handed to each objective once
+        assert sum(r for r, _ in at_f) == sum(r for r, _ in at_g) == len(tr._t) == stop + 1
         _assert_objective_per_window(tr, f, g, ("x", "z"))
 
     def test_memory_above_the_trace_is_the_buffers_and_one_block(self):
         # basis pursuit, 10^4 rows of n = 100: the trace holds the DRS state
         # column t (with its row for t_{10^4}) and the scalar columns; above
-        # them the run holds ADMM's x and z rings of 512 rows each and the
-        # last windows gathered from them, one window's objective
-        # temporaries (the soft threshold's 512 x 100 |z|) and the cycle
-        # check's dict of about 100 bytes per row: no x, u or z column
+        # them the run holds ADMM's x and z rings of 512 rows each, one
+        # window's objective temporaries (the soft threshold's 512 x 100 |z|)
+        # and the cycle check's dict of about 100 bytes per row: no x, u or
+        # z column
         f, g, _ = gen_basis_pursuit(ProblemSpec("basis_pursuit", 30, 100, seed=42))
         params = DrsParams(alpha=1.0, max_iters=10_000)
         u0 = np.zeros(100)
@@ -1207,9 +1218,8 @@ class TestAdmmRun:
     def test_early_stop_past_4096_rows_holds_only_the_state(self):
         # the slow quadratic of TestTraceStorage: ADMM stops after 4,096 rows,
         # so the rows grow three times; the trace holds the state column, and
-        # the peak is the columns at their last capacity, the two rings and
-        # the last windows gathered from them, one 512-row product of the
-        # quadratic objective and the cycle dict
+        # the peak is the columns at their last capacity, the two rings, one
+        # 512-row product of the quadratic objective and the cycle dict
         n = 100
         s = math.sqrt(3.7e-3)
         f, g = prox_quadratic(s * np.eye(n), s * np.ones(n)), prox_zero()
