@@ -100,11 +100,8 @@ def gen_lasso(spec: ProblemSpec):
 
 def build_problem(spec: ProblemSpec):
     """Dispatch to the generator; returns (f, g, f's FunctionClass)."""
-    if spec.kind == "basis_pursuit":
-        f, g, _ = gen_basis_pursuit(spec)
-        return f, g, f.function_class
-    f, g, fc = gen_lasso(spec)
-    return f, g, fc
+    f, g, _ = (gen_basis_pursuit if spec.kind == "basis_pursuit" else gen_lasso)(spec)
+    return f, g, f.function_class
 
 
 def _spec_from_args(args) -> ProblemSpec:

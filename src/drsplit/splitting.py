@@ -257,13 +257,6 @@ def _objective(f: ProxOperator, g: ProxOperator, at_f, at_g):
     return None if vf is None or vg is None else vf + vg
 
 
-def _relaxations(params: DrsParams):
-    """lam_0, lam_1, ... as floats, one per iteration up to max_iters."""
-    if np.ndim(params.lam) == 0:
-        return itertools.repeat(float(params.lam), params.max_iters)
-    return np.asarray(params.lam, dtype=float)[:params.max_iters].tolist()
-
-
 _FIRST_ROWS = 1024  # initial row capacity of a run, doubled up to max_iters
 _BLOCK_ROWS = 512  # rows per objective window, and per block of the Lyapunov distances
 _CSV_ROWS = 4096  # trace CSV rows formatted and written per block
@@ -392,25 +385,27 @@ def _drs(f: ProxOperator, g: ProxOperator, params: DrsParams, x0: np.ndarray,
 
     Each iterate is written once: x_{k+1} = x_k + lam_k (z_k - y_k) goes
     straight into row k + 1, which x_{k+1} then is a view of (re-taken after
-    the rows grow), or, without rows, into one of two vectors used in turn.
-    2 y_k - x_k and z_k - y_k are computed into two work vectors that every
-    iteration reuses.  ``rows.store`` copies what it keeps of y_k and z_k
-    into its buffers.
+    the rows grow), or, without rows, over x_k, which nothing reads after
+    the step (Brent's mark is a bytes copy).  2 y_k - x_k and z_k - y_k are
+    computed into two work vectors that every iteration reuses.
+    ``rows.store`` copies what it keeps of y_k and z_k into its buffers.
 
     Shapes are checked at iteration 0.  The y and z iterates are scanned for
     non-finite entries only when ||z_k - y_k|| is not finite.  The x iterate
-    is scanned only once the running bound B_0 = ||x_0||,
-    B_{k+1} = B_k + lam_k ||z_k - y_k||, which bounds ||x_{k+1}|| up to
-    rounding, is not below 1e300: below it, x_{k+1} is finite.  Each run
-    calls it inside its one errstate, so overflow and NaN do not warn.
+    is scanned, in one exact pass, only once the running bound
+    B_0 = ||x_0||, B_{k+1} = B_k + lam_k ||z_k - y_k||, which bounds
+    ||x_{k+1}|| up to rounding, is not below 1e300: below it, x_{k+1} is
+    finite.  Each run calls it inside its one errstate, so overflow and NaN
+    do not warn.
     """
     a = params.alpha
     f_eval, g_eval = f.evaluate, g.evaluate
     periodic = np.ndim(params.lam) == 0
+    lams = (itertools.repeat(float(params.lam), params.max_iters) if periodic  # lam_k as floats
+            else np.asarray(params.lam, dtype=float)[:params.max_iters].tolist())
     mark, marked = None, 0  # Brent's mark, without rows
     seen, period = {}, 0  # hash of x_j's bytes -> j, and the period found, with rows
     x = np.array(x0, dtype=float)
-    spare = (x, np.empty_like(x))  # x_{k+1} without rows: spare[(k + 1) % 2]
     v, d = np.empty_like(x), np.empty_like(x)  # 2 y_k - x_k; lam_k (z_k - y_k)
     if rows is not None:
         X, FP = rows.cols[:2]
@@ -418,7 +413,7 @@ def _drs(f: ProxOperator, g: ProxOperator, params: DrsParams, x0: np.ndarray,
         x = X[0]
     store = rows.store if rows is not None else lambda k, y, z, fp: fp <= params.stop_tol
     bound = math.sqrt(x @ x)
-    for k, lam in enumerate(_relaxations(params)):
+    for k, lam in enumerate(lams):
         if rows is not None and k == len(FP):
             rows.resize(min(2 * k, rows.limit))
             x = X[k]
@@ -452,11 +447,9 @@ def _drs(f: ProxOperator, g: ProxOperator, params: DrsParams, x0: np.ndarray,
             return k + 1, x.copy(), "converged", 0
         if lam != 1.0:  # 1.0 * d is d, bit for bit
             np.multiply(d, lam, out=d)
-        nxt = spare[(k + 1) & 1] if rows is None else X[k + 1]
-        x = np.add(x, d, out=nxt)
+        x = np.add(x, d, out=x if rows is None else X[k + 1])
         bound += lam * fp
-        if (not bound < 1e300 and not math.isfinite(x @ x)
-                and not np.isfinite(x).all()):
+        if not bound < 1e300 and not np.isfinite(x).all():
             raise _NonFinite("x", k)
         if period:
             break

@@ -254,7 +254,8 @@ def test_criterion_10_residual_identity_and_eigensolver():
         (_lasso_full_rank_run()[0], 1.0),
     ]
     for trace, alpha in runs:
-        for x, y, z, fp in zip(trace.x, trace.y, trace.z, trace.fp_residual):
+        ys, zs = trace._column("y", "z")  # one pass: reading z alone recomputes y
+        for x, y, z, fp in zip(trace.x, ys, zs, trace.fp_residual):
             # z - y = -alpha (df(y) + dg(z)) with subgradients recovered from
             # the two proximal steps
             sf = (x - y) / alpha

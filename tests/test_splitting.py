@@ -27,7 +27,7 @@ from drsplit import (
     write_trace_csv,
 )
 from drsplit import splitting
-from drsplit.cli import ProblemSpec, gen_basis_pursuit, gen_lasso
+from drsplit.cli import ProblemSpec, build_problem, gen_basis_pursuit, gen_lasso
 from drsplit.prox import ProxOperator
 from drsplit.splitting import _drs_rows, _objective, _Rows
 
@@ -1517,6 +1517,23 @@ class TestSolveReference:
         y = f.evaluate(x_star, 1.0)
         z = g.evaluate(2 * y - x_star, 1.0)
         assert np.linalg.norm(z - y) <= 1e-12
+
+    @pytest.mark.parametrize("spec", [
+        ProblemSpec("basis_pursuit", 30, 100, seed=42),
+        ProblemSpec("lasso", 60, 40, rank=20, seed=7),
+        ProblemSpec("lasso", 60, 40, rank=40, seed=7),
+    ], ids=["basis_pursuit", "lasso_rank20", "lasso_rank40"])
+    def test_fixed_point_is_the_run_at_its_first_row_meeting_the_tolerance(self, spec):
+        # the loop without rows updates x in place; its x* must be the row
+        # the loop with rows stores, at the first row with fp <= 1e-12
+        f, g, fc = build_problem(spec)
+        params = DrsParams(alpha=1.0, lam=tune(fc, 1.0).lam, max_iters=1000)
+        x0 = np.zeros(spec.cols)
+        x_star, y_star, _ = solve_reference(f, g, params, x0)
+        trace = drs_run(f, g, params, x0)
+        stop = np.flatnonzero(trace.fp_residual <= 1e-12)[0]
+        assert trace.x[stop].tobytes() == x_star.tobytes()
+        assert trace.y[stop].tobytes() == y_star.tobytes()
 
 
 class TestTraceCsv:
